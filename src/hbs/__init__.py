@@ -51,7 +51,6 @@ from .kernels import (
     flops_sparse,
     flops_sparse_level,
     hbs_matmul,
-    level_matmul_acc,
     max_rel_error,
 )
 from .perf import (
@@ -117,7 +116,6 @@ __all__ = [
     "flops_sparse_level",
     "grid_dims",
     "hbs_matmul",
-    "level_matmul_acc",
     "lower_tensor4d",
     "max_rel_error",
     "prune_block_sparse",

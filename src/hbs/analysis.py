@@ -46,10 +46,6 @@ class RetentionReport:
             lines.append(f"  {p:<8g}  {r:.6f}")
         return "\n".join(lines)
 
-    def machine_lines(self) -> list[str]:
-        """Line-oriented form: one "percentile retained" pair per line."""
-        return [f"{p!r} {r!r}" for p, r in zip(self.percentiles, self.retained)]
-
 
 def _top_sizes(percentiles, total: int) -> list[int]:
     sizes = []
@@ -84,6 +80,7 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
             f"pruned is {hbs.rows}x{hbs.cols}"
         )
     ensure_valid(hbs)
+    percentiles = tuple(percentiles)
     total = a.size
     sizes = _top_sizes(percentiles, total)
 

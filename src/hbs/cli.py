@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -41,53 +42,49 @@ def _dims_arg(text: str) -> tuple[int, int, int]:
     return dims
 
 
-def _percentiles_arg(text: str) -> tuple[float, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            v = float(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad percentile {tok!r}") from None
-        if not 0.0 < v <= 100.0:
-            raise argparse.ArgumentTypeError(
-                f"percentile {tok!r} outside (0, 100] (percentages, e.g. 10,20,50)"
-            )
-        out.append(v / 100.0)
+def _comma_list(text: str, parse, what: str) -> tuple:
+    """Apply ``parse`` to each non-blank token of a comma list; reject an empty list."""
+    out = tuple(parse(tok) for tok in text.split(",") if tok.strip())
     if not out:
-        raise argparse.ArgumentTypeError("empty percentile list")
-    return tuple(out)
+        raise argparse.ArgumentTypeError(f"empty {what} list")
+    return out
 
 
-def _shapes_arg(text: str) -> tuple[BlockShape, ...]:
+def _percentile(tok: str) -> float:
+    tok = tok.strip()
     try:
-        shapes = tuple(BlockShape.parse(tok) for tok in text.split(",") if tok.strip())
+        v = float(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad percentile {tok!r}") from None
+    if not 0.0 < v <= 100.0:
+        raise argparse.ArgumentTypeError(
+            f"percentile {tok!r} outside (0, 100] (percentages, e.g. 10,20,50)"
+        )
+    return v / 100.0
+
+
+def _sparsity(tok: str) -> float:
+    tok = tok.strip()
+    try:
+        v = float(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad sparsity {tok!r}") from None
+    if not 0.0 <= v <= 1.0:
+        hint = " (sparsities are fractions in [0, 1], not percentages)" if v > 1 else ""
+        raise argparse.ArgumentTypeError(f"sparsity {tok!r} outside [0, 1]{hint}")
+    return v
+
+
+def _shape(tok: str) -> BlockShape:
+    try:
+        return BlockShape.parse(tok)
     except ConfigError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-    if not shapes:
-        raise argparse.ArgumentTypeError("empty shape list")
-    return shapes
 
 
-def _sparsities_arg(text: str) -> tuple[float, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            v = float(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad sparsity {tok!r}") from None
-        if not 0.0 <= v <= 1.0:
-            hint = " (sparsities are fractions in [0, 1], not percentages)" if v > 1 else ""
-            raise argparse.ArgumentTypeError(f"sparsity {tok!r} outside [0, 1]{hint}")
-        out.append(v)
-    if not out:
-        raise argparse.ArgumentTypeError("empty sparsity list")
-    return tuple(out)
+_percentiles_arg = partial(_comma_list, parse=_percentile, what="percentile")
+_shapes_arg = partial(_comma_list, parse=_shape, what="shape")
+_sparsities_arg = partial(_comma_list, parse=_sparsity, what="sparsity")
 
 
 def _positive_int(text: str) -> int:

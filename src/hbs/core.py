@@ -7,15 +7,18 @@ kept blocks of different levels never overlap: each matrix cell is owned by
 at most one level. Cells covered by no level are zero.
 
 This module defines the immutable structures (:class:`BlockShape`,
-:class:`HBSConfig`, :class:`BlockSparseLevel`, :class:`HBSMatrix`), the
-invariant checker :func:`validate`, and the basic whole-matrix views
-:func:`reconstruct`, :func:`density` and :func:`support_mask`.
+:class:`LevelSpec`, :class:`HBSConfig`, :class:`BlockSparseLevel`,
+:class:`HBSMatrix`), the invariant checker :func:`validate` with its
+raising form :func:`ensure_valid`, and the basic whole-matrix views
+:func:`reconstruct`, :func:`density` and :func:`support_mask`. A matrix is
+checked at most once: its :class:`ValidationReport` is cached on the
+instance, which is sound because levels copy and freeze their arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
 
 import numpy as np
 
@@ -46,14 +49,13 @@ def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
 
 
 def _own(arr: np.ndarray) -> np.ndarray:
-    """Return a frozen array with private storage.
+    """Return a frozen private copy of ``arr``.
 
-    Copies unless the input is already immutable and self-owned, so neither
-    the caller's array nor its flags are ever touched.
+    Always copies: a caller holding the input could otherwise turn its
+    ``writeable`` flag back on and change a level after it was validated.
     """
-    if arr.flags.writeable or arr.base is not None or not arr.flags.owndata:
-        arr = arr.copy()
-        arr.flags.writeable = False
+    arr = arr.copy()
+    arr.flags.writeable = False
     return arr
 
 
@@ -285,10 +287,6 @@ class BlockSparseLevel:
         """Row-major grid index of each kept block."""
         return self.block_rows * self.grid_cols + self.block_cols
 
-    def iter_blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        for i in range(self.n_blocks):
-            yield int(self.block_rows[i]), int(self.block_cols[i]), self.values[i]
-
     @classmethod
     def empty(cls, shape: BlockShape, grid_rows: int, grid_cols: int) -> "BlockSparseLevel":
         return cls(
@@ -319,6 +317,16 @@ class HBSMatrix:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+    # Cached: the levels hold frozen private copies of their arrays, so a
+    # matrix's validity is fixed once it is built.
+    @cached_property
+    def _report(self) -> ValidationReport:
+        tiling = _check_tiling(self)
+        divisibility = _check_divisibility(self)
+        blocks = _check_blocks(self)
+        disjointness = _check_disjointness(self, tiling.passed and blocks.passed)
+        return ValidationReport((tiling, divisibility, blocks, disjointness))
 
 
 @dataclass(frozen=True)
@@ -401,12 +409,21 @@ def _check_blocks(m: HBSMatrix) -> CheckResult:
     return CheckResult("blocks", True)
 
 
+def _scatter(out: np.ndarray, lv: BlockSparseLevel, value) -> None:
+    """Set the cells of ``out`` under ``lv``'s kept blocks to ``value``.
+
+    ``out`` is a C-contiguous ``lv.rows x lv.cols`` array; ``value`` is a
+    scalar or the level's ``values`` (one tile per kept block).
+    """
+    if lv.n_blocks:
+        view = out.reshape(lv.grid_rows, lv.shape.bh, lv.grid_cols, lv.shape.bw)
+        view[lv.block_rows, :, lv.block_cols, :] = value
+
+
 def _level_mask(lv: BlockSparseLevel) -> np.ndarray:
     """Boolean rows x cols mask of the cells covered by a level's kept blocks."""
     mask = np.zeros((lv.rows, lv.cols), dtype=bool)
-    if lv.n_blocks:
-        view = mask.reshape(lv.grid_rows, lv.shape.bh, lv.grid_cols, lv.shape.bw)
-        view[lv.block_rows, :, lv.block_cols, :] = True
+    _scatter(mask, lv, True)
     return mask
 
 
@@ -438,12 +455,11 @@ def validate(m: HBSMatrix) -> ValidationReport:
     sanity (in bounds, strictly sorted, no duplicates), and cross-level
     support disjointness. Each failure names the first offending
     coordinate.
+
+    The checks run on the first call for ``m``; later calls return the same
+    report object, passing or failing, since ``m`` cannot change.
     """
-    tiling = _check_tiling(m)
-    divisibility = _check_divisibility(m)
-    blocks = _check_blocks(m)
-    disjointness = _check_disjointness(m, tiling.passed and blocks.passed)
-    return ValidationReport((tiling, divisibility, blocks, disjointness))
+    return m._report
 
 
 def ensure_valid(m: HBSMatrix) -> None:
@@ -466,10 +482,7 @@ def reconstruct(m: HBSMatrix) -> np.ndarray:
     ensure_valid(m)
     out = np.zeros((m.rows, m.cols), dtype=np.float32)
     for lv in m.levels:
-        if lv.n_blocks == 0:
-            continue
-        view = out.reshape(lv.grid_rows, lv.shape.bh, lv.grid_cols, lv.shape.bw)
-        view[lv.block_rows, :, lv.block_cols, :] = lv.values
+        _scatter(out, lv, lv.values)
     return out
 
 
@@ -486,8 +499,5 @@ def support_mask(m: HBSMatrix) -> np.ndarray:
     """Boolean rows x cols mask of cells covered by any level."""
     mask = np.zeros((m.rows, m.cols), dtype=bool)
     for lv in m.levels:
-        if lv.n_blocks == 0:
-            continue
-        view = mask.reshape(lv.grid_rows, lv.shape.bh, lv.grid_cols, lv.shape.bw)
-        view[lv.block_rows, :, lv.block_cols, :] = True
+        _scatter(mask, lv, True)
     return mask

@@ -146,7 +146,7 @@ def write_hbsf(path, m: HBSMatrix) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def _tiling_failure(path: Path, index: int, bh: int, bw: int, rows: int, cols: int):
+def _tiling_failure(index: int, bh: int, bw: int, rows: int, cols: int):
     detail = f"level {index + 1}: {bh}x{bw} blocks do not tile {rows}x{cols}"
     report = ValidationReport((CheckResult("tiling", False, detail),))
     return ValidationError(report)
@@ -174,7 +174,7 @@ def read_hbsf(path) -> HBSMatrix:
         if bh < 1 or bw < 1:
             raise FormatError(f"{path}: level {i + 1} has non-positive block shape {bh}x{bw}")
         if rows % bh or cols % bw:
-            raise _tiling_failure(path, i, bh, bw, rows, cols)
+            raise _tiling_failure(i, bh, bw, rows, cols)
         # Bounds-check the record payload before allocating for it, so a
         # corrupt keptCount cannot demand a huge buffer.
         rec_dtype = _record_dtype(bh, bw)
@@ -213,7 +213,10 @@ def read_irf(path) -> IrfTable:
         MagicError, VersionError, FormatError: On a malformed file.
     """
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = path.read_text(encoding="ascii", errors="replace").splitlines()
+    for lineno, line in enumerate(lines, 1):
+        if "\ufffd" in line:
+            raise FormatError(f"{path}:{lineno}: non-ASCII byte, {IRF_MAGIC} files are ASCII")
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise MagicError(f"{path}: empty file, expected an {IRF_MAGIC} header")

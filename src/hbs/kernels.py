@@ -1,10 +1,11 @@
-"""Dense and block sparse matmul kernels, plus exact FLOP accounting.
+"""Dense and HBS matmul kernels, an error metric, and exact FLOP accounting.
 
-The dense kernel is the correctness oracle for the sparse ones. All kernels
-share one accumulation contract: double precision accumulators with a fixed
-traversal order (ascending inner index for dense, stored block order for
-sparse), rounded to float32 once at the end. That keeps results bit-stable
-across runs and makes oracle comparisons meaningful at tight tolerances.
+:func:`dense_matmul` is the correctness oracle for :func:`hbs_matmul`, and
+:func:`max_rel_error` compares the two. Both kernels share one accumulation
+contract: double precision accumulators with a fixed traversal order
+(ascending inner index for dense, stored level and block order for HBS),
+rounded to float32 once at the end. That keeps results bit-stable across
+runs and makes oracle comparisons meaningful at tight tolerances.
 
 FLOP counts follow the multiply-add-times-two convention.
 """
@@ -57,27 +58,6 @@ def _apply_level(level: BlockSparseLevel, b64: np.ndarray, out64: np.ndarray) ->
         block = vals64[i]
         for j in range(bw):
             out64[r0 : r0 + bh] += block[:, j, None] * b64[c0 + j]
-
-
-def level_matmul_acc(level: BlockSparseLevel, b, acc) -> np.ndarray:
-    """Return acc + (level as dense) @ b, without mutating acc.
-
-    Accumulation is double precision in the fixed order of
-    :func:`_apply_level`, rounded to float32 at the end.
-    """
-    b = _as_f32(b, "b")
-    acc = _as_f32(acc, "acc")
-    if level.cols != b.shape[0]:
-        raise DimensionError(
-            f"level is {level.rows}x{level.cols}, b is {b.shape[0]}x{b.shape[1]}"
-        )
-    if acc.shape != (level.rows, b.shape[1]):
-        raise DimensionError(
-            f"acc shape {acc.shape} != ({level.rows}, {b.shape[1]})"
-        )
-    out = acc.astype(np.float64)
-    _apply_level(level, b.astype(np.float64), out)
-    return out.astype(np.float32)
 
 
 def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:

@@ -177,6 +177,7 @@ def analytic_table(
     shapes, sparsities, alpha: float = 1.0, beta: float = 1.0
 ) -> IrfTable:
     """Build an analytic IrfTable over a grid of shapes and sparsities."""
+    sparsities = tuple(sparsities)
     entries = {}
     for shape in shapes:
         for sp in sparsities:

@@ -20,6 +20,7 @@ from .core import (
     BlockSparseLevel,
     HBSConfig,
     HBSMatrix,
+    _scatter,
     as_matrix,
     grid_dims,
 )
@@ -136,12 +137,12 @@ def _prune_level(
 
     tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)
     values = tiles4[block_rows, :, block_cols, :].copy()
+    level = BlockSparseLevel(shape, gr, gc, block_rows, block_cols, values)
 
     residual = m.copy()
-    residual.reshape(gr, shape.bh, gc, shape.bw)[block_rows, :, block_cols, :] = 0.0
+    _scatter(residual, level, 0.0)
 
     kept_scores = flat_scores[kept]
-    level = BlockSparseLevel(shape, gr, gc, block_rows, block_cols, values)
     trace = LevelTrace(
         shape=shape,
         sparsity=sparsity,
@@ -208,9 +209,7 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         level, residual, trace = _prune_level(
             residual, shape, spec.sparsity, covered_blocks
         )
-        if level.n_blocks:
-            cov4 = covered.reshape(gr, shape.bh, gc, shape.bw)
-            cov4[level.block_rows, :, level.block_cols, :] = True
+        _scatter(covered, level, True)
         levels.append(level)
         traces.append(trace)
 

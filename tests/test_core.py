@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hbs.core
 from hbs import (
     BlockShape,
     BlockSparseLevel,
@@ -14,9 +15,13 @@ from hbs import (
     density,
     ensure_valid,
     grid_dims,
+    hbs_matmul,
     reconstruct,
+    sparsity_summary,
     support_mask,
+    topk_retention,
     validate,
+    write_hbsf,
 )
 
 
@@ -140,6 +145,17 @@ class TestLevel:
         vals[0, 0, 0] = 5.0
         assert lv.values[0, 0, 0] == 1.0
 
+    def test_copies_frozen_caller_arrays(self):
+        rows = np.array([0], dtype=np.int64)
+        rows.flags.writeable = False
+        lv = BlockSparseLevel(
+            BlockShape(1, 1), 2, 2, rows, np.array([0]), np.ones((1, 1, 1), np.float32)
+        )
+        rows.flags.writeable = True
+        rows[0] = 5
+        assert lv.block_rows.tolist() == [0]
+        assert validate(HBSMatrix(2, 2, (lv,))).ok
+
     def test_value_shape_checked(self):
         with pytest.raises(ValueError):
             BlockSparseLevel(
@@ -221,6 +237,42 @@ class TestValidate:
     def test_report_render(self):
         text = validate(two_level_4x4()).render()
         assert "tiling" in text and "pass" in text
+
+    def test_checks_run_once_per_matrix(self, monkeypatch, tmp_path):
+        calls = []
+        check = hbs.core._check_disjointness
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(hbs.core, "_check_disjointness", counting)
+        m = two_level_4x4()
+        report = validate(m)
+        assert validate(m) is report
+        ensure_valid(m)
+        hbs_matmul(m, np.ones((4, 2), np.float32))
+        reconstruct(m)
+        write_hbsf(tmp_path / "m.hbsf", m)
+        topk_retention(np.ones((4, 4), np.float32), m, [0.5])
+        sparsity_summary(m)
+        assert len(calls) == 1
+
+        dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
+        bad = HBSMatrix(2, 2, (dup, dup))
+        uses = [
+            lambda: ensure_valid(bad),
+            lambda: hbs_matmul(bad, np.ones((2, 1), np.float32)),
+            lambda: reconstruct(bad),
+            lambda: write_hbsf(tmp_path / "bad.hbsf", bad),
+            lambda: topk_retention(np.ones((2, 2), np.float32), bad, [0.5]),
+            lambda: sparsity_summary(bad),
+        ]
+        for use in uses:
+            with pytest.raises(ValidationError) as exc:
+                use()
+            assert exc.value.report is validate(bad)
+        assert len(calls) == 2
 
 
 class TestReconstruct:

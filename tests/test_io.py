@@ -318,11 +318,12 @@ class TestIrf:
             ("1 1 1.5 0.5", "outside"),
             ("1 1 0.5 0.0", "outside"),
             ("1 1 0.5 2.0", "outside"),
+            ("1 1 0.5 0.5\u00e9", "non-ASCII"),
         ],
     )
     def test_bad_entry_lines(self, tmp_path, line, hint):
         p = tmp_path / "t.irf"
-        p.write_text(f"HBS-IRF v1 analytic\n{line}\n")
+        p.write_text(f"HBS-IRF v1 analytic\n{line}\n", encoding="utf-8")
         with pytest.raises(FormatError, match=hint) as exc:
             read_irf(p)
         assert f"{p}:2" in str(exc.value)

@@ -13,7 +13,6 @@ from hbs import (
     flops_sparse,
     flops_sparse_level,
     hbs_matmul,
-    level_matmul_acc,
     max_rel_error,
     prune_hierarchical,
     reconstruct,
@@ -44,42 +43,6 @@ class TestDenseMatmul:
         b = rng.standard_normal((7, 5), dtype=np.float32)
         want = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
         assert max_rel_error(dense_matmul(a, b), want) < 1e-6
-
-
-class TestLevelMatmulAcc:
-    def test_empty_level_keeps_acc(self):
-        lv = hbs.BlockSparseLevel.empty(BlockShape(2, 2), 2, 2)
-        acc = np.arange(8, dtype=np.float32).reshape(4, 2)
-        out = level_matmul_acc(lv, np.ones((4, 2), np.float32), acc)
-        assert (out == acc).all()
-
-    def test_identity_block(self):
-        lv = level_of(BlockShape(2, 2), 2, 2, [(0, 0, [[1, 0], [0, 1]])])
-        b = np.array([[1], [2], [3], [4]], dtype=np.float32)
-        out = level_matmul_acc(lv, b, np.zeros((4, 1), np.float32))
-        assert out.ravel().tolist() == [1, 2, 0, 0]
-
-    def test_does_not_mutate_acc(self):
-        lv = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[3.0]])])
-        acc = np.zeros((2, 2), np.float32)
-        level_matmul_acc(lv, np.ones((2, 2), np.float32), acc)
-        assert not acc.any()
-
-    def test_single_level_oracle(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((8, 8), dtype=np.float32)
-        m, _ = prune_hierarchical(a, HBSConfig.of((2, 4, 0.5)))
-        b = rng.standard_normal((8, 3), dtype=np.float32)
-        got = level_matmul_acc(m.levels[0], b, np.zeros((8, 3), np.float32))
-        want = dense_matmul(reconstruct(m), b)
-        assert max_rel_error(got, want) <= 1e-5
-
-    def test_shape_checks(self):
-        lv = hbs.BlockSparseLevel.empty(BlockShape(2, 2), 2, 2)
-        with pytest.raises(DimensionError):
-            level_matmul_acc(lv, np.zeros((3, 1), np.float32), np.zeros((4, 1), np.float32))
-        with pytest.raises(DimensionError):
-            level_matmul_acc(lv, np.zeros((4, 1), np.float32), np.zeros((4, 2), np.float32))
 
 
 class TestHbsMatmul:

@@ -162,6 +162,8 @@ class TestAnalyticIrf:
         assert t.provenance == "analytic"
         assert len(t.entries) == 4
         assert t.lookup(BlockShape(8, 1), 0.75) == analytic_irf(BlockShape(8, 1), 0.75)
+        once = analytic_table([BlockShape(1, 1), BlockShape(8, 1)], (s for s in [0.5, 0.75]))
+        assert once.entries == t.entries
 
 
 class TestBenchPlan:
