@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockShape, HBSMatrix, as_matrix, ensure_valid, support_mask
+from .core import BlockShape, HBSMatrix, as_matrix, density, ensure_valid, support_mask
 from .errors import DimensionError
 
 
@@ -135,16 +135,13 @@ def sparsity_summary(hbs: HBSMatrix) -> SparsitySummary:
     ensure_valid(hbs)
     cells = hbs.rows * hbs.cols
     per_level = []
-    covered = 0
     for lv in hbs.levels:
-        kept_cells = lv.n_blocks * lv.shape.area
-        covered += kept_cells
         per_level.append(
             LevelSummary(
                 lv.shape,
                 lv.n_blocks,
                 lv.grid_rows * lv.grid_cols,
-                kept_cells / cells,
+                lv.n_blocks * lv.shape.area / cells,
             )
         )
-    return SparsitySummary(hbs.rows, hbs.cols, tuple(per_level), covered / cells)
+    return SparsitySummary(hbs.rows, hbs.cols, tuple(per_level), density(hbs))

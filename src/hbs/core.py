@@ -432,6 +432,10 @@ def _check_disjointness(m: HBSMatrix, structure_ok: bool) -> CheckResult:
         return CheckResult(
             "disjointness", False, "not evaluated: requires valid tiling and block indices"
         )
+    # With blocks on fewer than two levels nothing can overlap; skipping the
+    # rows x cols count array also keeps huge empty matrices checkable.
+    if sum(1 for lv in m.levels if lv.n_blocks) < 2:
+        return CheckResult("disjointness", True)
     counts = np.zeros((m.rows, m.cols), dtype=np.uint16)
     for lv in m.levels:
         counts += _level_mask(lv)

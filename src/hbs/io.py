@@ -54,6 +54,9 @@ HBSF_MAGIC = b"HBSF"
 FORMAT_VERSION = 1
 IRF_MAGIC = "HBS-IRF"
 IRF_VERSION = "v1"
+# numpy holds a dtype's size in a C int, so a block record (two uint32
+# coordinates and a bh*bw float32 tile) may not exceed this many bytes.
+_MAX_RECORD_BYTES = 2**31 - 1
 
 
 class _Cursor:
@@ -175,6 +178,11 @@ def read_hbsf(path) -> HBSMatrix:
             raise FormatError(f"{path}: level {i + 1} has non-positive block shape {bh}x{bw}")
         if rows % bh or cols % bw:
             raise _tiling_failure(i, bh, bw, rows, cols)
+        if 8 + 4 * bh * bw > _MAX_RECORD_BYTES:
+            raise FormatError(
+                f"{path}: level {i + 1} block shape {bh}x{bw} is too large: "
+                f"a block record would exceed {_MAX_RECORD_BYTES} bytes"
+            )
         # Bounds-check the record payload before allocating for it, so a
         # corrupt keptCount cannot demand a huge buffer.
         rec_dtype = _record_dtype(bh, bw)

@@ -1,11 +1,12 @@
 """Deterministic magnitude-based block pruning.
 
 Single-level pruning ranks grid blocks by the absolute sum of their cells
-and prunes the weakest fraction. The hierarchical pipeline applies one such
-pass per configured level, always on the residual of the previous pass:
-kept cells are zeroed out of the working matrix, so later (finer) levels
-compete only for what earlier levels left behind. The resulting level
-supports are disjoint and the surviving values are carried over bit for bit.
+and prunes the weakest fraction. The hierarchical pipeline runs one such
+pass per configured level, coarse to fine, over a single magnitude array
+of the input: once a level keeps a block, its cells drop out of that
+array, so later (finer) levels compete only for what earlier levels left
+behind. The resulting level supports are disjoint and the surviving values
+are carried over bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     BlockSparseLevel,
     HBSConfig,
     HBSMatrix,
+    LevelSpec,
     _scatter,
     as_matrix,
     grid_dims,
@@ -74,6 +76,25 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _block_sums(mag: np.ndarray, shape: BlockShape) -> np.ndarray:
+    """Sum a float64 rows x cols array over each ``shape`` grid block.
+
+    A block's cells are added one by one in row-major order (see
+    :func:`block_abs_sum`).
+    """
+    gr, gc = grid_dims(mag.shape[0], mag.shape[1], shape)
+    bh, bw = shape.bh, shape.bw
+    cells = (
+        mag.reshape(gr, bh, gc, bw)
+        .transpose(0, 2, 1, 3)
+        .reshape(gr, gc, bh * bw)
+    )
+    scores = np.zeros((gr, gc), dtype=np.float64)
+    for j in range(bh * bw):
+        scores += cells[:, :, j]
+    return scores
+
+
 def block_abs_sum(m, shape: BlockShape) -> np.ndarray:
     """Score every grid block by the absolute sum of its cells.
 
@@ -87,71 +108,7 @@ def block_abs_sum(m, shape: BlockShape) -> np.ndarray:
             block dimension (names the offending axis).
     """
     m = as_matrix(m)
-    gr, gc = grid_dims(m.shape[0], m.shape[1], shape)
-    bh, bw = shape.bh, shape.bw
-    cells = (
-        np.abs(m.astype(np.float64))
-        .reshape(gr, bh, gc, bw)
-        .transpose(0, 2, 1, 3)
-        .reshape(gr, gc, bh * bw)
-    )
-    scores = np.zeros((gr, gc), dtype=np.float64)
-    for j in range(bh * bw):
-        scores += cells[:, :, j]
-    return scores
-
-
-def _select(scores: np.ndarray, n_keep: int, covered: np.ndarray | None):
-    """Pick the flat indices of the blocks to keep.
-
-    Ranking: score descending, ties broken by ascending row-major grid
-    index. Blocks flagged in ``covered`` (already owned by an earlier
-    level; their score is necessarily zero) sort after every uncovered
-    block, and the keep count is capped to the uncovered supply so kept
-    blocks never overlap earlier levels.
-    """
-    flat = scores.reshape(-1)
-    if covered is None:
-        order = np.argsort(-flat, kind="stable")
-    else:
-        order = np.lexsort((covered.reshape(-1).astype(np.int8), -flat))
-        n_keep = min(n_keep, int(flat.size - np.count_nonzero(covered)))
-    kept = np.sort(order[:n_keep])
-    return kept, flat
-
-
-def _prune_level(
-    m: np.ndarray,
-    shape: BlockShape,
-    sparsity: float,
-    covered: np.ndarray | None = None,
-) -> tuple[BlockSparseLevel, np.ndarray, LevelTrace]:
-    gr, gc = grid_dims(m.shape[0], m.shape[1], shape)
-    total = gr * gc
-    n_keep = total - round_half_up(sparsity * total)
-
-    scores = block_abs_sum(m, shape)
-    kept, flat_scores = _select(scores, n_keep, covered)
-    block_rows = kept // gc
-    block_cols = kept % gc
-
-    tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)
-    values = tiles4[block_rows, :, block_cols, :].copy()
-    level = BlockSparseLevel(shape, gr, gc, block_rows, block_cols, values)
-
-    residual = m.copy()
-    _scatter(residual, level, 0.0)
-
-    kept_scores = flat_scores[kept]
-    trace = LevelTrace(
-        shape=shape,
-        sparsity=sparsity,
-        kept_blocks=int(kept.size),
-        pruned_blocks=int(total - kept.size),
-        zero_score_kept=int(np.count_nonzero(kept_scores == 0.0)),
-        cutoff_score=float(kept_scores.min()) if kept.size else None,
-    )
-    return level, residual, trace
+    return _block_sums(np.abs(m.astype(np.float64)), shape)
 
 
 def prune_block_sparse(
@@ -173,21 +130,27 @@ def prune_block_sparse(
     Returns:
         ``(level, residual)``.
     """
-    if not 0.0 <= float(sparsity) <= 1.0:
-        raise ConfigError(f"sparsity must be in [0, 1], got {sparsity!r}")
+    config = HBSConfig((LevelSpec(shape, sparsity),))
     m = as_matrix(m)
-    level, residual, _ = _prune_level(m, shape, float(sparsity))
+    hbs, _ = prune_hierarchical(m, config)
+    (level,) = hbs.levels
+    residual = m.copy()
+    _scatter(residual, level, 0.0)
     return level, residual
 
 
 def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     """Run the full multi-level pruning pipeline.
 
-    Level 1 prunes the input; each later level prunes the previous level's
-    residual (the input with all previously kept cells zeroed). Grid
-    fractions are always relative to the full matrix. The result passes
+    Each level keeps ``total_blocks - round_half_up(sparsity * total_blocks)``
+    of its grid blocks, with grid fractions always relative to the full
+    matrix. A block's score is the absolute sum of its input cells.
+    Ranking: score descending, ties broken by ascending row-major grid
+    index; blocks owned by an earlier level are never kept, and the keep
+    count is capped at the blocks still free. The result passes
     :func:`hbs.core.validate` by construction, and every nonzero cell of
     its reconstruction equals the corresponding input cell bit for bit.
+    The input is never written.
 
     Returns:
         ``(hbs, trace)`` where ``trace`` holds one audit record per level.
@@ -198,20 +161,41 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     rows, cols = m.shape
     grid_dims(rows, cols, config.levels[0].shape)
 
-    residual = m
-    covered = np.zeros((rows, cols), dtype=bool)
+    mag = np.abs(m.astype(np.float64))
     levels: list[BlockSparseLevel] = []
     traces: list[LevelTrace] = []
     for spec in config.levels:
         shape = spec.shape
         gr, gc = grid_dims(rows, cols, shape)
-        covered_blocks = covered.reshape(gr, shape.bh, gc, shape.bw).any(axis=(1, 3))
-        level, residual, trace = _prune_level(
-            residual, shape, spec.sparsity, covered_blocks
-        )
-        _scatter(covered, level, True)
+        total = gr * gc
+        # Kept cells are -inf in ``mag``. Every shape divides the shapes of
+        # the earlier levels, so a block lies either wholly inside a kept
+        # block (score -inf: left out of the ranking, which caps the keep
+        # count at the free supply) or wholly outside all of them (score
+        # exactly as on the input with the kept cells zeroed).
+        scores = _block_sums(mag, shape).reshape(-1)
+        free = np.flatnonzero(np.isfinite(scores))
+        ranked = free[np.argsort(-scores[free], kind="stable")]
+        kept = np.sort(ranked[: total - round_half_up(spec.sparsity * total)])
+        block_rows = kept // gc
+        block_cols = kept % gc
+        tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)
+        values = tiles4[block_rows, :, block_cols, :]
+        level = BlockSparseLevel(shape, gr, gc, block_rows, block_cols, values)
+        _scatter(mag, level, -np.inf)
+
+        kept_scores = scores[kept]
         levels.append(level)
-        traces.append(trace)
+        traces.append(
+            LevelTrace(
+                shape=shape,
+                sparsity=spec.sparsity,
+                kept_blocks=int(kept.size),
+                pruned_blocks=int(total - kept.size),
+                zero_score_kept=int(np.count_nonzero(kept_scores == 0.0)),
+                cutoff_score=float(kept_scores.min()) if kept.size else None,
+            )
+        )
 
     hbs = HBSMatrix(rows, cols, tuple(levels))
     return hbs, PruneTrace(tuple(traces))

@@ -199,6 +199,26 @@ class TestHbsf:
         with pytest.raises(TruncatedError, match="block records"):
             read_hbsf(p)
 
+    def test_huge_matrix_without_levels(self, tmp_path):
+        # 20 bytes declaring a 2^31 x 2^31 matrix: validation must not
+        # allocate per cell when no two levels can overlap.
+        p = tmp_path / "x.hbsf"
+        p.write_bytes(hbsf_bytes(2**31, 2**31, []))
+        back = read_hbsf(p)
+        assert (back.rows, back.cols, back.n_levels) == (2**31, 2**31, 0)
+
+    @pytest.mark.parametrize("bh,bw", [(2**31, 2**31), (2**29 - 2, 1)])
+    def test_huge_block_shape(self, tmp_path, bh, bw):
+        p = tmp_path / "x.hbsf"
+        p.write_bytes(hbsf_bytes(bh, bw, [(bh, bw, [])]))
+        with pytest.raises(FormatError, match=f"level 1 block shape {bh}x{bw} is too large"):
+            read_hbsf(p)
+
+    def test_largest_block_shape(self, tmp_path):
+        p = tmp_path / "x.hbsf"
+        p.write_bytes(hbsf_bytes(2**29 - 3, 1, [(2**29 - 3, 1, [])]))
+        assert read_hbsf(p).levels[0].n_blocks == 0
+
     def test_unsorted_blocks(self, tmp_path):
         p = tmp_path / "x.hbsf"
         blocks = [(1, 1, [[1.0]]), (0, 0, [[2.0]])]

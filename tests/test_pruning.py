@@ -78,6 +78,43 @@ def brute_force_kept(m, shape, sparsity):
     return sorted(order[:n_keep])
 
 
+def brute_force_hierarchy(m, config):
+    """Independent multi-level oracle on an explicitly zeroed residual.
+
+    Per level: score every block by a sequential float64 sum over its
+    residual cells in row-major order, skip blocks touching a cell kept by
+    an earlier level, rank the rest by (-score, index), cap the keep count
+    at that supply, then zero the kept cells. Returns per level the kept
+    flat indices and their scores.
+    """
+    residual = m.copy()
+    owned = np.zeros(m.shape, dtype=bool)
+    out = []
+    for spec in config.levels:
+        bh, bw = spec.shape.bh, spec.shape.bw
+        gc_n = m.shape[1] // bw
+        g = (m.shape[0] // bh) * gc_n
+
+        def cells(i):
+            gr, gc = divmod(i, gc_n)
+            return np.s_[gr * bh : (gr + 1) * bh, gc * bw : (gc + 1) * bw]
+
+        scores = []
+        for i in range(g):
+            score = 0.0
+            for x in residual[cells(i)].ravel():
+                score += abs(float(x))
+            scores.append(score)
+        free = [i for i in range(g) if not owned[cells(i)].any()]
+        n_keep = min(g - round_half_up(spec.sparsity * g), len(free))
+        kept = sorted(sorted(free, key=lambda i: (-scores[i], i))[:n_keep])
+        for i in kept:
+            residual[cells(i)] = 0.0
+            owned[cells(i)] = True
+        out.append((kept, [scores[i] for i in kept]))
+    return out
+
+
 class TestPruneBlockSparse:
     def test_worked_half(self):
         level, residual = prune_block_sparse(FOUR, BlockShape(2, 2), 0.5)
@@ -170,6 +207,24 @@ class TestPruneHierarchical:
             for lt in trace.levels:
                 grid = lt.kept_blocks + lt.pruned_blocks
                 assert grid > 0 and lt.kept_blocks >= 0
+
+    def test_matches_brute_force(self, random_case):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            a, config = random_case(rng, max_dim=24)
+            before = a.copy()
+            m, trace = prune_hierarchical(a, config)
+            assert a.tobytes() == before.tobytes()
+            want = brute_force_hierarchy(a, config)
+            for lv, lt, (kept, scores) in zip(m.levels, trace.levels, want):
+                assert lv.flat_indices().tolist() == kept
+                assert lt.kept_blocks == len(kept)
+                assert lt.zero_score_kept == scores.count(0.0)
+                assert lt.cutoff_score == (min(scores) if scores else None)
+                bh, bw = lv.shape.bh, lv.shape.bw
+                for r, c, tile in zip(lv.block_rows, lv.block_cols, lv.values):
+                    cell = a[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw]
+                    assert tile.tobytes() == cell.tobytes()
 
     def test_zero_matrix_still_valid(self):
         m, trace = prune_hierarchical(
