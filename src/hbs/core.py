@@ -420,11 +420,46 @@ def _scatter(out: np.ndarray, lv: BlockSparseLevel, value) -> None:
         view[lv.block_rows, :, lv.block_cols, :] = value
 
 
-def _level_mask(lv: BlockSparseLevel) -> np.ndarray:
-    """Boolean rows x cols mask of the cells covered by a level's kept blocks."""
-    mask = np.zeros((lv.rows, lv.cols), dtype=bool)
-    _scatter(mask, lv, True)
-    return mask
+def _first_overlap(
+    x: BlockSparseLevel, y: BlockSparseLevel, table_cap: int
+) -> tuple[int, int] | None:
+    """First row-major cell under kept blocks of both levels, or None.
+
+    Works on block indices, never on cells. ``x`` must not have taller
+    blocks than ``y``. When ``x``'s shape divides ``y``'s, as in every valid
+    hierarchy, each ``x`` block lies inside one ``y`` block and the test is
+    whether that ancestor is kept: a lookup table over ``y``'s flat index
+    range when that range spans fewer than ``table_cap`` blocks, else
+    whatever ``np.isin`` picks (a sort for a sparse range, so a huge grid
+    allocates nothing per block). Otherwise each ``x`` block reaches into
+    at most two block rows of ``y``'s grid; in each such row the ``y``
+    blocks it touches form one contiguous run of ``y.flat_indices()``,
+    which ``searchsorted`` finds.
+    """
+    (xh, xw), (yh, yw) = (x.shape.bh, x.shape.bw), (y.shape.bh, y.shape.bw)
+    r0, c0 = x.block_rows * xh, x.block_cols * xw
+    flat = y.flat_indices()
+    if x.shape.divides(y.shape):
+        kind = "table" if int(flat[-1] - flat[0]) < table_cap else None
+        hit = np.isin(r0 // yh * y.grid_cols + c0 // yw, flat, kind=kind)
+        rows, cols = r0[hit], c0[hit]
+    else:
+        bottom = (r0 + xh - 1) // yh
+        split = bottom != r0 // yh
+        # One probe per (x block, y block row it reaches): the first cell
+        # row the two share and the x block's first column.
+        rows = np.concatenate([r0, bottom[split] * yh])
+        c0 = np.concatenate([c0, c0[split]])
+        base = rows // yh * y.grid_cols
+        lo = np.searchsorted(flat, base + c0 // yw)
+        first = flat[np.minimum(lo, flat.shape[0] - 1)]
+        hit = (lo < flat.shape[0]) & (first <= base + (c0 + xw - 1) // yw)
+        # The first y block of a run holds the run's leftmost shared cell.
+        rows, cols = rows[hit], np.maximum(c0[hit], y.block_cols[lo[hit]] * yw)
+    if not rows.size:
+        return None
+    k = np.lexsort((cols, rows))[0]
+    return int(rows[k]), int(cols[k])
 
 
 def _check_disjointness(m: HBSMatrix, structure_ok: bool) -> CheckResult:
@@ -432,23 +467,24 @@ def _check_disjointness(m: HBSMatrix, structure_ok: bool) -> CheckResult:
         return CheckResult(
             "disjointness", False, "not evaluated: requires valid tiling and block indices"
         )
-    # With blocks on fewer than two levels nothing can overlap; skipping the
-    # rows x cols count array also keeps huge empty matrices checkable.
-    if sum(1 for lv in m.levels if lv.n_blocks) < 2:
+    held = [(i, lv) for i, lv in enumerate(m.levels, 1) if lv.n_blocks]
+    # Lookup tables (one byte per block) may grow to the number of stored
+    # cells, a quarter of the bytes the tiles already take.
+    cap = sum(lv.values.size for _, lv in held)
+    # Levels sharing the first shared cell share it pairwise, so each pair's
+    # first shared cell is enough to name every owner of the overall first.
+    owners: dict[tuple[int, int], set[int]] = {}
+    for j, (i, a) in enumerate(held):
+        for k, b in held[j + 1 :]:
+            x, y = sorted((a, b), key=lambda lv: (lv.shape.bh, lv.shape.bw))
+            cell = _first_overlap(x, y, cap)
+            if cell is not None:
+                owners.setdefault(cell, set()).update((i, k))
+    if not owners:
         return CheckResult("disjointness", True)
-    counts = np.zeros((m.rows, m.cols), dtype=np.uint16)
-    for lv in m.levels:
-        counts += _level_mask(lv)
-    if (counts > 1).any():
-        r, c = (int(x) for x in np.argwhere(counts > 1)[0])
-        owners = [
-            str(i + 1)
-            for i, lv in enumerate(m.levels)
-            if lv.n_blocks and _level_mask(lv)[r, c]
-        ]
-        detail = f"cell ({r},{c}) covered by levels {', '.join(owners)}"
-        return CheckResult("disjointness", False, detail)
-    return CheckResult("disjointness", True)
+    r, c = min(owners)
+    levels = ", ".join(str(i) for i in sorted(owners[r, c]))
+    return CheckResult("disjointness", False, f"cell ({r},{c}) covered by levels {levels}")
 
 
 def validate(m: HBSMatrix) -> ValidationReport:

@@ -2,10 +2,12 @@
 
 :func:`dense_matmul` is the correctness oracle for :func:`hbs_matmul`, and
 :func:`max_rel_error` compares the two. Both kernels share one accumulation
-contract: double precision accumulators with a fixed traversal order
-(ascending inner index for dense, stored level and block order for HBS),
-rounded to float32 once at the end. That keeps results bit-stable across
-runs and makes oracle comparisons meaningful at tight tolerances.
+contract: float32 inputs are widened to float64, every product runs in
+float64 BLAS (one call for dense; one per non-empty block row of each level
+for HBS, with levels applied in stored order into one shared accumulator),
+and the result is rounded to float32 once at the end. Results are
+deterministic for a fixed BLAS build and thread count, and the single
+rounding keeps oracle comparisons meaningful at tight tolerances.
 
 FLOP counts follow the multiply-add-times-two convention.
 """
@@ -26,47 +28,43 @@ def _as_f32(x, name: str) -> np.ndarray:
 
 
 def dense_matmul(a, b) -> np.ndarray:
-    """Reference dense product a @ b.
-
-    Accumulates each output cell over ascending k in double precision and
-    rounds to float32 at the end.
-    """
+    """Dense product a @ b: one float64 BLAS product, rounded to float32 once."""
     a = _as_f32(a, "a")
     b = _as_f32(b, "b")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions differ: a is {a.shape}, b is {b.shape}")
-    a64 = a.astype(np.float64)
-    b64 = b.astype(np.float64)
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        acc += a64[:, k, None] * b64[k]
-    return acc.astype(np.float32)
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
 def _apply_level(level: BlockSparseLevel, b64: np.ndarray, out64: np.ndarray) -> None:
     """Add one level's product into a double-precision accumulator.
 
-    Kept blocks are visited in stored (sorted) order and a block's source
-    columns in ascending order, so contributions to any output row arrive
-    in ascending source-column order.
+    The tiles are packed side by side, in stored order, into one
+    ``bh x (n_blocks * bw)`` float64 panel; ``src`` gives the row of ``b``
+    that each panel column multiplies. Stored blocks are sorted row-major,
+    so each block row's tiles form one contiguous panel slice, and each
+    non-empty block row costs one BLAS product.
     """
     bh, bw = level.shape.bh, level.shape.bw
-    vals64 = level.values.astype(np.float64)
-    for i in range(level.n_blocks):
-        r0 = int(level.block_rows[i]) * bh
-        c0 = int(level.block_cols[i]) * bw
-        block = vals64[i]
-        for j in range(bw):
-            out64[r0 : r0 + bh] += block[:, j, None] * b64[c0 + j]
+    n = level.n_blocks
+    panel = level.values.astype(np.float64).transpose(1, 0, 2).reshape(bh, n * bw)
+    src = (level.block_cols[:, None] * bw + np.arange(bw)).ravel()
+    starts = np.flatnonzero(np.diff(level.block_rows, prepend=-1))
+    ends = np.append(starts[1:], n)
+    r0s = (level.block_rows[starts] * bh).tolist()
+    for r0, s, e in zip(r0s, (starts * bw).tolist(), (ends * bw).tolist()):
+        out64[r0 : r0 + bh] += panel[:, s:e] @ b64.take(src[s:e], axis=0)
 
 
 def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     """Multiply an HBS matrix by a dense matrix, level by level.
 
     Levels are applied in stored order into one shared double-precision
-    accumulator, rounded to float32 once at the end. A single rounding
-    keeps the result within one float32 ulp of the dense product of the
-    reconstruction even when level contributions cancel.
+    accumulator, one float64 BLAS product per non-empty block row, and the
+    sum is rounded to float32 once at the end. A single rounding keeps the
+    result within one float32 ulp of the dense product of the
+    reconstruction even when level contributions cancel. Deterministic for
+    a fixed BLAS build and thread count.
 
     Raises:
         ValidationError: If ``m`` fails validation.

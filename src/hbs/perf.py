@@ -190,7 +190,8 @@ class BenchPlan:
     """Microbenchmark protocol: problem size, repetitions, warmup, seed.
 
     The timing rule is fixed warmup calls followed by the median of the
-    timed repetitions; the median resists scheduler noise. The random
+    timed repetitions; the median resists scheduler noise. Calls that are
+    compared run alternately within each repetition. The random
     workload matrices are drawn from ``seed``, so reruns time identical
     inputs.
     """
@@ -210,22 +211,37 @@ class BenchPlan:
             raise ValueError("warmup must be >= 0")
 
 
-def _median_seconds(fn, plan: BenchPlan, what: str) -> float:
+def _median_seconds(calls: dict, plan: BenchPlan) -> list[float]:
+    """Median wall time of each of ``calls`` (label to function), in order.
+
+    Within every warmup and timed repetition the calls run one after the
+    other, so all of them see the same host state; a host that changes
+    speed mid-run shifts every median alike instead of one of them.
+
+    Raises:
+        CalibrationError: Naming the first call whose median falls below
+            the measurable floor.
+    """
     for _ in range(plan.warmup):
-        fn()
-    times = []
+        for fn in calls.values():
+            fn()
+    times = {what: [] for what in calls}
     for _ in range(plan.reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    med = statistics.median(times)
+        for what, fn in calls.items():
+            t0 = time.perf_counter()
+            fn()
+            times[what].append(time.perf_counter() - t0)
     floor = max(MIN_MEASURABLE_SECONDS, 1000.0 * time.get_clock_info("perf_counter").resolution)
-    if med < floor:
-        raise CalibrationError(
-            f"{what} ran in {med:.3g}s, below the measurable floor {floor:.3g}s; "
-            "increase the problem size (n) or repetitions"
-        )
-    return med
+    meds = []
+    for what, ts in times.items():
+        med = statistics.median(ts)
+        if med < floor:
+            raise CalibrationError(
+                f"{what} ran in {med:.3g}s, below the measurable floor {floor:.3g}s; "
+                "increase the problem size (n) or repetitions"
+            )
+        meds.append(med)
+    return meds
 
 
 def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
@@ -233,8 +249,9 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
 
     For each pair, a seeded random matrix is pruned to a single level at
     that configuration and the block sparse product is timed against the
-    dense product on the same (m, k, n) problem. The entry is the achieved
-    FLOP/s ratio, clamped to (0, 1]. Requires exclusive use of the
+    dense (BLAS) product on the same (m, k, n) problem, one dense and one
+    sparse call per repetition. The entry is the ratio of the two achieved
+    FLOP/s medians, clamped to (0, 1]. Requires exclusive use of the
     machine's timing context; do not run concurrently with other
     benchmarks.
 
@@ -251,20 +268,20 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
     rng = np.random.default_rng(plan.seed)
     a = rng.standard_normal((m, k), dtype=np.float32)
     b = rng.standard_normal((k, n), dtype=np.float32)
-
-    t_dense = _median_seconds(lambda: dense_matmul(a, b), plan, f"dense {m}x{k}x{n} matmul")
-    dense_rate = flops_dense(m, k, n) / t_dense
+    f_dense = flops_dense(m, k, n)
 
     entries: dict[tuple[BlockShape, int], float] = {}
     for shape in shapes:
         for sp in sparsities:
             w = rng.standard_normal((m, k), dtype=np.float32)
             hbs, _ = prune_hierarchical(w, HBSConfig.of((shape, sp)))
-            f_sparse = flops_sparse(hbs, n)
-            t_sparse = _median_seconds(
-                lambda: hbs_matmul(hbs, b), plan, f"sparse {shape} sp={sp:g} matmul"
+            t_dense, t_sparse = _median_seconds(
+                {
+                    f"dense {m}x{k}x{n} matmul": lambda: dense_matmul(a, b),
+                    f"sparse {shape} sp={sp:g} matmul": lambda: hbs_matmul(hbs, b),
+                },
+                plan,
             )
-            sparse_rate = f_sparse / t_sparse
-            irf = sparse_rate / dense_rate
+            irf = (flops_sparse(hbs, n) / t_sparse) / (f_dense / t_dense)
             entries[(shape, sparsity_bucket(sp))] = float(min(max(irf, _IRF_FLOOR), 1.0))
     return IrfTable(entries, PROVENANCE_CALIBRATED)

@@ -89,12 +89,12 @@ class TestPipelines:
             "bench", "calibrate",
             "--shapes", "4x1",
             "--sparsities", "0.5",
-            "--dims", "32x32x16",
+            "--dims", "128x128x32",
             "--reps", 2,
             "--out", out_path,
         )
         assert rc == 0
-        assert "calibrated 1 entries at 32x32x16" in out
+        assert "calibrated 1 entries at 128x128x32" in out
         table = read_irf(out_path)
         assert table.provenance == "calibrated"
         assert len(table.entries) == 1

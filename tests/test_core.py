@@ -227,6 +227,67 @@ class TestValidate:
         assert first.name == "disjointness"
         assert "cell (0,0)" in first.detail and "levels 1, 2" in first.detail
 
+    def test_disjointness_without_divisibility(self):
+        # 2x3 and 3x2 blocks: neither shape divides the other. The two
+        # blocks share cells (2,4) and (2,5).
+        l1 = level_of(BlockShape(2, 3), 3, 2, [(1, 1, np.ones((2, 3)))])
+        l2 = level_of(BlockShape(3, 2), 2, 3, [(0, 2, np.ones((3, 2)))])
+        checks = {c.name: c for c in validate(HBSMatrix(6, 6, (l1, l2))).checks}
+        assert not checks["divisibility"].passed
+        assert checks["disjointness"].detail == "cell (2,4) covered by levels 1, 2"
+
+    def test_disjointness_first_cell_over_all_level_pairs(self):
+        # Levels 1, 2 and 4 share cell (3,3); levels 3 and 4 share the
+        # earlier cell (1,1), which must be the one reported.
+        levels = (
+            level_of(BlockShape(2, 2), 2, 2, [(1, 1, np.ones((2, 2)))]),
+            level_of(BlockShape(1, 1), 4, 4, [(3, 3, [[1.0]])]),
+            level_of(BlockShape(2, 2), 2, 2, [(0, 0, np.ones((2, 2)))]),
+            level_of(BlockShape(1, 1), 4, 4, [(1, 1, [[1.0]]), (3, 3, [[1.0]])]),
+        )
+        checks = {c.name: c for c in validate(HBSMatrix(4, 4, levels)).checks}
+        assert checks["disjointness"].detail == "cell (1,1) covered by levels 3, 4"
+
+    def test_disjointness_on_huge_sparse_grid(self):
+        # Kept blocks at opposite corners of a 2^31 x 2^31 grid: no check
+        # may allocate per cell or per grid block.
+        n, last = 2**31, 2**31 - 1
+        one = [[1.0]]
+        l1 = level_of(BlockShape(1, 1), n, n, [(0, 0, one), (last, last, one)])
+        l2 = level_of(BlockShape(1, 1), n, n, [(0, 1, one), (last, last - 1, one)])
+        assert validate(HBSMatrix(n, n, (l1, l2))).ok
+        l3 = level_of(BlockShape(1, 1), n, n, [(0, 1, one), (last, last, one)])
+        detail = validate(HBSMatrix(n, n, (l1, l3))).first_failure.detail
+        assert detail == f"cell ({last},{last}) covered by levels 1, 2"
+
+    def test_disjointness_matches_cell_counts(self):
+        rng = np.random.default_rng(8)
+        sides = [1, 2, 3, 4, 6, 12]
+        for _ in range(300):
+            rows, cols = 12 * int(rng.integers(1, 4)), 12 * int(rng.integers(1, 4))
+            levels = []
+            for _ in range(int(rng.integers(2, 5))):
+                bh, bw = int(rng.choice(sides)), int(rng.choice(sides))
+                gr, gc = rows // bh, cols // bw
+                flat = np.flatnonzero(rng.random(gr * gc) < rng.choice([0.02, 0.1, 0.3]))
+                tiles = np.ones((flat.size, bh, bw), np.float32)
+                shape = BlockShape(bh, bw)
+                levels.append(BlockSparseLevel(shape, gr, gc, flat // gc, flat % gc, tiles))
+            counts = np.zeros((len(levels), rows, cols), dtype=bool)
+            for i, lv in enumerate(levels):
+                for gr_, gc_ in zip(lv.block_rows, lv.block_cols):
+                    bh, bw = lv.shape.bh, lv.shape.bw
+                    counts[i, gr_ * bh : (gr_ + 1) * bh, gc_ * bw : (gc_ + 1) * bw] = True
+            check = {c.name: c for c in validate(HBSMatrix(rows, cols, tuple(levels))).checks}
+            shared = np.argwhere(counts.sum(axis=0) > 1)
+            if shared.size == 0:
+                assert check["disjointness"].passed
+            else:
+                r, c = shared[0]
+                owners = ", ".join(str(i + 1) for i in np.flatnonzero(counts[:, r, c]))
+                want = f"cell ({r},{c}) covered by levels {owners}"
+                assert check["disjointness"].detail == want
+
     def test_disjointness_skipped_when_structure_broken(self):
         lv = level_of(BlockShape(2, 2), 2, 2, [(0, 2, [[1, 2], [3, 4]])])
         report = validate(HBSMatrix(4, 4, (lv,)))

@@ -207,6 +207,25 @@ class TestHbsf:
         back = read_hbsf(p)
         assert (back.rows, back.cols, back.n_levels) == (2**31, 2**31, 0)
 
+    def test_huge_matrix_with_disjoint_levels(self, tmp_path):
+        # 68 bytes: two 1x1 levels with one block each on a 2^31 x 2^31
+        # matrix. Disjointness is checked on block indices, not per cell.
+        p = tmp_path / "x.hbsf"
+        levels = [(1, 1, [(0, 0, [[1.0]])]), (1, 1, [(5, 7, [[2.0]])])]
+        p.write_bytes(hbsf_bytes(2**31, 2**31, levels))
+        assert p.stat().st_size == 68
+        back = read_hbsf(p)
+        assert [lv.n_blocks for lv in back.levels] == [1, 1]
+
+    def test_huge_matrix_with_overlapping_levels(self, tmp_path):
+        last = 2**31 - 1
+        p = tmp_path / "x.hbsf"
+        levels = [(1, 1, [(last, last, [[1.0]])]), (1, 1, [(last, last, [[2.0]])])]
+        p.write_bytes(hbsf_bytes(2**31, 2**31, levels))
+        with pytest.raises(ValidationError) as exc:
+            read_hbsf(p)
+        assert f"cell ({last},{last}) covered by levels 1, 2" in str(exc.value)
+
     @pytest.mark.parametrize("bh,bw", [(2**31, 2**31), (2**29 - 2, 1)])
     def test_huge_block_shape(self, tmp_path, bh, bw):
         p = tmp_path / "x.hbsf"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hbs
 from hbs import (
     BlockShape,
+    BlockSparseLevel,
     DimensionError,
     HBSConfig,
     HBSMatrix,
@@ -17,7 +19,50 @@ from hbs import (
     prune_hierarchical,
     reconstruct,
 )
-from conftest import level_of
+from conftest import level_of, make_random_case
+
+
+def blockwise_product(m, b):
+    """float64 sum of every kept block's tile times its slice of b.
+
+    ``b`` is rounded to float32 first, as the kernels do with their inputs.
+    """
+    b64 = np.asarray(b, dtype=np.float32).astype(np.float64)
+    out = np.zeros((m.rows, b64.shape[1]))
+    for lv in m.levels:
+        bh, bw = lv.shape.bh, lv.shape.bw
+        for gr, gc, tile in zip(lv.block_rows, lv.block_cols, lv.values):
+            out[gr * bh : (gr + 1) * bh] += tile.astype(np.float64) @ b64[gc * bw : (gc + 1) * bw]
+    return out
+
+
+def _edge_matrices():
+    rng = np.random.default_rng(21)
+
+    def tile(bh, bw):
+        return rng.standard_normal((bh, bw)).astype(np.float32)
+
+    wide = rng.standard_normal((16, 12), dtype=np.float32)
+    short = rng.standard_normal((12, 18), dtype=np.float32)
+    # Block rows 1 and 3 hold nothing, block row 0 holds a single block.
+    gappy = level_of(
+        BlockShape(2, 2), 4, 4, [(0, 1, tile(2, 2)), (2, 0, tile(2, 2)), (2, 3, tile(2, 2))]
+    )
+    coarse = level_of(BlockShape(4, 4), 2, 2, [(0, 0, tile(4, 4)), (1, 1, tile(4, 4))])
+    fine = level_of(
+        BlockShape(1, 1), 8, 8, [(0, 5, tile(1, 1)), (4, 1, tile(1, 1)), (7, 0, tile(1, 1))]
+    )
+    return {
+        "4x2": prune_hierarchical(wide, HBSConfig.parse("4x2:0.5,2x1:0.75"))[0],
+        "2x3": prune_hierarchical(short, HBSConfig.parse("2x3:0.6,1x3:0.8"))[0],
+        "gappy-rows": HBSMatrix(8, 8, (gappy,)),
+        "empty-middle": HBSMatrix(
+            8, 8, (coarse, BlockSparseLevel.empty(BlockShape(2, 2), 4, 4), fine)
+        ),
+    }
+
+
+EDGE_MATRICES = _edge_matrices()
 
 
 class TestDenseMatmul:
@@ -84,6 +129,58 @@ class TestHbsMatmul:
         first = hbs_matmul(m, b)
         again = hbs_matmul(m, b)
         assert (first.view(np.uint32) == again.view(np.uint32)).all()
+
+
+class TestPanelKernel:
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("layout", ["float32", "float64-strided"])
+    def test_matches_blockwise_product(self, name, n, layout):
+        m = EDGE_MATRICES[name]
+        rng = np.random.default_rng(n)
+        if layout == "float32":
+            b = rng.standard_normal((m.cols, n), dtype=np.float32)
+        else:
+            b = rng.standard_normal((m.cols, 2 * n))[:, ::2]
+            assert n == 0 or not b.flags.c_contiguous
+        b_bytes = b.tobytes()
+        arrays = [
+            (lv.block_rows.copy(), lv.block_cols.copy(), lv.values.copy()) for lv in m.levels
+        ]
+
+        got = hbs_matmul(m, b)
+        again = hbs_matmul(m, b)
+
+        assert got.dtype == np.float32 and got.shape == (m.rows, n)
+        if n:
+            want = blockwise_product(m, b).astype(np.float32)
+            assert max_rel_error(got, want) <= 1e-5
+        assert (got.view(np.uint32) == again.view(np.uint32)).all()
+        assert b.tobytes() == b_bytes
+        for lv, (br, bc, vals) in zip(m.levels, arrays):
+            assert (lv.block_rows == br).all() and (lv.block_cols == bc).all()
+            assert (lv.values.view(np.uint32) == vals.view(np.uint32)).all()
+
+    def test_uncovered_rows_are_zero(self):
+        m = EDGE_MATRICES["gappy-rows"]
+        out = hbs_matmul(m, np.ones((8, 3), np.float32))
+        assert not out[2:4].any() and not out[6:8].any()
+        assert out[0:2].any() and out[4:6].any()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 9), scale=st.integers(-8, 8))
+def test_hbs_matmul_within_float64_oracle(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    a, config = make_random_case(rng, max_dim=32)
+    a = a * np.float32(10.0**scale)
+    m, _ = prune_hierarchical(a, config)
+    b = rng.standard_normal((a.shape[1], n), dtype=np.float32)
+    want = (reconstruct(m).astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+    got = hbs_matmul(m, b)
+    assert got.shape == want.shape
+    if n:
+        assert max_rel_error(got, want) <= 1e-5
 
 
 class TestFlops:

@@ -182,7 +182,7 @@ class TestBenchPlan:
 
 class TestCalibration:
     def test_small_run_produces_bounded_entries(self):
-        plan = BenchPlan((64, 64, 32), reps=3, warmup=1, seed=7)
+        plan = BenchPlan((128, 128, 32), reps=3, warmup=1, seed=7)
         shapes = [BlockShape(8, 1), BlockShape(1, 1)]
         table = calibrate_irf(shapes, [0.5], plan)
         assert table.provenance == "calibrated"
