@@ -69,7 +69,6 @@ from .pruning import (
     PruneTrace,
     block_abs_sum,
     lower_tensor4d,
-    prune_block_sparse,
     prune_hierarchical,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "hbs_matmul",
     "lower_tensor4d",
     "max_rel_error",
-    "prune_block_sparse",
     "prune_hierarchical",
     "read_dmat",
     "read_hbsf",

@@ -59,6 +59,13 @@ def _own(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _row_major(rows: np.ndarray, cols: np.ndarray, grid_cols: int) -> np.ndarray:
+    """uint64 row-major flat index of non-negative int64 grid coordinates."""
+    flat = rows.view(np.uint64) * np.uint64(grid_cols)
+    flat += cols.view(np.uint64)
+    return flat
+
+
 @dataclass(frozen=True)
 class BlockShape:
     """Block dimensions of one sparsity level: ``bh`` rows by ``bw`` columns."""
@@ -284,8 +291,9 @@ class BlockSparseLevel:
         return self.grid_cols * self.shape.bw
 
     def flat_indices(self) -> np.ndarray:
-        """Row-major grid index of each kept block."""
-        return self.block_rows * self.grid_cols + self.block_cols
+        """Row-major grid index of each kept block, as uint64: exact on any
+        grid of at most 2^64 blocks, which every ``.hbsf`` grid is."""
+        return _row_major(self.block_rows, self.block_cols, self.grid_cols)
 
     @classmethod
     def empty(cls, shape: BlockShape, grid_rows: int, grid_cols: int) -> "BlockSparseLevel":
@@ -325,7 +333,8 @@ class HBSMatrix:
         tiling = _check_tiling(self)
         divisibility = _check_divisibility(self)
         blocks = _check_blocks(self)
-        disjointness = _check_disjointness(self, tiling.passed and blocks.passed)
+        hierarchy_ok = tiling.passed and divisibility.passed and blocks.passed
+        disjointness = _check_disjointness(self, hierarchy_ok)
         return ValidationReport((tiling, divisibility, blocks, disjointness))
 
 
@@ -398,10 +407,11 @@ def _check_blocks(m: HBSMatrix) -> CheckResult:
                 f"{lv.grid_rows}x{lv.grid_cols} grid"
             )
             return CheckResult("blocks", False, detail)
-        flat = lv.flat_indices()
-        order = np.diff(flat)
-        if (order <= 0).any():
-            j = int(np.argmax(order <= 0)) + 1
+        # Lexicographic on (row, col): a flat index could exceed int64.
+        r1, r0 = br[1:], br[:-1]
+        unsorted = (r1 < r0) | ((r1 == r0) & (bc[1:] <= bc[:-1]))
+        if unsorted.any():
+            j = int(np.argmax(unsorted)) + 1
             detail = (
                 f"level {i + 1}: blocks unsorted or duplicated at ({br[j]},{bc[j]})"
             )
@@ -425,48 +435,33 @@ def _first_overlap(
 ) -> tuple[int, int] | None:
     """First row-major cell under kept blocks of both levels, or None.
 
-    Works on block indices, never on cells. ``x`` must not have taller
-    blocks than ``y``. When ``x``'s shape divides ``y``'s, as in every valid
-    hierarchy, each ``x`` block lies inside one ``y`` block and the test is
+    Works on block indices, never on cells. ``x``'s shape must divide
+    ``y``'s, so each ``x`` block lies inside one ``y`` block and the test is
     whether that ancestor is kept: a lookup table over ``y``'s flat index
     range when that range spans fewer than ``table_cap`` blocks, else
     whatever ``np.isin`` picks (a sort for a sparse range, so a huge grid
-    allocates nothing per block). Otherwise each ``x`` block reaches into
-    at most two block rows of ``y``'s grid; in each such row the ``y``
-    blocks it touches form one contiguous run of ``y.flat_indices()``,
-    which ``searchsorted`` finds.
+    allocates nothing per block). A hit ``x`` block is wholly shared and
+    stored blocks are row-major, so the first hit holds the first shared
+    cell at its top-left corner.
     """
-    (xh, xw), (yh, yw) = (x.shape.bh, x.shape.bw), (y.shape.bh, y.shape.bw)
-    r0, c0 = x.block_rows * xh, x.block_cols * xw
     flat = y.flat_indices()
-    if x.shape.divides(y.shape):
-        kind = "table" if int(flat[-1] - flat[0]) < table_cap else None
-        hit = np.isin(r0 // yh * y.grid_cols + c0 // yw, flat, kind=kind)
-        rows, cols = r0[hit], c0[hit]
-    else:
-        bottom = (r0 + xh - 1) // yh
-        split = bottom != r0 // yh
-        # One probe per (x block, y block row it reaches): the first cell
-        # row the two share and the x block's first column.
-        rows = np.concatenate([r0, bottom[split] * yh])
-        c0 = np.concatenate([c0, c0[split]])
-        base = rows // yh * y.grid_cols
-        lo = np.searchsorted(flat, base + c0 // yw)
-        first = flat[np.minimum(lo, flat.shape[0] - 1)]
-        hit = (lo < flat.shape[0]) & (first <= base + (c0 + xw - 1) // yw)
-        # The first y block of a run holds the run's leftmost shared cell.
-        rows, cols = rows[hit], np.maximum(c0[hit], y.block_cols[lo[hit]] * yw)
-    if not rows.size:
+    kind = "table" if int(flat[-1] - flat[0]) < table_cap else None
+    ancestors = _row_major(
+        x.block_rows // (y.shape.bh // x.shape.bh),
+        x.block_cols // (y.shape.bw // x.shape.bw),
+        y.grid_cols,
+    )
+    hit = np.isin(ancestors, flat, kind=kind)
+    if not hit.any():
         return None
-    k = np.lexsort((cols, rows))[0]
-    return int(rows[k]), int(cols[k])
+    k = int(np.argmax(hit))
+    return int(x.block_rows[k]) * x.shape.bh, int(x.block_cols[k]) * x.shape.bw
 
 
-def _check_disjointness(m: HBSMatrix, structure_ok: bool) -> CheckResult:
-    if not structure_ok:
-        return CheckResult(
-            "disjointness", False, "not evaluated: requires valid tiling and block indices"
-        )
+def _check_disjointness(m: HBSMatrix, hierarchy_ok: bool) -> CheckResult:
+    if not hierarchy_ok:
+        detail = "not evaluated: requires valid tiling, divisibility and block indices"
+        return CheckResult("disjointness", False, detail)
     held = [(i, lv) for i, lv in enumerate(m.levels, 1) if lv.n_blocks]
     # Lookup tables (one byte per block) may grow to the number of stored
     # cells, a quarter of the bytes the tiles already take.
@@ -476,8 +471,8 @@ def _check_disjointness(m: HBSMatrix, structure_ok: bool) -> CheckResult:
     owners: dict[tuple[int, int], set[int]] = {}
     for j, (i, a) in enumerate(held):
         for k, b in held[j + 1 :]:
-            x, y = sorted((a, b), key=lambda lv: (lv.shape.bh, lv.shape.bw))
-            cell = _first_overlap(x, y, cap)
+            # Shapes divide down the hierarchy, so the later level is finer.
+            cell = _first_overlap(b, a, cap)
             if cell is not None:
                 owners.setdefault(cell, set()).update((i, k))
     if not owners:
@@ -494,7 +489,8 @@ def validate(m: HBSMatrix) -> ValidationReport:
     divisibility of consecutive block shapes, per-level block index
     sanity (in bounds, strictly sorted, no duplicates), and cross-level
     support disjointness. Each failure names the first offending
-    coordinate.
+    coordinate. Disjointness is evaluated only on a valid hierarchy (the
+    first three families pass); otherwise it fails as "not evaluated".
 
     The checks run on the first call for ``m``; later calls return the same
     report object, passing or failing, since ``m`` cannot change.

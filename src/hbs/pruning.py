@@ -21,7 +21,6 @@ from .core import (
     BlockSparseLevel,
     HBSConfig,
     HBSMatrix,
-    LevelSpec,
     _scatter,
     as_matrix,
     grid_dims,
@@ -109,34 +108,6 @@ def block_abs_sum(m, shape: BlockShape) -> np.ndarray:
     """
     m = as_matrix(m)
     return _block_sums(np.abs(m.astype(np.float64)), shape)
-
-
-def prune_block_sparse(
-    m, shape: BlockShape, sparsity: float
-) -> tuple[BlockSparseLevel, np.ndarray]:
-    """One block sparse pruning pass.
-
-    Keeps the ``total_blocks - round_half_up(sparsity * total_blocks)``
-    blocks with the highest absolute-sum score (ties keep the smaller
-    row-major grid index) and returns the kept level together with the
-    residual: the input with every kept block's cells set to 0.0. Kept tile
-    values are copied from the input bit for bit.
-
-    Args:
-        m: Dense float32 matrix (anything :func:`hbs.core.as_matrix` takes).
-        shape: Block shape; must tile ``m`` exactly.
-        sparsity: Fraction of grid blocks to prune, in [0, 1].
-
-    Returns:
-        ``(level, residual)``.
-    """
-    config = HBSConfig((LevelSpec(shape, sparsity),))
-    m = as_matrix(m)
-    hbs, _ = prune_hierarchical(m, config)
-    (level,) = hbs.levels
-    residual = m.copy()
-    _scatter(residual, level, 0.0)
-    return level, residual
 
 
 def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:

@@ -42,6 +42,7 @@ from hbs import (
     write_hbsf,
     write_irf,
 )
+from hbs.perf import _median_seconds
 
 LADDER = "32x1:0.75,16x1:0.875,8x1:0.9375,4x1:0.96875,1x1:0.96875"
 
@@ -62,17 +63,6 @@ def ones_table(*shapes):
         for bucket in range(65):
             entries[(s, bucket)] = 1.0
     return IrfTable(entries, "analytic")
-
-
-def median_seconds(fn, reps=5, warmup=2):
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def test_01_ideal_cost_speedups():
@@ -210,8 +200,11 @@ def test_08_calibrated_speedup_prediction():
         a = rng.standard_normal((1024, 1024), dtype=np.float32)
         b = rng.standard_normal((1024, 256), dtype=np.float32)
         m, _ = prune_hierarchical(a, held_out)
-        t_dense = median_seconds(lambda: dense_matmul(a, b))
-        t_sparse = median_seconds(lambda: hbs_matmul(m, b))
+        # Paired reps, as in calibration: a host slow spell hits both sides.
+        t_dense, t_sparse = _median_seconds(
+            {"dense": lambda: dense_matmul(a, b), "sparse": lambda: hbs_matmul(m, b)},
+            plan,
+        )
         measured = t_dense / t_sparse
 
         ratio = predicted / measured

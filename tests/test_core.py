@@ -229,12 +229,14 @@ class TestValidate:
 
     def test_disjointness_without_divisibility(self):
         # 2x3 and 3x2 blocks: neither shape divides the other. The two
-        # blocks share cells (2,4) and (2,5).
+        # blocks share cells (2,4) and (2,5), but disjointness is defined
+        # only on a valid hierarchy.
         l1 = level_of(BlockShape(2, 3), 3, 2, [(1, 1, np.ones((2, 3)))])
         l2 = level_of(BlockShape(3, 2), 2, 3, [(0, 2, np.ones((3, 2)))])
         checks = {c.name: c for c in validate(HBSMatrix(6, 6, (l1, l2))).checks}
         assert not checks["divisibility"].passed
-        assert checks["disjointness"].detail == "cell (2,4) covered by levels 1, 2"
+        assert not checks["disjointness"].passed
+        assert "not evaluated" in checks["disjointness"].detail
 
     def test_disjointness_first_cell_over_all_level_pairs(self):
         # Levels 1, 2 and 4 share cell (3,3); levels 3 and 4 share the
@@ -242,7 +244,7 @@ class TestValidate:
         levels = (
             level_of(BlockShape(2, 2), 2, 2, [(1, 1, np.ones((2, 2)))]),
             level_of(BlockShape(1, 1), 4, 4, [(3, 3, [[1.0]])]),
-            level_of(BlockShape(2, 2), 2, 2, [(0, 0, np.ones((2, 2)))]),
+            level_of(BlockShape(1, 1), 4, 4, [(1, 1, [[1.0]])]),
             level_of(BlockShape(1, 1), 4, 4, [(1, 1, [[1.0]]), (3, 3, [[1.0]])]),
         )
         checks = {c.name: c for c in validate(HBSMatrix(4, 4, levels)).checks}
@@ -266,8 +268,11 @@ class TestValidate:
         for _ in range(300):
             rows, cols = 12 * int(rng.integers(1, 4)), 12 * int(rng.integers(1, 4))
             levels = []
+            bh, bw = 12, 12
             for _ in range(int(rng.integers(2, 5))):
-                bh, bw = int(rng.choice(sides)), int(rng.choice(sides))
+                # Each shape divides the one before: a nested chain.
+                bh = int(rng.choice([s for s in sides if bh % s == 0]))
+                bw = int(rng.choice([s for s in sides if bw % s == 0]))
                 gr, gc = rows // bh, cols // bw
                 flat = np.flatnonzero(rng.random(gr * gc) < rng.choice([0.02, 0.1, 0.3]))
                 tiles = np.ones((flat.size, bh, bw), np.float32)
@@ -287,6 +292,13 @@ class TestValidate:
                 owners = ", ".join(str(i + 1) for i in np.flatnonzero(counts[:, r, c]))
                 want = f"cell ({r},{c}) covered by levels {owners}"
                 assert check["disjointness"].detail == want
+            # The same levels coarse-last do not nest unless all shapes agree.
+            flipped = validate(HBSMatrix(rows, cols, tuple(levels[::-1])))
+            check = {c.name: c for c in flipped.checks}
+            if not check["divisibility"].passed:
+                assert "not evaluated" in check["disjointness"].detail
+            else:
+                assert len({lv.shape for lv in levels}) == 1
 
     def test_disjointness_skipped_when_structure_broken(self):
         lv = level_of(BlockShape(2, 2), 2, 2, [(0, 2, [[1, 2], [3, 4]])])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,37 @@ class TestHbsf:
         with pytest.raises(ValidationError) as exc:
             read_hbsf(p)
         assert f"cell ({last},{last}) covered by levels 1, 2" in str(exc.value)
+
+    def test_largest_grid_block_order(self, tmp_path):
+        # On a (2^32-1)^2 grid the second block's row-major index passes
+        # 2^63: order must not be judged on a wrapped int64 key.
+        n = 2**32 - 1
+        p, q = tmp_path / "x.hbsf", tmp_path / "y.hbsf"
+        p.write_bytes(hbsf_bytes(n, n, [(1, 1, [(0, 0, [[1.0]]), (2**31 + 1, 0, [[2.0]])])]))
+        back = read_hbsf(p)
+        assert back.levels[0].block_rows.tolist() == [0, 2**31 + 1]
+        write_hbsf(q, back)
+        assert q.read_bytes() == p.read_bytes()
+
+    def test_largest_grid_overlap_allocates_nothing_per_block(self, tmp_path):
+        n, r, c = 2**32 - 1, 2**32 - 2, 2**32 - 3
+        p = tmp_path / "x.hbsf"
+        one = [[1.0]]
+        levels = [
+            (1, 1, [(0, 0, one), (r, c, one)]),
+            (1, 1, [(2**31 + 1, 0, one), (r, c, one)]),
+        ]
+        p.write_bytes(hbsf_bytes(n, n, levels))
+        assert p.stat().st_size == 92
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                read_hbsf(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"cell ({r},{c}) covered by levels 1, 2" in str(exc.value)
+        assert peak < 2**20
 
     @pytest.mark.parametrize("bh,bw", [(2**31, 2**31), (2**29 - 2, 1)])
     def test_huge_block_shape(self, tmp_path, bh, bw):

@@ -153,8 +153,6 @@ class TestAnalyticIrf:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            analytic_irf(BlockShape(1, 1), 0.5, alpha=0.0)
-        with pytest.raises(ValueError):
             analytic_irf(BlockShape(1, 1), 1.5)
 
     def test_table_builder(self):

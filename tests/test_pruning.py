@@ -10,7 +10,6 @@ from hbs import (
     block_abs_sum,
     density,
     lower_tensor4d,
-    prune_block_sparse,
     prune_hierarchical,
     reconstruct,
     support_mask,
@@ -115,38 +114,40 @@ def brute_force_hierarchy(m, config):
     return out
 
 
+def prune_one(m, shape, sparsity):
+    """The single kept level of a one-level hierarchical prune."""
+    hbs_m, _ = prune_hierarchical(m, HBSConfig.of((shape, sparsity)))
+    (level,) = hbs_m.levels
+    return level
+
+
 class TestPruneBlockSparse:
+    """One-level block sparse pruning: a one-level hierarchical prune."""
+
     def test_worked_half(self):
-        level, residual = prune_block_sparse(FOUR, BlockShape(2, 2), 0.5)
-        assert level.flat_indices().tolist() == [0, 3]
-        assert not residual.any()
+        assert prune_one(FOUR, BlockShape(2, 2), 0.5).flat_indices().tolist() == [0, 3]
 
     def test_sparsity_zero_keeps_everything(self):
-        level, residual = prune_block_sparse(FOUR, BlockShape(2, 2), 0.0)
-        assert level.n_blocks == 4
-        assert not residual.any()
+        assert prune_one(FOUR, BlockShape(2, 2), 0.0).n_blocks == 4
 
     def test_unstructured_worked(self):
         m = np.array([[1, -2], [-3, 4]], dtype=np.float32)
-        level, residual = prune_block_sparse(m, BlockShape(1, 1), 0.5)
-        assert level.flat_indices().tolist() == [2, 3]
-        assert residual.tolist() == [[1, -2], [0, 0]]
+        assert prune_one(m, BlockShape(1, 1), 0.5).flat_indices().tolist() == [2, 3]
 
     def test_tie_break_prefers_low_index(self):
         m = np.ones((2, 2), dtype=np.float32)
-        level, _ = prune_block_sparse(m, BlockShape(1, 1), 0.5)
-        assert level.flat_indices().tolist() == [0, 1]
+        assert prune_one(m, BlockShape(1, 1), 0.5).flat_indices().tolist() == [0, 1]
 
     def test_values_bit_identical(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8), dtype=np.float32)
         m[0, 0] = -0.0
-        level, _ = prune_block_sparse(m, BlockShape(8, 8), 0.0)
+        level = prune_one(m, BlockShape(8, 8), 0.0)
         assert (level.values[0].view(np.uint32) == m.view(np.uint32)).all()
 
     def test_sparsity_range_checked(self):
         with pytest.raises(ConfigError):
-            prune_block_sparse(FOUR, BlockShape(2, 2), 1.5)
+            prune_one(FOUR, BlockShape(2, 2), 1.5)
 
     def test_matches_brute_force(self, random_case):
         rng = np.random.default_rng(11)
@@ -154,13 +155,15 @@ class TestPruneBlockSparse:
             a, config = random_case(rng, max_dim=8)
             shape = config.levels[0].shape
             sp = config.levels[0].sparsity
-            level, residual = prune_block_sparse(a, shape, sp)
-            assert level.flat_indices().tolist() == brute_force_kept(a, shape, sp)
-            # residual zeros exactly the kept support and nothing else
+            level = prune_one(a, shape, sp)
+            kept = brute_force_kept(a, shape, sp)
+            assert level.flat_indices().tolist() == kept
+            # the support is exactly the kept blocks' cells
+            grid = np.zeros(a.size // shape.area, dtype=bool)
+            grid[kept] = True
+            want = grid.reshape(a.shape[0] // shape.bh, -1).repeat(shape.bh, 0).repeat(shape.bw, 1)
             mask = support_mask(hbs.HBSMatrix(a.shape[0], a.shape[1], (level,)))
-            assert not residual[mask].any()
-            keep = ~mask
-            assert (residual[keep] == a[keep]).all()
+            assert (mask == want).all()
 
 
 class TestPruneHierarchical:
