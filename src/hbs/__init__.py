@@ -67,7 +67,6 @@ from .perf import (
 from .pruning import (
     LevelTrace,
     PruneTrace,
-    block_abs_sum,
     lower_tensor4d,
     prune_hierarchical,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "analytic_irf",
     "analytic_table",
     "as_matrix",
-    "block_abs_sum",
     "calibrate_irf",
     "dense_matmul",
     "density",

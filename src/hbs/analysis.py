@@ -84,10 +84,9 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     total = a.size
     sizes = _top_sizes(percentiles, total)
 
-    mags = np.abs(a.ravel().astype(np.float64))
-    order = np.argsort(-mags, kind="stable")
-    hits = support_mask(hbs).ravel()[order]
-    cum = np.cumsum(hits, dtype=np.int64)
+    # Ranked in float32: widening to float64 is exact and keeps the order.
+    order = np.argsort(-np.abs(a.ravel()), kind="stable")
+    cum = np.cumsum(support_mask(hbs).ravel()[order], dtype=np.int64)
     retained = tuple(float(cum[sz - 1]) / sz for sz in sizes)
     return RetentionReport(tuple(float(p) for p in percentiles), retained, total)
 

@@ -28,6 +28,10 @@ from .errors import ConfigError, DimensionError, ValidationError
 # supplied fractions.
 _DENSITY_SLACK = 1e-9
 
+# Matrix and grid dimensions must be below this: ``.hbsf`` headers hold
+# them as uint32, and it keeps every row-major block index below 2^64.
+_DIM_LIMIT = 2**32
+
 
 def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
     """Return ``values`` as a C-contiguous float32 2-D array.
@@ -48,19 +52,20 @@ def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
     return arr
 
 
-def _own(arr: np.ndarray) -> np.ndarray:
-    """Return a frozen private copy of ``arr``.
+def _own(values, dtype) -> np.ndarray:
+    """Return a frozen, C-contiguous private copy of ``values`` as ``dtype``.
 
     Always copies: a caller holding the input could otherwise turn its
     ``writeable`` flag back on and change a level after it was validated.
     """
-    arr = arr.copy()
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 
 
 def _row_major(rows: np.ndarray, cols: np.ndarray, grid_cols: int) -> np.ndarray:
-    """uint64 row-major flat index of non-negative int64 grid coordinates."""
+    """uint64 row-major flat index of in-grid int64 coordinates: exact, as
+    grid dimensions are below ``_DIM_LIMIT`` and so the index is below 2^64."""
     flat = rows.view(np.uint64) * np.uint64(grid_cols)
     flat += cols.view(np.uint64)
     return flat
@@ -176,20 +181,17 @@ class HBSConfig:
             msg = hierarchy_violation(i, levels[i].shape, levels[i + 1].shape)
             if msg is not None:
                 raise ConfigError(msg)
-        total = sum(lv.density for lv in levels)
+        object.__setattr__(self, "levels", levels)
+        total = self.cumulative_density
         if total > 1.0 + _DENSITY_SLACK:
             raise ConfigError(
                 f"cumulative density {total:g} exceeds 1 (level densities "
                 f"{[lv.density for lv in levels]})"
             )
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
 
     @property
     def cumulative_density(self) -> float:
+        """Total planned density ``sum(1 - sparsity_k)`` over the levels."""
         return sum(lv.density for lv in self.levels)
 
     @classmethod
@@ -264,19 +266,21 @@ class BlockSparseLevel:
     def __post_init__(self):
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid dimensions must be positive")
+        if self.grid_rows >= _DIM_LIMIT or self.grid_cols >= _DIM_LIMIT:
+            raise ValueError("grid dimensions must be below 2^32")
         object.__setattr__(self, "grid_rows", int(self.grid_rows))
         object.__setattr__(self, "grid_cols", int(self.grid_cols))
-        br = np.ascontiguousarray(self.block_rows, dtype=np.int64)
-        bc = np.ascontiguousarray(self.block_cols, dtype=np.int64)
-        vals = np.ascontiguousarray(self.values, dtype=np.float32)
+        br = _own(self.block_rows, np.int64)
+        bc = _own(self.block_cols, np.int64)
+        vals = _own(self.values, np.float32)
         if br.ndim != 1 or bc.ndim != 1 or br.shape != bc.shape:
             raise ValueError("block_rows and block_cols must be 1-D and equal length")
         expected = (br.shape[0], self.shape.bh, self.shape.bw)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != {expected}")
-        object.__setattr__(self, "block_rows", _own(br))
-        object.__setattr__(self, "block_cols", _own(bc))
-        object.__setattr__(self, "values", _own(vals))
+        object.__setattr__(self, "block_rows", br)
+        object.__setattr__(self, "block_cols", bc)
+        object.__setattr__(self, "values", vals)
 
     @property
     def n_blocks(self) -> int:
@@ -291,20 +295,9 @@ class BlockSparseLevel:
         return self.grid_cols * self.shape.bw
 
     def flat_indices(self) -> np.ndarray:
-        """Row-major grid index of each kept block, as uint64: exact on any
-        grid of at most 2^64 blocks, which every ``.hbsf`` grid is."""
+        """Row-major grid index of each kept block, as uint64: exact for
+        in-grid blocks, as both grid dimensions are below 2^32."""
         return _row_major(self.block_rows, self.block_cols, self.grid_cols)
-
-    @classmethod
-    def empty(cls, shape: BlockShape, grid_rows: int, grid_cols: int) -> "BlockSparseLevel":
-        return cls(
-            shape,
-            grid_rows,
-            grid_cols,
-            np.zeros(0, np.int64),
-            np.zeros(0, np.int64),
-            np.zeros((0, shape.bh, shape.bw), np.float32),
-        )
 
 
 @dataclass(frozen=True)
@@ -318,6 +311,8 @@ class HBSMatrix:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
+        if self.rows >= _DIM_LIMIT or self.cols >= _DIM_LIMIT:
+            raise ValueError("matrix dimensions must be below 2^32")
         object.__setattr__(self, "rows", int(self.rows))
         object.__setattr__(self, "cols", int(self.cols))
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -396,8 +391,6 @@ def _check_divisibility(m: HBSMatrix) -> CheckResult:
 
 def _check_blocks(m: HBSMatrix) -> CheckResult:
     for i, lv in enumerate(m.levels):
-        if lv.n_blocks == 0:
-            continue
         br, bc = lv.block_rows, lv.block_cols
         bad = (br < 0) | (br >= lv.grid_rows) | (bc < 0) | (bc >= lv.grid_cols)
         if bad.any():

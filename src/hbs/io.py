@@ -193,9 +193,9 @@ def read_hbsf(path) -> HBSMatrix:
                 BlockShape(bh, bw),
                 rows // bh,
                 cols // bw,
-                rec["gr"].astype(np.int64),
-                rec["gc"].astype(np.int64),
-                rec["tile"].astype(np.float32),
+                rec["gr"],
+                rec["gc"],
+                rec["tile"],
             )
         )
     cur.done("the last level")

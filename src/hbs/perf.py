@@ -75,10 +75,6 @@ class IrfTable:
             if not 0.0 < irf <= 1.0:
                 raise ValueError(f"irf {irf!r} for {shape} bucket {bucket} not in (0, 1]")
 
-    @property
-    def shapes(self) -> tuple[BlockShape, ...]:
-        return tuple(sorted({s for s, _ in self.entries}, key=lambda s: (s.bh, s.bw)))
-
     def lookup(self, shape: BlockShape, sparsity: float) -> float:
         """irf for (shape, sparsity), falling back to the nearest bucket.
 

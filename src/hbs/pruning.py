@@ -78,8 +78,8 @@ def round_half_up(x: float) -> int:
 def _block_sums(mag: np.ndarray, shape: BlockShape) -> np.ndarray:
     """Sum a float64 rows x cols array over each ``shape`` grid block.
 
-    A block's cells are added one by one in row-major order (see
-    :func:`block_abs_sum`).
+    A block's cells are added one by one in row-major order, so scores do
+    not depend on how numpy would vectorize a reduction.
     """
     gr, gc = grid_dims(mag.shape[0], mag.shape[1], shape)
     bh, bw = shape.bh, shape.bw
@@ -94,31 +94,16 @@ def _block_sums(mag: np.ndarray, shape: BlockShape) -> np.ndarray:
     return scores
 
 
-def block_abs_sum(m, shape: BlockShape) -> np.ndarray:
-    """Score every grid block by the absolute sum of its cells.
-
-    Returns a grid_rows x grid_cols float64 array. Each block's cells are
-    accumulated sequentially in row-major order within the block, in double
-    precision, so scores are reproducible regardless of how the caller
-    parallelizes around this function.
-
-    Raises:
-        DimensionError: When a matrix dimension is not divisible by the
-            block dimension (names the offending axis).
-    """
-    m = as_matrix(m)
-    return _block_sums(np.abs(m.astype(np.float64)), shape)
-
-
 def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     """Run the full multi-level pruning pipeline.
 
     Each level keeps ``total_blocks - round_half_up(sparsity * total_blocks)``
     of its grid blocks, with grid fractions always relative to the full
-    matrix. A block's score is the absolute sum of its input cells.
-    Ranking: score descending, ties broken by ascending row-major grid
-    index; blocks owned by an earlier level are never kept, and the keep
-    count is capped at the blocks still free. The result passes
+    matrix. A block's score is the absolute sum of its input cells, added
+    one by one in row-major order within the block in float64, so scores
+    are reproducible. Ranking: score descending, ties broken by ascending
+    row-major grid index; blocks owned by an earlier level are never kept,
+    and the keep count is capped at the blocks still free. The result passes
     :func:`hbs.core.validate` by construction, and every nonzero cell of
     its reconstruction equals the corresponding input cell bit for bit.
     The input is never written.
@@ -130,9 +115,7 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         raise ConfigError(f"expected HBSConfig, got {type(config).__name__}")
     m = as_matrix(m)
     rows, cols = m.shape
-    grid_dims(rows, cols, config.levels[0].shape)
-
-    mag = np.abs(m.astype(np.float64))
+    mag = np.abs(m, dtype=np.float64)
     levels: list[BlockSparseLevel] = []
     traces: list[LevelTrace] = []
     for spec in config.levels:

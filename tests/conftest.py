@@ -12,11 +12,9 @@ def _divisors(n):
 
 def level_of(shape, grid_rows, grid_cols, blocks):
     """Build a level from (gr, gc, tile) triples without any ordering fixup."""
-    if not blocks:
-        return hbs.BlockSparseLevel.empty(shape, grid_rows, grid_cols)
     gr = np.array([b[0] for b in blocks], dtype=np.int64)
     gc = np.array([b[1] for b in blocks], dtype=np.int64)
-    vals = np.array([b[2] for b in blocks], dtype=np.float32)
+    vals = np.array([b[2] for b in blocks], dtype=np.float32).reshape(-1, shape.bh, shape.bw)
     return hbs.BlockSparseLevel(shape, grid_rows, grid_cols, gr, gc, vals)
 
 

@@ -124,22 +124,34 @@ class TestValidate:
 
 class TestExitCodes:
     def test_usage_errors_exit_2(self, run, tmp_path):
+        out = tmp_path / "x"
+        topk = ("topk", "--original", "a", "--pruned", "m", "--percentiles")
         cases = [
-            ("frobnicate",),
-            ("gen", "--rows", 4),
-            ("gen", "--rows", 4, "--cols", 4, "--out", tmp_path / "x", "--bogus"),
-            ("gen", "--rows", 0, "--cols", 4, "--out", tmp_path / "x"),
-            ("prune", "--in", "x", "--out", "y", "--levels", "2x2:1.5"),
-            ("prune", "--in", "x", "--out", "y", "--levels", "2x2:0.5,3x3:0.1"),
-            ("speedup", "--dims", "6x6", "--levels", "1x1:0.5", "--irf", "t"),
-            ("topk", "--original", "a", "--pruned", "m", "--percentiles", "0"),
-            ("bench", "calibrate", "--shapes", "4x1", "--sparsities", "75",
-             "--dims", "8x8x8", "--out", tmp_path / "x"),
+            (("frobnicate",), "invalid choice"),
+            (("gen", "--rows", 4), "required"),
+            (("gen", "--rows", 4, "--cols", 4, "--out", out, "--bogus"), "unrecognized"),
+            (("gen", "--rows", 0, "--cols", 4, "--out", out), "positive integer"),
+            (("gen", "--rows", "four", "--cols", 4, "--out", out), "positive integer"),
+            (("prune", "--in", "x", "--out", "y", "--levels", "2x2:1.5"), "[0, 1]"),
+            (("prune", "--in", "x", "--out", "y", "--levels", "2x2:0.5,3x3:0.1"),
+             "does not evenly divide"),
+            (("speedup", "--dims", "6x6", "--levels", "1x1:0.5", "--irf", "t"), "bad dims"),
+            (("speedup", "--dims", "6xax6", "--levels", "1x1:0.5", "--irf", "t"),
+             "bad dims"),
+            ((*topk, "0"), "outside (0, 100]"),
+            ((*topk, "ten"), "bad percentile 'ten'"),
+            ((*topk, " , "), "empty percentile list"),
+            (("bench", "calibrate", "--shapes", "4x1", "--sparsities", "75",
+              "--dims", "8x8x8", "--out", out), "not percentages"),
+            (("bench", "calibrate", "--shapes", "4x1", "--sparsities", "half",
+              "--dims", "8x8x8", "--out", out), "bad sparsity 'half'"),
+            (("bench", "calibrate", "--shapes", "4", "--sparsities", "0.5",
+              "--dims", "8x8x8", "--out", out), "bad block shape '4'"),
         ]
-        for argv in cases:
+        for argv, message in cases:
             rc, _, err = run(*argv)
             assert rc == 2, argv
-            assert "usage" in err
+            assert "usage" in err and message in err, argv
 
     def test_percentage_sparsity_hint(self, run):
         rc, _, err = run("prune", "--in", "x", "--out", "y", "--levels", "1x1:75")

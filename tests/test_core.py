@@ -61,7 +61,7 @@ class TestConfig:
         text = "32x1:0.75,16x1:0.875,1x1:0.96875"
         cfg = HBSConfig.parse(text)
         assert str(cfg) == text
-        assert cfg.n_levels == 3
+        assert len(cfg.levels) == 3
         assert cfg.cumulative_density == pytest.approx(0.40625)
 
     def test_sparsity_bounds(self):
@@ -75,6 +75,14 @@ class TestConfig:
             HBSConfig(())
         with pytest.raises(ConfigError):
             HBSConfig.parse(" , ")
+
+    def test_rejects_malformed_levels(self):
+        with pytest.raises(ConfigError, match="expected LevelSpec, got BlockShape"):
+            HBSConfig((BlockShape(1, 1),))
+        with pytest.raises(ConfigError, match="bad level spec '2x2'"):
+            HBSConfig.parse("2x2")
+        with pytest.raises(ConfigError, match="bad sparsity 'half'"):
+            HBSConfig.parse("2x2:half")
 
     def test_divisibility_chain(self):
         with pytest.raises(ConfigError, match=r"3 % 2 != 0 on rows"):
@@ -127,7 +135,7 @@ class TestAsMatrix:
 
 class TestLevel:
     def test_empty(self):
-        lv = BlockSparseLevel.empty(BlockShape(2, 2), 2, 2)
+        lv = level_of(BlockShape(2, 2), 2, 2, [])
         assert lv.n_blocks == 0 and lv.rows == 4 and lv.cols == 4
 
     def test_freezes_arrays(self):
@@ -162,6 +170,11 @@ class TestLevel:
                 BlockShape(2, 2), 2, 2, np.array([0]), np.array([0]),
                 np.zeros((1, 1, 1), dtype=np.float32),
             )
+        one = np.ones((1, 1, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            BlockSparseLevel(BlockShape(1, 1), 0, 2, [0], [0], one)
+        with pytest.raises(ValueError, match="equal length"):
+            BlockSparseLevel(BlockShape(1, 1), 2, 2, [0, 1], [0], one)
 
     def test_flat_indices(self):
         lv = level_of(BlockShape(1, 1), 2, 3, [(0, 2, [[1.0]]), (1, 0, [[2.0]])])
@@ -178,7 +191,7 @@ def two_level_4x4():
 class TestValidate:
     def test_all_pass(self):
         report = validate(two_level_4x4())
-        assert report.ok
+        assert report.ok and report.first_failure is None
         assert [c.name for c in report.checks] == [
             "tiling", "divisibility", "blocks", "disjointness",
         ]
@@ -194,8 +207,8 @@ class TestValidate:
         assert not report.ok
 
     def test_divisibility_failure(self):
-        l1 = BlockSparseLevel.empty(BlockShape(3, 1), 2, 6)
-        l2 = BlockSparseLevel.empty(BlockShape(2, 1), 3, 6)
+        l1 = level_of(BlockShape(3, 1), 2, 6, [])
+        l2 = level_of(BlockShape(2, 1), 3, 6, [])
         report = validate(HBSMatrix(6, 6, (l1, l2)))
         assert report.first_failure.name == "divisibility"
         assert "3 % 2 != 0" in report.first_failure.detail
@@ -261,6 +274,23 @@ class TestValidate:
         l3 = level_of(BlockShape(1, 1), n, n, [(0, 1, one), (last, last, one)])
         detail = validate(HBSMatrix(n, n, (l1, l3))).first_failure.detail
         assert detail == f"cell ({last},{last}) covered by levels 1, 2"
+
+    def test_grid_beyond_uint32_refused(self):
+        # uint64 row-major block keys cannot index a 2^64-wide grid.
+        n = 2**64
+        with pytest.raises(ValueError, match=r"grid dimensions must be below 2\^32"):
+            l1 = level_of(BlockShape(1, 1), 1, n, [(0, 0, [[1.0]])])
+            l2 = level_of(BlockShape(1, 1), 1, n, [(0, 1, [[2.0]])])
+            validate(HBSMatrix(1, n, (l1, l2)))
+
+    def test_matrix_beyond_uint32_refused(self):
+        # On a 2^40 x 2^40 grid the uint64 key of block (2^24,0) would wrap
+        # to 0, the key of block (0,0), and disjoint levels would overlap.
+        n = 2**40
+        with pytest.raises(ValueError, match=r"dimensions must be below 2\^32"):
+            l1 = level_of(BlockShape(1, 1), n, n, [(0, 0, [[1.0]])])
+            l2 = level_of(BlockShape(1, 1), n, n, [(2**24, 0, [[2.0]])])
+            validate(HBSMatrix(n, n, (l1, l2)))
 
     def test_disjointness_matches_cell_counts(self):
         rng = np.random.default_rng(8)
@@ -380,6 +410,7 @@ class TestReconstruct:
         assert exc.value.report.first_failure.name == "blocks"
         with pytest.raises(ValidationError):
             ensure_valid(bad)
+        assert str(ValidationError(validate(two_level_4x4()))) == "invalid HBS matrix"
 
 
 class TestDensity:

@@ -238,6 +238,14 @@ class TestHbsf:
         write_hbsf(q, back)
         assert q.read_bytes() == p.read_bytes()
 
+    def test_rows_beyond_header_range_refused(self, tmp_path):
+        # The header holds rows and cols as uint32, so no such matrix may
+        # exist to be written.
+        p = tmp_path / "x.hbsf"
+        with pytest.raises(ValueError, match=r"matrix dimensions must be below 2\^32"):
+            write_hbsf(p, HBSMatrix(2**32, 1, ()))
+        assert not p.exists()
+
     def test_largest_grid_overlap_allocates_nothing_per_block(self, tmp_path):
         n, r, c = 2**32 - 1, 2**32 - 2, 2**32 - 3
         p = tmp_path / "x.hbsf"

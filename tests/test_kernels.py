@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 import hbs
 from hbs import (
     BlockShape,
-    BlockSparseLevel,
     DimensionError,
     HBSConfig,
     HBSMatrix,
@@ -57,7 +56,7 @@ def _edge_matrices():
         "2x3": prune_hierarchical(short, HBSConfig.parse("2x3:0.6,1x3:0.8"))[0],
         "gappy-rows": HBSMatrix(8, 8, (gappy,)),
         "empty-middle": HBSMatrix(
-            8, 8, (coarse, BlockSparseLevel.empty(BlockShape(2, 2), 4, 4), fine)
+            8, 8, (coarse, level_of(BlockShape(2, 2), 4, 4, []), fine)
         ),
     }
 
@@ -81,6 +80,8 @@ class TestDenseMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             dense_matmul(np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32))
+        with pytest.raises(DimensionError, match="b must be 2-D, got 1"):
+            dense_matmul(np.zeros((2, 3), np.float32), np.zeros(3, np.float32))
 
     def test_matches_float64_reference(self):
         rng = np.random.default_rng(2)
@@ -194,12 +195,14 @@ class TestFlops:
             flops_dense(-1, 2, 2)
 
     def test_level_values(self):
-        empty = hbs.BlockSparseLevel.empty(BlockShape(2, 2), 2, 2)
+        empty = level_of(BlockShape(2, 2), 2, 2, [])
         assert flops_sparse_level(empty, 5) == 0
         lv = level_of(
             BlockShape(2, 2), 2, 2, [(0, 0, np.ones((2, 2))), (1, 1, np.ones((2, 2)))]
         )
         assert flops_sparse_level(lv, 3) == 48
+        with pytest.raises(ValueError):
+            flops_sparse_level(lv, -1)
 
     def test_density_relationship(self):
         rng = np.random.default_rng(9)

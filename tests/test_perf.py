@@ -68,10 +68,8 @@ class TestIrfTable:
             IrfTable({(s, 65): 0.5}, "calibrated")
         with pytest.raises(ValueError):
             IrfTable({(s, 0): 0.5}, "measured")
-
-    def test_shapes_listing(self):
-        t = ones_table(BlockShape(8, 1), BlockShape(1, 1))
-        assert t.shapes == (BlockShape(1, 1), BlockShape(8, 1))
+        with pytest.raises(ValueError, match="bad key shape"):
+            IrfTable({("1x1", 0): 0.5}, "calibrated")
 
 
 class TestEstimateCost:

@@ -7,14 +7,13 @@ from hbs import (
     ConfigError,
     DimensionError,
     HBSConfig,
-    block_abs_sum,
     density,
     lower_tensor4d,
     prune_hierarchical,
     reconstruct,
     support_mask,
 )
-from hbs.pruning import round_half_up
+from hbs.pruning import _block_sums, round_half_up
 
 # Shared worked example: 2x2 grid scores are 10, 0, 0, 26.
 FOUR = np.array(
@@ -29,6 +28,11 @@ class TestRoundHalfUp:
     )
     def test_values(self, x, expected):
         assert round_half_up(x) == expected
+
+
+def block_abs_sum(m, shape):
+    """Block scores as prune_hierarchical computes them: sums of float64 |m|."""
+    return _block_sums(np.abs(np.asarray(m, dtype=np.float64)), shape)
 
 
 class TestBlockAbsSum:
@@ -198,6 +202,10 @@ class TestPruneHierarchical:
         with pytest.raises(DimensionError):
             prune_hierarchical(np.zeros((5, 4), np.float32), HBSConfig.of((2, 2, 0.5)))
 
+    def test_config_type_checked(self):
+        with pytest.raises(ConfigError, match="expected HBSConfig, got str"):
+            prune_hierarchical(FOUR, "2x2:0.5")
+
     def test_residuals_and_disjointness(self, random_case):
         rng = np.random.default_rng(21)
         for _ in range(200):
@@ -236,6 +244,7 @@ class TestPruneHierarchical:
         assert hbs.validate(m).ok
         assert trace.levels[0].zero_score_kept == 2
         assert trace.levels[1].zero_score_kept == 4
+        assert trace.levels[1].render().endswith("zero-score kept 4")
         # covered cells: 2 kept 2x2 blocks plus 4 kept singles
         assert density(m) == 0.75
 
