@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockShape, HBSMatrix, as_matrix, density, ensure_valid, support_mask
+from .core import BlockShape, HBSMatrix, _top_k, as_matrix, density, ensure_valid, support_mask
 from .errors import DimensionError
 
 
@@ -85,9 +85,9 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     sizes = _top_sizes(percentiles, total)
 
     # Ranked in float32: widening to float64 is exact and keeps the order.
-    order = np.argsort(-np.abs(a.ravel()), kind="stable")
-    cum = np.cumsum(support_mask(hbs).ravel()[order], dtype=np.int64)
-    retained = tuple(float(cum[sz - 1]) / sz for sz in sizes)
+    mag = np.abs(a.ravel())
+    support = support_mask(hbs).ravel()
+    retained = tuple(int(np.count_nonzero(support[_top_k(mag, sz)])) / sz for sz in sizes)
     return RetentionReport(tuple(float(p) for p in percentiles), retained, total)
 
 

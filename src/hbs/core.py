@@ -63,6 +63,25 @@ def _own(values, dtype) -> np.ndarray:
     return arr
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the ``k`` largest entries of 1-D ``scores``.
+
+    Ties at the cut go to the lower index, so the result equals the first
+    ``k`` of a stable descending sort, found by selection in linear time.
+    ``k >= n`` keeps everything; ``k <= 0`` keeps nothing.
+    """
+    n = scores.shape[0]
+    if k >= n:
+        return np.arange(n)
+    if k <= 0:
+        return np.arange(0)
+    cut = np.partition(scores, n - k)[n - k]
+    keep = scores > cut
+    ties = np.flatnonzero(scores == cut)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 def _row_major(rows: np.ndarray, cols: np.ndarray, grid_cols: int) -> np.ndarray:
     """uint64 row-major flat index of in-grid int64 coordinates: exact, as
     grid dimensions are below ``_DIM_LIMIT`` and so the index is below 2^64."""

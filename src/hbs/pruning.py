@@ -22,6 +22,7 @@ from .core import (
     HBSConfig,
     HBSMatrix,
     _scatter,
+    _top_k,
     as_matrix,
     grid_dims,
 )
@@ -129,8 +130,7 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         # exactly as on the input with the kept cells zeroed).
         scores = _block_sums(mag, shape).reshape(-1)
         free = np.flatnonzero(np.isfinite(scores))
-        ranked = free[np.argsort(-scores[free], kind="stable")]
-        kept = np.sort(ranked[: total - round_half_up(spec.sparsity * total)])
+        kept = free[_top_k(scores[free], total - round_half_up(spec.sparsity * total))]
         block_rows = kept // gc
         block_cols = kept % gc
         tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)
