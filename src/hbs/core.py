@@ -63,6 +63,14 @@ def _own(values, dtype) -> np.ndarray:
     return arr
 
 
+def _as_int(value, what: str, error: type[Exception]) -> int:
+    """``value`` as a Python int; ``error`` unless it is an int or a numpy
+    integer. ``bool`` is refused, so ``True`` cannot pass for 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ascending indices of the ``k`` largest entries of 1-D ``scores``.
 
@@ -99,12 +107,10 @@ class BlockShape:
 
     def __post_init__(self):
         for name in ("bh", "bw"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"block {name} must be an integer, got {v!r}")
+            v = _as_int(getattr(self, name), f"block {name}", ConfigError)
             if v < 1:
                 raise ConfigError(f"block {name} must be >= 1, got {v}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, v)
 
     @property
     def area(self) -> int:
@@ -161,6 +167,8 @@ class LevelSpec:
     sparsity: float
 
     def __post_init__(self):
+        if not isinstance(self.shape, BlockShape):
+            raise ConfigError(f"level shape must be a BlockShape, got {self.shape!r}")
         sp = float(self.sparsity)
         if not np.isfinite(sp) or sp < 0.0 or sp > 1.0:
             hint = ""
@@ -283,12 +291,14 @@ class BlockSparseLevel:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.grid_rows < 1 or self.grid_cols < 1:
+        gr = _as_int(self.grid_rows, "grid_rows", ValueError)
+        gc = _as_int(self.grid_cols, "grid_cols", ValueError)
+        if gr < 1 or gc < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.grid_rows >= _DIM_LIMIT or self.grid_cols >= _DIM_LIMIT:
+        if gr >= _DIM_LIMIT or gc >= _DIM_LIMIT:
             raise ValueError("grid dimensions must be below 2^32")
-        object.__setattr__(self, "grid_rows", int(self.grid_rows))
-        object.__setattr__(self, "grid_cols", int(self.grid_cols))
+        object.__setattr__(self, "grid_rows", gr)
+        object.__setattr__(self, "grid_cols", gc)
         br = _own(self.block_rows, np.int64)
         bc = _own(self.block_cols, np.int64)
         vals = _own(self.values, np.float32)
@@ -328,12 +338,14 @@ class HBSMatrix:
     levels: tuple[BlockSparseLevel, ...]
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        rows = _as_int(self.rows, "rows", ValueError)
+        cols = _as_int(self.cols, "cols", ValueError)
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if self.rows >= _DIM_LIMIT or self.cols >= _DIM_LIMIT:
+        if rows >= _DIM_LIMIT or cols >= _DIM_LIMIT:
             raise ValueError("matrix dimensions must be below 2^32")
-        object.__setattr__(self, "rows", int(self.rows))
-        object.__setattr__(self, "cols", int(self.cols))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "levels", tuple(self.levels))
 
     @property

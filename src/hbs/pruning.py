@@ -104,7 +104,10 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     one by one in row-major order within the block in float64, so scores
     are reproducible. Ranking: score descending, ties broken by ascending
     row-major grid index; blocks owned by an earlier level are never kept,
-    and the keep count is capped at the blocks still free. The result passes
+    and the keep count is capped at the blocks still free. The kept blocks
+    are found by selection (one ``np.partition``), in time linear in the
+    blocks, and are exactly those a stable descending sort would put
+    first. The result passes
     :func:`hbs.core.validate` by construction, and every nonzero cell of
     its reconstruction equals the corresponding input cell bit for bit.
     The input is never written.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import level_of
+from conftest import level_of, make_random_case
 from hbs import (
     BlockShape,
     DimensionError,
@@ -11,8 +11,10 @@ from hbs import (
     ValidationError,
     prune_hierarchical,
     sparsity_summary,
+    support_mask,
     topk_retention,
 )
+from hbs.analysis import _top_sizes
 
 FOUR = np.array(
     [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]], dtype=np.float32
@@ -61,6 +63,36 @@ class TestTopkRetention:
         # p=0.15 of 9 cells -> top set of 2; only the 9 survives
         rep = topk_retention(a, m, [0.15])
         assert rep.retained == (0.5,)
+
+    def test_top_set_size_is_exact(self):
+        a = np.arange(10, 0, -1, dtype=np.float32).reshape(1, 10)
+        m = HBSMatrix(1, 10, (level_of(BlockShape(1, 1), 1, 10, [(0, 0, [[10.0]])]),))
+        # 0.100000000001 of 10 cells is a hair above 1 -> top set of 2
+        assert topk_retention(a, m, [0.100000000001]).retained == (0.5,)
+
+    @pytest.mark.parametrize(
+        "p,total,size",
+        [(0.3, 10, 3), (0.15, 9, 2), (0.100000000001, 10, 2), (0.55, 10**8, 55_000_000),
+         (1e-300, 10, 1), (1.0, 7, 7)],
+    )
+    def test_top_sizes(self, p, total, size):
+        assert _top_sizes([p], total) == [size]
+
+    def test_matches_stable_sort_oracle(self):
+        def oracle(a, m, percentiles):
+            order = np.argsort(-np.abs(a.ravel()), kind="stable")
+            cum = np.cumsum(support_mask(m).ravel()[order])
+            return tuple(float(cum[sz - 1]) / sz for sz in _top_sizes(percentiles, a.size))
+
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            a, config = make_random_case(rng, max_dim=24)
+            a = np.round(a * 2)  # few distinct magnitudes: ties everywhere
+            m, _ = prune_hierarchical(a, config)
+            pcts = [1.0, *rng.uniform(0.001, 1.0, 5)]
+            rep = topk_retention(a, m, pcts)
+            assert rep.retained == oracle(a, m, pcts)
+            assert all(type(r) is float for r in rep.retained)
 
     def test_percentile_range(self):
         m = pruned(FOUR, (2, 2, 0.75))

@@ -98,6 +98,12 @@ class TestConfig:
         cfg = HBSConfig.of((2, 2, 0.5), (1, 1, 0.5))
         assert cfg.cumulative_density == 1.0
 
+    def test_level_shape_type_checked(self):
+        with pytest.raises(ConfigError, match="must be a BlockShape, got '1x1'"):
+            HBSConfig.of(("1x1", 0.5))
+        with pytest.raises(ConfigError, match="must be a BlockShape, got '1x1'"):
+            HBSConfig.of((BlockShape(2, 2), 0.5), ("1x1", 0.25))
+
     def test_of_accepts_both_spellings(self):
         a = HBSConfig.of((2, 2, 0.5))
         b = HBSConfig.of((BlockShape(2, 2), 0.5))
@@ -175,6 +181,17 @@ class TestLevel:
             BlockSparseLevel(BlockShape(1, 1), 0, 2, [0], [0], one)
         with pytest.raises(ValueError, match="equal length"):
             BlockSparseLevel(BlockShape(1, 1), 2, 2, [0, 1], [0], one)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0), (True, 2), ("2", 2)])
+    def test_grid_dims_integer_only(self, dims):
+        none = np.zeros((0, 1, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match="must be an integer"):
+            BlockSparseLevel(BlockShape(1, 1), *dims, [], [], none)
+
+    def test_numpy_unsigned_grid_dims(self):
+        lv = level_of(BlockShape(1, 1), np.uint32(2), np.uint64(3), [])
+        assert (lv.grid_rows, lv.grid_cols) == (2, 3)
+        assert type(lv.grid_rows) is int and type(lv.grid_cols) is int
 
     def test_flat_indices(self):
         lv = level_of(BlockShape(1, 1), 2, 3, [(0, 2, [[1.0]]), (1, 0, [[2.0]])])
@@ -432,6 +449,15 @@ class TestMatrixType:
     def test_positive_dims(self):
         with pytest.raises(ValueError):
             HBSMatrix(0, 4, ())
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2, 2.0), (True, 2), (2, np.bool_(True))])
+    def test_integer_dims_only(self, dims):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HBSMatrix(*dims, ())
+
+    def test_numpy_unsigned_dims(self):
+        m = HBSMatrix(np.uint32(2), np.uint64(4), ())
+        assert (m.rows, m.cols) == (2, 4) and type(m.rows) is int
 
     def test_levels_coerced_to_tuple(self):
         m = HBSMatrix(2, 2, [])

@@ -21,6 +21,7 @@ from hbs import (
     write_hbsf,
     write_irf,
 )
+from hbs.core import _top_k
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -98,3 +99,12 @@ def test_damaged_files_raise_only_named_errors(seed, where, flip, truncate, scra
             FORMATS[ext][0](path)
         except HbsError:
             pass
+
+
+@PROPERTY
+@given(scores=st.lists(st.integers(-3, 3).map(float) | st.just(-np.inf), max_size=200))
+def test_top_k_is_a_stable_descending_sort_prefix(scores):
+    s = np.array(scores, dtype=np.float64)
+    order = np.argsort(-s, kind="stable")
+    for k in range(-1, s.size + 2):
+        assert np.array_equal(_top_k(s, k), np.sort(order[: max(k, 0)])), k
