@@ -106,11 +106,10 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     row-major grid index; blocks owned by an earlier level are never kept,
     and the keep count is capped at the blocks still free. The kept blocks
     are found by selection (one ``np.partition``), in time linear in the
-    blocks, and are exactly those a stable descending sort would put
-    first. The result passes
-    :func:`hbs.core.validate` by construction, and every nonzero cell of
-    its reconstruction equals the corresponding input cell bit for bit.
-    The input is never written.
+    blocks, and are exactly those a stable descending sort would put first.
+    The result passes :func:`hbs.core.validate` by construction, and every
+    nonzero cell of its reconstruction equals the corresponding input cell
+    bit for bit. The input is never written.
 
     Returns:
         ``(hbs, trace)`` where ``trace`` holds one audit record per level.
