@@ -26,7 +26,6 @@ from .core import (
     ValidationReport,
     as_matrix,
     density,
-    ensure_valid,
     grid_dims,
     reconstruct,
     support_mask,
@@ -106,7 +105,6 @@ __all__ = [
     "calibrate_irf",
     "dense_matmul",
     "density",
-    "ensure_valid",
     "estimate_cost",
     "flops_dense",
     "flops_sparse",

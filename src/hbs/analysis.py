@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BlockShape, HBSMatrix, _top_k, as_matrix, density, ensure_valid, support_mask
+from .core import BlockShape, HBSMatrix, _top_k, as_matrix, density, support_mask
 from .errors import DimensionError
 
 
@@ -76,7 +76,6 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
 
     Raises:
         DimensionError: If the shapes differ.
-        ValidationError: If ``hbs`` is not a valid HBS matrix.
     """
     a = as_matrix(original)
     if a.shape != (hbs.rows, hbs.cols):
@@ -84,7 +83,6 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
             f"shape mismatch: original is {a.shape[0]}x{a.shape[1]}, "
             f"pruned is {hbs.rows}x{hbs.cols}"
         )
-    ensure_valid(hbs)
     percentiles = tuple(percentiles)
     total = a.size
     sizes = _top_sizes(percentiles, total)
@@ -132,11 +130,7 @@ def sparsity_summary(hbs: HBSMatrix) -> SparsitySummary:
     Densities are exact integer ratios evaluated in double precision.
     Disjointness of a valid HBS makes the cumulative density the plain sum
     of the per-level densities.
-
-    Raises:
-        ValidationError: If ``hbs`` is not a valid HBS matrix.
     """
-    ensure_valid(hbs)
     cells = hbs.rows * hbs.cols
     per_level = []
     for lv in hbs.levels:

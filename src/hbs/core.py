@@ -8,17 +8,18 @@ at most one level. Cells covered by no level are zero.
 
 This module defines the immutable structures (:class:`BlockShape`,
 :class:`LevelSpec`, :class:`HBSConfig`, :class:`BlockSparseLevel`,
-:class:`HBSMatrix`), the invariant checker :func:`validate` with its
-raising form :func:`ensure_valid`, and the basic whole-matrix views
-:func:`reconstruct`, :func:`density` and :func:`support_mask`. A matrix is
-checked at most once: its :class:`ValidationReport` is cached on the
-instance, which is sound because levels copy and freeze their arrays.
+:class:`HBSMatrix`), the invariant report :func:`validate`, and the basic
+whole-matrix views :func:`reconstruct`, :func:`density` and
+:func:`support_mask`. An invalid :class:`HBSMatrix` cannot be built: the
+constructor runs the checks once and raises :class:`ValidationError`,
+whose ``report`` is the full :class:`ValidationReport`. Levels copy and
+freeze their arrays, so a built matrix stays valid and no consumer checks
+it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -279,7 +280,8 @@ class BlockSparseLevel:
     Storage is struct-of-arrays: ``block_rows[i], block_cols[i]`` give the
     grid coordinates of kept block ``i`` and ``values[i]`` its ``bh x bw``
     float32 tile. Blocks are expected in strictly ascending row-major grid
-    order (``gr * grid_cols + gc``); :func:`validate` reports violations.
+    order (``gr * grid_cols + gc``); an :class:`HBSMatrix` refuses a level
+    that breaks this order.
     All arrays are frozen after construction.
     """
 
@@ -331,11 +333,17 @@ class BlockSparseLevel:
 
 @dataclass(frozen=True)
 class HBSMatrix:
-    """A rows x cols matrix expressed as an ordered sum of block sparse levels."""
+    """A rows x cols matrix expressed as an ordered sum of block sparse levels.
+
+    Valid by construction: building runs every :func:`validate` check once
+    and raises :class:`ValidationError`, carrying the full report, when one
+    fails.
+    """
 
     rows: int
     cols: int
     levels: tuple[BlockSparseLevel, ...]
+    _report: ValidationReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _as_int(self.rows, "rows", ValueError)
@@ -347,21 +355,19 @@ class HBSMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "levels", tuple(self.levels))
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
-    # Cached: the levels hold frozen private copies of their arrays, so a
-    # matrix's validity is fixed once it is built.
-    @cached_property
-    def _report(self) -> ValidationReport:
         tiling = _check_tiling(self)
         divisibility = _check_divisibility(self)
         blocks = _check_blocks(self)
         hierarchy_ok = tiling.passed and divisibility.passed and blocks.passed
         disjointness = _check_disjointness(self, hierarchy_ok)
-        return ValidationReport((tiling, divisibility, blocks, disjointness))
+        report = ValidationReport((tiling, divisibility, blocks, disjointness))
+        if not report.ok:
+            raise ValidationError(report)
+        object.__setattr__(self, "_report", report)
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.levels)
 
 
 @dataclass(frozen=True)
@@ -507,7 +513,7 @@ def _check_disjointness(m: HBSMatrix, hierarchy_ok: bool) -> CheckResult:
 
 
 def validate(m: HBSMatrix) -> ValidationReport:
-    """Check all invariant families of an HBS matrix; report, never raise.
+    """The invariant report of an HBS matrix, made when ``m`` was built.
 
     Families, in order: exact tiling of every level, hierarchical
     divisibility of consecutive block shapes, per-level block index
@@ -516,17 +522,12 @@ def validate(m: HBSMatrix) -> ValidationReport:
     coordinate. Disjointness is evaluated only on a valid hierarchy (the
     first three families pass); otherwise it fails as "not evaluated".
 
-    The checks run on the first call for ``m``; later calls return the same
-    report object, passing or failing, since ``m`` cannot change.
+    An invalid matrix cannot be built, so the report returned here always
+    passes; a failing one is carried by the :class:`ValidationError` the
+    constructor raised, on its ``report``. Every call returns the same
+    report object: the checks are not run again.
     """
     return m._report
-
-
-def ensure_valid(m: HBSMatrix) -> None:
-    """Run :func:`validate` and raise on the first violated invariant."""
-    report = validate(m)
-    if not report.ok:
-        raise ValidationError(report)
 
 
 def reconstruct(m: HBSMatrix) -> np.ndarray:
@@ -534,12 +535,7 @@ def reconstruct(m: HBSMatrix) -> np.ndarray:
 
     Because level supports are disjoint, each covered cell carries its
     level's stored tile value bit for bit.
-
-    Raises:
-        ValidationError: If ``m`` fails :func:`validate`; the message names
-            the first violated invariant.
     """
-    ensure_valid(m)
     out = np.zeros((m.rows, m.cols), dtype=np.float32)
     for lv in m.levels:
         _scatter(out, lv, lv.values)

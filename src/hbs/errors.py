@@ -18,6 +18,8 @@ class ConfigError(HbsError, ValueError):
 class ValidationError(HbsError):
     """A hierarchical block sparse matrix failed invariant validation.
 
+    Raised by the :class:`~hbs.core.HBSMatrix` constructor, and by
+    :func:`~hbs.io.read_hbsf` for a level that does not tile the matrix.
     Carries the full :class:`~hbs.core.ValidationReport` on ``report``; the
     message names the first violated invariant.
     """

@@ -8,8 +8,8 @@ HBSF layout: magic ``HBSF``, then version, rows, cols, levelCount as
 little-endian uint32. Each level is bh, bw, keptCount (uint32), followed by
 keptCount records of (gr: uint32, gc: uint32, bh*bw float32 tile,
 row-major), sorted ascending by gr*gridCols+gc. A decoded matrix must pass
-validation; writes refuse invalid matrices, so every well-formed file
-round-trips byte for byte.
+validation. An invalid matrix cannot be built, so every matrix is
+writable and every well-formed file round-trips byte for byte.
 
 HBS-IRF layout: ASCII lines. Header ``HBS-IRF v1 <calibrated|analytic>``,
 then one ``bh bw sparsity irf`` line per entry, sparsity written as the
@@ -31,7 +31,6 @@ from .core import (
     HBSMatrix,
     ValidationReport,
     as_matrix,
-    ensure_valid,
 )
 from .errors import (
     DimensionError,
@@ -132,12 +131,8 @@ def _record_dtype(bh: int, bw: int) -> np.dtype:
 
 
 def write_hbsf(path, m: HBSMatrix) -> None:
-    """Write an HBS matrix. Only valid matrices are writable.
-
-    Raises:
-        ValidationError: If ``m`` fails validation.
-    """
-    ensure_valid(m)
+    """Write an HBS matrix. An invalid matrix cannot be built, so every
+    matrix is writable."""
     parts = [HBSF_MAGIC, struct.pack("<IIII", FORMAT_VERSION, m.rows, m.cols, m.n_levels)]
     for lv in m.levels:
         parts.append(struct.pack("<III", lv.shape.bh, lv.shape.bw, lv.n_blocks))
@@ -156,13 +151,16 @@ def _tiling_failure(index: int, bh: int, bw: int, rows: int, cols: int):
 
 
 def read_hbsf(path) -> HBSMatrix:
-    """Read an HBSF file into a validated HBS matrix.
+    """Read an HBSF file into an HBS matrix, valid by construction.
 
     Raises:
         MagicError, VersionError, TruncatedError, FormatError: On a
             malformed byte stream.
         ValidationError: When the decoded structure violates an HBS
-            invariant; the report names it.
+            invariant, raised by the matrix constructor; its ``report`` is
+            the full :class:`~hbs.core.ValidationReport`. A level that does
+            not tile the matrix is refused before its records are read,
+            with a report holding the tiling check alone.
     """
     path = Path(path)
     cur = _Cursor(path.read_bytes(), path)
@@ -199,9 +197,7 @@ def read_hbsf(path) -> HBSMatrix:
             )
         )
     cur.done("the last level")
-    m = HBSMatrix(rows, cols, tuple(levels))
-    ensure_valid(m)
-    return m
+    return HBSMatrix(rows, cols, tuple(levels))
 
 
 def write_irf(path, table: IrfTable) -> None:

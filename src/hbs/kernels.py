@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BlockSparseLevel, HBSMatrix, ensure_valid
+from .core import BlockSparseLevel, HBSMatrix
 from .errors import DimensionError
 
 
@@ -67,10 +67,8 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     a fixed BLAS build and thread count.
 
     Raises:
-        ValidationError: If ``m`` fails validation.
         DimensionError: On inner-dimension mismatch.
     """
-    ensure_valid(m)
     b = _as_f32(b, "b")
     if m.cols != b.shape[0]:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, b is {b.shape[0]}x{b.shape[1]}")

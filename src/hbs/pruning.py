@@ -107,7 +107,8 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     and the keep count is capped at the blocks still free. The kept blocks
     are found by selection (one ``np.partition``), in time linear in the
     blocks, and are exactly those a stable descending sort would put first.
-    The result passes :func:`hbs.core.validate` by construction, and every
+    The result is valid by construction: building its :class:`HBSMatrix`
+    ran every :func:`hbs.core.validate` check, and they passed. Every
     nonzero cell of its reconstruction equals the corresponding input cell
     bit for bit. The input is never written.
 

@@ -106,9 +106,8 @@ class TestTopkRetention:
 
     def test_rejects_invalid_matrix(self):
         dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
-        bad = HBSMatrix(2, 2, (dup, dup))
         with pytest.raises(ValidationError):
-            topk_retention(np.zeros((2, 2), np.float32), bad, [0.5])
+            topk_retention(np.zeros((2, 2), np.float32), HBSMatrix(2, 2, (dup, dup)), [0.5])
 
     def test_report_render_and_machine_lines(self):
         rep = topk_retention(FOUR, pruned(FOUR, (2, 2, 0.75)), [0.25, 0.5])

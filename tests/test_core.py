@@ -13,9 +13,9 @@ from hbs import (
     ValidationError,
     as_matrix,
     density,
-    ensure_valid,
     grid_dims,
     hbs_matmul,
+    read_hbsf,
     reconstruct,
     sparsity_summary,
     support_mask,
@@ -25,7 +25,7 @@ from hbs import (
 )
 
 
-from conftest import level_of
+from conftest import level_of, report_of
 
 
 class TestBlockShape:
@@ -218,7 +218,7 @@ class TestValidate:
 
     def test_tiling_failure(self):
         lv = level_of(BlockShape(2, 2), 1, 1, [(0, 0, [[1, 2], [3, 4]])])
-        report = validate(HBSMatrix(4, 4, (lv,)))
+        report = report_of(4, 4, (lv,))
         first = report.first_failure
         assert first.name == "tiling" and "2x2" in first.detail
         assert not report.ok
@@ -226,13 +226,13 @@ class TestValidate:
     def test_divisibility_failure(self):
         l1 = level_of(BlockShape(3, 1), 2, 6, [])
         l2 = level_of(BlockShape(2, 1), 3, 6, [])
-        report = validate(HBSMatrix(6, 6, (l1, l2)))
+        report = report_of(6, 6, (l1, l2))
         assert report.first_failure.name == "divisibility"
         assert "3 % 2 != 0" in report.first_failure.detail
 
     def test_block_out_of_bounds(self):
         lv = level_of(BlockShape(2, 2), 2, 2, [(0, 2, [[1, 2], [3, 4]])])
-        report = validate(HBSMatrix(4, 4, (lv,)))
+        report = report_of(4, 4, (lv,))
         assert report.first_failure.name == "blocks"
         assert "(0,2)" in report.first_failure.detail
 
@@ -240,19 +240,19 @@ class TestValidate:
         lv = level_of(
             BlockShape(1, 1), 2, 2, [(1, 1, [[1.0]]), (0, 0, [[2.0]])]
         )
-        report = validate(HBSMatrix(2, 2, (lv,)))
+        report = report_of(2, 2, (lv,))
         assert report.first_failure.name == "blocks"
 
     def test_duplicate_blocks(self):
         lv = level_of(
             BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]]), (0, 0, [[2.0]])]
         )
-        assert validate(HBSMatrix(2, 2, (lv,))).first_failure.name == "blocks"
+        assert report_of(2, 2, (lv,)).first_failure.name == "blocks"
 
     def test_disjointness_failure_names_cell_and_levels(self):
         l1 = level_of(BlockShape(2, 2), 2, 2, [(0, 0, [[1, 2], [3, 4]])])
         l2 = level_of(BlockShape(1, 1), 4, 4, [(0, 0, [[9.0]])])
-        report = validate(HBSMatrix(4, 4, (l1, l2)))
+        report = report_of(4, 4, (l1, l2))
         first = report.first_failure
         assert first.name == "disjointness"
         assert "cell (0,0)" in first.detail and "levels 1, 2" in first.detail
@@ -263,7 +263,7 @@ class TestValidate:
         # only on a valid hierarchy.
         l1 = level_of(BlockShape(2, 3), 3, 2, [(1, 1, np.ones((2, 3)))])
         l2 = level_of(BlockShape(3, 2), 2, 3, [(0, 2, np.ones((3, 2)))])
-        checks = {c.name: c for c in validate(HBSMatrix(6, 6, (l1, l2))).checks}
+        checks = {c.name: c for c in report_of(6, 6, (l1, l2)).checks}
         assert not checks["divisibility"].passed
         assert not checks["disjointness"].passed
         assert "not evaluated" in checks["disjointness"].detail
@@ -277,7 +277,7 @@ class TestValidate:
             level_of(BlockShape(1, 1), 4, 4, [(1, 1, [[1.0]])]),
             level_of(BlockShape(1, 1), 4, 4, [(1, 1, [[1.0]]), (3, 3, [[1.0]])]),
         )
-        checks = {c.name: c for c in validate(HBSMatrix(4, 4, levels)).checks}
+        checks = {c.name: c for c in report_of(4, 4, levels).checks}
         assert checks["disjointness"].detail == "cell (1,1) covered by levels 3, 4"
 
     def test_disjointness_on_huge_sparse_grid(self):
@@ -289,7 +289,7 @@ class TestValidate:
         l2 = level_of(BlockShape(1, 1), n, n, [(0, 1, one), (last, last - 1, one)])
         assert validate(HBSMatrix(n, n, (l1, l2))).ok
         l3 = level_of(BlockShape(1, 1), n, n, [(0, 1, one), (last, last, one)])
-        detail = validate(HBSMatrix(n, n, (l1, l3))).first_failure.detail
+        detail = report_of(n, n, (l1, l3)).first_failure.detail
         assert detail == f"cell ({last},{last}) covered by levels 1, 2"
 
     def test_grid_beyond_uint32_refused(self):
@@ -330,7 +330,7 @@ class TestValidate:
                 for gr_, gc_ in zip(lv.block_rows, lv.block_cols):
                     bh, bw = lv.shape.bh, lv.shape.bw
                     counts[i, gr_ * bh : (gr_ + 1) * bh, gc_ * bw : (gc_ + 1) * bw] = True
-            check = {c.name: c for c in validate(HBSMatrix(rows, cols, tuple(levels))).checks}
+            check = {c.name: c for c in report_of(rows, cols, tuple(levels)).checks}
             shared = np.argwhere(counts.sum(axis=0) > 1)
             if shared.size == 0:
                 assert check["disjointness"].passed
@@ -340,7 +340,7 @@ class TestValidate:
                 want = f"cell ({r},{c}) covered by levels {owners}"
                 assert check["disjointness"].detail == want
             # The same levels coarse-last do not nest unless all shapes agree.
-            flipped = validate(HBSMatrix(rows, cols, tuple(levels[::-1])))
+            flipped = report_of(rows, cols, tuple(levels[::-1]))
             check = {c.name: c for c in flipped.checks}
             if not check["divisibility"].passed:
                 assert "not evaluated" in check["disjointness"].detail
@@ -349,7 +349,7 @@ class TestValidate:
 
     def test_disjointness_skipped_when_structure_broken(self):
         lv = level_of(BlockShape(2, 2), 2, 2, [(0, 2, [[1, 2], [3, 4]])])
-        report = validate(HBSMatrix(4, 4, (lv,)))
+        report = report_of(4, 4, (lv,))
         names = {c.name: c for c in report.checks}
         assert not names["disjointness"].passed
         assert "not evaluated" in names["disjointness"].detail
@@ -368,31 +368,26 @@ class TestValidate:
 
         monkeypatch.setattr(hbs.core, "_check_disjointness", counting)
         m = two_level_4x4()
+        assert len(calls) == 1
         report = validate(m)
-        assert validate(m) is report
-        ensure_valid(m)
+        assert report.ok and validate(m) is report
         hbs_matmul(m, np.ones((4, 2), np.float32))
         reconstruct(m)
         write_hbsf(tmp_path / "m.hbsf", m)
         topk_retention(np.ones((4, 4), np.float32), m, [0.5])
         sparsity_summary(m)
         assert len(calls) == 1
+        # Reading builds one new matrix: the checks run once, for it.
+        back = read_hbsf(tmp_path / "m.hbsf")
+        assert len(calls) == 2 and validate(back).ok
+        hbs_matmul(back, np.ones((4, 2), np.float32))
+        assert len(calls) == 2
 
         dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
-        bad = HBSMatrix(2, 2, (dup, dup))
-        uses = [
-            lambda: ensure_valid(bad),
-            lambda: hbs_matmul(bad, np.ones((2, 1), np.float32)),
-            lambda: reconstruct(bad),
-            lambda: write_hbsf(tmp_path / "bad.hbsf", bad),
-            lambda: topk_retention(np.ones((2, 2), np.float32), bad, [0.5]),
-            lambda: sparsity_summary(bad),
-        ]
-        for use in uses:
-            with pytest.raises(ValidationError) as exc:
-                use()
-            assert exc.value.report is validate(bad)
-        assert len(calls) == 2
+        with pytest.raises(ValidationError) as exc:
+            HBSMatrix(2, 2, (dup, dup))
+        assert exc.value.report.first_failure.name == "disjointness"
+        assert len(calls) == 3
 
 
 class TestReconstruct:
@@ -421,12 +416,11 @@ class TestReconstruct:
 
     def test_invalid_raises_with_report(self):
         lv = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]]), (0, 0, [[2.0]])])
-        bad = HBSMatrix(2, 2, (lv,))
         with pytest.raises(ValidationError) as exc:
-            reconstruct(bad)
+            HBSMatrix(2, 2, (lv,))
         assert exc.value.report.first_failure.name == "blocks"
         with pytest.raises(ValidationError):
-            ensure_valid(bad)
+            reconstruct(HBSMatrix(2, 2, (lv,)))
         assert str(ValidationError(validate(two_level_4x4()))) == "invalid HBS matrix"
 
 

@@ -1,15 +1,18 @@
-"""Property tests: pruning keeps the input bits, files are byte-stable, and
-damaged files fail only with the package's named errors."""
+"""Property tests: matrices are valid by construction, pruning keeps the
+input bits, files are byte-stable, and damaged files fail only with the
+package's named errors."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_random_case
+from conftest import make_random_case, random_level_set
 from hbs import (
     BlockShape,
+    HBSMatrix,
     HbsError,
     IrfTable,
+    ValidationError,
     prune_hierarchical,
     read_dmat,
     read_hbsf,
@@ -55,6 +58,39 @@ def write_valid_files(seed, directory):
         paths[ext] = directory / f"{seed}.{ext}"
         FORMATS[ext][1](paths[ext], obj)
     return paths
+
+
+def cell_count_valid(rows, cols, levels):
+    """The three structural rules, checked cell by cell."""
+    if any((lv.rows, lv.cols) != (rows, cols) for lv in levels):
+        return False
+    if any(not fine.shape.divides(coarse.shape) for coarse, fine in zip(levels, levels[1:])):
+        return False
+    owners = np.zeros((rows, cols), dtype=int)
+    for lv in levels:
+        blocks = list(zip(lv.block_rows.tolist(), lv.block_cols.tolist()))
+        if blocks != sorted(set(blocks)):
+            return False
+        if not all(0 <= r < lv.grid_rows and 0 <= c < lv.grid_cols for r, c in blocks):
+            return False
+        bh, bw = lv.shape.bh, lv.shape.bw
+        for r, c in blocks:
+            owners[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw] += 1
+    return owners.max(initial=0) <= 1
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_matrices_are_valid_by_construction(seed):
+    rows, cols, levels, faults = random_level_set(np.random.default_rng(seed))
+    try:
+        m = HBSMatrix(rows, cols, levels)
+    except ValidationError as exc:
+        assert not exc.report.ok
+        assert faults and not cell_count_valid(rows, cols, levels)
+    else:
+        assert validate(m).ok
+        assert not faults and cell_count_valid(rows, cols, levels)
 
 
 @PROPERTY
