@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BlockShape, HBSMatrix, _top_k, as_matrix, density, support_mask
+from .core import BlockShape, HBSMatrix, _as_real, _top_k, as_matrix, density, support_mask
 from .errors import DimensionError
 
 
@@ -51,7 +51,7 @@ class RetentionReport:
 def _top_sizes(percentiles, total: int) -> list[int]:
     sizes = []
     for p in percentiles:
-        p = float(p)
+        p = _as_real(p, "percentile", ValueError)
         if not 0.0 < p <= 1.0:
             raise ValueError(
                 f"percentile {p!r} outside (0, 1] "

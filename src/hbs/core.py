@@ -72,6 +72,14 @@ def _as_int(value, what: str, error: type[Exception]) -> int:
     return int(value)
 
 
+def _as_real(value, what: str, error: type[Exception]) -> float:
+    """``value`` as a Python float; ``error`` unless it is an int, a float or
+    a numpy real. ``bool`` is refused, so ``True`` cannot pass for 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ascending indices of the ``k`` largest entries of 1-D ``scores``.
 
@@ -170,7 +178,7 @@ class LevelSpec:
     def __post_init__(self):
         if not isinstance(self.shape, BlockShape):
             raise ConfigError(f"level shape must be a BlockShape, got {self.shape!r}")
-        sp = float(self.sparsity)
+        sp = _as_real(self.sparsity, "sparsity", ConfigError)
         if not np.isfinite(sp) or sp < 0.0 or sp > 1.0:
             hint = ""
             if np.isfinite(sp) and sp > 1.0:
@@ -293,6 +301,8 @@ class BlockSparseLevel:
     values: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.shape, BlockShape):
+            raise ValueError(f"level shape must be a BlockShape, got {self.shape!r}")
         gr = _as_int(self.grid_rows, "grid_rows", ValueError)
         gc = _as_int(self.grid_cols, "grid_cols", ValueError)
         if gr < 1 or gc < 1:
@@ -354,7 +364,11 @@ class HBSMatrix:
             raise ValueError("matrix dimensions must be below 2^32")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "levels", tuple(self.levels))
+        levels = tuple(self.levels)
+        for lv in levels:
+            if not isinstance(lv, BlockSparseLevel):
+                raise ValueError(f"levels must be BlockSparseLevels, got {lv!r}")
+        object.__setattr__(self, "levels", levels)
         tiling = _check_tiling(self)
         divisibility = _check_divisibility(self)
         blocks = _check_blocks(self)

@@ -93,6 +93,13 @@ class TestTopkRetention:
             assert rep.retained == oracle(a, m, pcts)
             assert all(type(r) is float for r in rep.retained)
 
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_percentile_real_only(self, bad):
+        m = pruned(FOUR, (2, 2, 0.75))
+        with pytest.raises(ValueError, match="percentile must be a real number"):
+            topk_retention(FOUR, m, [bad])
+        assert topk_retention(FOUR, m, [np.float32(0.25), 1]).retained == (1.0, 0.25)
+
     def test_percentile_range(self):
         m = pruned(FOUR, (2, 2, 0.75))
         for bad in (0.0, -0.5, 1.5):

@@ -70,6 +70,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not percentages"):
             LevelSpec(BlockShape(1, 1), 75)
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", "abc", None])
+    def test_sparsity_real_only(self, bad):
+        with pytest.raises(ConfigError, match="sparsity must be a real number"):
+            LevelSpec(BlockShape(1, 1), bad)
+
+    def test_sparsity_numpy_reals_and_int_bounds(self):
+        assert LevelSpec(BlockShape(1, 1), np.float32(0.5)).sparsity == 0.5
+        for v in (0, 1, np.int64(1)):
+            sp = LevelSpec(BlockShape(1, 1), v).sparsity
+            assert sp == v and type(sp) is float
+        with pytest.raises(ConfigError, match="got '0.5'"):
+            HBSConfig.of((2, 2, "0.5"))
+
     def test_needs_a_level(self):
         with pytest.raises(ConfigError):
             HBSConfig(())
@@ -187,6 +200,10 @@ class TestLevel:
         none = np.zeros((0, 1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="must be an integer"):
             BlockSparseLevel(BlockShape(1, 1), *dims, [], [], none)
+
+    def test_shape_type_checked(self):
+        with pytest.raises(ValueError, match="must be a BlockShape, got '1x1'"):
+            BlockSparseLevel("1x1", 2, 2, [], [], np.zeros((0, 1, 1), np.float32))
 
     def test_numpy_unsigned_grid_dims(self):
         lv = level_of(BlockShape(1, 1), np.uint32(2), np.uint64(3), [])
@@ -452,6 +469,10 @@ class TestMatrixType:
     def test_numpy_unsigned_dims(self):
         m = HBSMatrix(np.uint32(2), np.uint64(4), ())
         assert (m.rows, m.cols) == (2, 4) and type(m.rows) is int
+
+    def test_levels_type_checked(self):
+        with pytest.raises(ValueError, match="must be BlockSparseLevels, got 'x'"):
+            HBSMatrix(2, 2, ("x",))
 
     def test_levels_coerced_to_tuple(self):
         m = HBSMatrix(2, 2, [])
