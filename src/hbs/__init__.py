@@ -4,7 +4,7 @@ A matrix is stored as a sum of block sparse levels with hierarchically
 nested block shapes and disjoint supports. The package prunes dense
 matrices into that form by magnitude, multiplies them against dense
 operands with exact FLOP accounting, models the achievable speedup from
-measured or analytic irregularity factors, scores how much top-magnitude
+measured or supplied irregularity factors, scores how much top-magnitude
 signal a configuration retains, and round-trips everything through
 bit-exact file formats. The ``hbs`` command exposes each piece.
 """
@@ -57,8 +57,6 @@ from .perf import (
     CostEstimate,
     IrfTable,
     LevelCost,
-    analytic_irf,
-    analytic_table,
     calibrate_irf,
     estimate_cost,
     sparsity_bucket,
@@ -99,8 +97,6 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "VersionError",
-    "analytic_irf",
-    "analytic_table",
     "as_matrix",
     "calibrate_irf",
     "dense_matmul",

@@ -3,13 +3,9 @@
 Dense cost is raw FLOPs. Each sparse level's cost is its FLOPs divided by
 an irregularity factor irf(sparsity, block shape) in (0, 1]: the efficiency
 of that sparse configuration relative to dense throughput on the machine at
-hand. Speedup is the dense-to-sparse cost ratio. irf values are either
-measured with microbenchmarks (:func:`calibrate_irf`) or approximated by a
-fixed analytic model (:func:`analytic_irf`); the table remembers
-which.
-
-The analytic model rises with block area and falls with sparsity:
-small blocks and high sparsity pay the largest irregularity penalty.
+hand. Speedup is the dense-to-sparse cost ratio. irf values are measured with
+microbenchmarks (:func:`calibrate_irf`) or supplied, for example read from
+an ``.irf`` file; the table remembers which.
 """
 
 from __future__ import annotations
@@ -34,11 +30,6 @@ MIN_MEASURABLE_SECONDS = 1e-5
 
 PROVENANCE_CALIBRATED = "calibrated"
 PROVENANCE_ANALYTIC = "analytic"
-
-# Constants of the analytic model: the block area at which the area term
-# is one half, and the slope of the sparsity penalty's denominator.
-_ALPHA = 1.0
-_BETA = 1.0
 
 # Floor for calibrated irf: the contract range (0, 1] has no minimum, and a
 # meaningless near-zero throughput ratio must still produce a usable entry.
@@ -153,31 +144,6 @@ def estimate_cost(
         c_sparse += contribution
     speedup = c_dense / c_sparse if c_sparse > 0.0 else float("inf")
     return CostEstimate(float(c_dense), c_sparse, tuple(per_level), speedup)
-
-
-def analytic_irf(shape: BlockShape, sparsity: float) -> float:
-    """Fixed analytic irregularity model.
-
-    ``irf = area / (area + _ALPHA) * 1 / (1 + _BETA * sparsity)`` with
-    ``area = bh * bw``. Monotone nondecreasing in block area, nonincreasing
-    in sparsity, always in (0, 1]. A stand-in when no microbenchmark
-    numbers exist for the target machine; tables built from it are marked
-    analytic, never presented as measured.
-    """
-    if not 0.0 <= sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity!r}")
-    area = shape.area
-    return (area / (area + _ALPHA)) / (1.0 + _BETA * sparsity)
-
-
-def analytic_table(shapes, sparsities) -> IrfTable:
-    """Build an analytic IrfTable over a grid of shapes and sparsities."""
-    sparsities = tuple(sparsities)
-    entries = {}
-    for shape in shapes:
-        for sp in sparsities:
-            entries[(shape, sparsity_bucket(sp))] = analytic_irf(shape, sp)
-    return IrfTable(entries, PROVENANCE_ANALYTIC)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 import hbs.perf as perf
@@ -12,8 +11,6 @@ from hbs import (
     HBSConfig,
     IrfLookupError,
     IrfTable,
-    analytic_irf,
-    analytic_table,
     calibrate_irf,
     estimate_cost,
     sparsity_bucket,
@@ -126,40 +123,6 @@ class TestEstimateCost:
         t = ones_table(BlockShape(1, 1))
         text = estimate_cost((4, 4, 4), HBSConfig.of((1, 1, 0.5)), t).render()
         assert "speedup: 2.0000" in text and "dense cost" in text
-
-
-class TestAnalyticIrf:
-    def test_worked_values(self):
-        assert analytic_irf(BlockShape(1, 1), 0.0) == 0.5
-        assert analytic_irf(BlockShape(32, 1), 0.0) == pytest.approx(32 / 33)
-
-    def test_monotone_in_area(self):
-        small = analytic_irf(BlockShape(2, 1), 0.5)
-        large = analytic_irf(BlockShape(16, 1), 0.5)
-        assert large > small
-
-    def test_nonincreasing_in_sparsity(self):
-        s = BlockShape(4, 4)
-        assert analytic_irf(s, 0.9) < analytic_irf(s, 0.1)
-
-    def test_in_unit_interval(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            s = BlockShape(int(rng.integers(1, 64)), int(rng.integers(1, 64)))
-            v = analytic_irf(s, float(rng.uniform(0, 1)))
-            assert 0.0 < v <= 1.0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            analytic_irf(BlockShape(1, 1), 1.5)
-
-    def test_table_builder(self):
-        t = analytic_table([BlockShape(1, 1), BlockShape(8, 1)], [0.5, 0.75])
-        assert t.provenance == "analytic"
-        assert len(t.entries) == 4
-        assert t.lookup(BlockShape(8, 1), 0.75) == analytic_irf(BlockShape(8, 1), 0.75)
-        once = analytic_table([BlockShape(1, 1), BlockShape(8, 1)], (s for s in [0.5, 0.75]))
-        assert once.entries == t.entries
 
 
 class TestBenchPlan:
