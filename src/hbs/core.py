@@ -42,12 +42,16 @@ def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
         check_finite: Reject NaN and infinity when True.
 
     Raises:
-        DimensionError: If the input is not two dimensional.
+        DimensionError: If the input is not two dimensional, or has no rows
+            or no columns.
         ValueError: If ``check_finite`` and a non-finite value is present.
     """
     arr = np.ascontiguousarray(values, dtype=np.float32)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {arr.ndim} dimension(s)")
+    rows, cols = arr.shape
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"matrix must be non-empty, got {rows}x{cols}")
     if check_finite and not np.all(np.isfinite(arr)):
         raise ValueError("matrix contains non-finite values")
     return arr
@@ -235,6 +239,10 @@ class HBSConfig:
         """Build from ``(bh, bw, sparsity)`` or ``(BlockShape, sparsity)`` tuples."""
         levels = []
         for p in pairs:
+            if not isinstance(p, (tuple, list)) or len(p) not in (2, 3):
+                raise ConfigError(
+                    f"level must be (bh, bw, sparsity) or (BlockShape, sparsity), got {p!r}"
+                )
             if len(p) == 3:
                 levels.append(LevelSpec(BlockShape(p[0], p[1]), p[2]))
             else:
@@ -281,7 +289,7 @@ def grid_dims(rows: int, cols: int, shape: BlockShape) -> tuple[int, int]:
     return rows // shape.bh, cols // shape.bw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSparseLevel:
     """Kept blocks of one shape on a grid, with their dense tile values.
 
@@ -290,7 +298,9 @@ class BlockSparseLevel:
     float32 tile. Blocks are expected in strictly ascending row-major grid
     order (``gr * grid_cols + gc``); an :class:`HBSMatrix` refuses a level
     that breaks this order.
-    All arrays are frozen after construction.
+    All arrays are frozen after construction. Levels compare and hash by
+    identity; compare contents through :func:`reconstruct` of a matrix or
+    through ``.hbsf`` bytes.
     """
 
     shape: BlockShape
@@ -341,19 +351,20 @@ class BlockSparseLevel:
         return _row_major(self.block_rows, self.block_cols, self.grid_cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HBSMatrix:
     """A rows x cols matrix expressed as an ordered sum of block sparse levels.
 
     Valid by construction: building runs every :func:`validate` check once
     and raises :class:`ValidationError`, carrying the full report, when one
-    fails.
+    fails. Matrices compare and hash by identity; compare contents through
+    :func:`reconstruct` or ``.hbsf`` bytes.
     """
 
     rows: int
     cols: int
     levels: tuple[BlockSparseLevel, ...]
-    _report: ValidationReport = field(init=False, repr=False, compare=False)
+    _report: ValidationReport = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = _as_int(self.rows, "rows", ValueError)

@@ -33,7 +33,6 @@ from .core import (
     as_matrix,
 )
 from .errors import (
-    DimensionError,
     FormatError,
     MagicError,
     TruncatedError,
@@ -100,10 +99,7 @@ def _check_version(cur: _Cursor) -> None:
 def write_dmat(path, values) -> None:
     """Write a dense float32 matrix. Stored bits are the input bits."""
     a = as_matrix(values, check_finite=False)
-    rows, cols = a.shape
-    if rows < 1 or cols < 1:
-        raise DimensionError(f"matrix must be non-empty, got {rows}x{cols}")
-    header = DMAT_MAGIC + struct.pack("<III", FORMAT_VERSION, rows, cols)
+    header = DMAT_MAGIC + struct.pack("<III", FORMAT_VERSION, *a.shape)
     Path(path).write_bytes(header + a.astype("<f4", copy=False).tobytes())
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BlockSparseLevel, HBSMatrix
+from .core import BlockSparseLevel, HBSMatrix, _as_int
 from .errors import DimensionError
 
 
@@ -99,13 +99,15 @@ def max_rel_error(got, want) -> float:
 
 def flops_dense(m_rows: int, k: int, n: int) -> int:
     """FLOPs of a dense (m x k) @ (k x n) product: 2*m*k*n."""
-    if min(m_rows, k, n) < 0:
+    dims = [_as_int(d, "dimension", ValueError) for d in (m_rows, k, n)]
+    if min(dims) < 0:
         raise ValueError("dimensions must be non-negative")
-    return 2 * m_rows * k * n
+    return 2 * dims[0] * dims[1] * dims[2]
 
 
 def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
     """FLOPs of one level's product against n output columns."""
+    n = _as_int(n, "n", ValueError)
     if n < 0:
         raise ValueError("n must be non-negative")
     return 2 * level.n_blocks * level.shape.area * n

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockShape, HBSConfig, grid_dims
+from .core import BlockShape, HBSConfig, _as_int, _as_real, grid_dims
 from .errors import CalibrationError, IrfLookupError
 from .kernels import dense_matmul, flops_dense, flops_sparse, hbs_matmul
 from .pruning import prune_hierarchical, round_half_up
@@ -38,6 +38,7 @@ _IRF_FLOOR = 1e-9
 
 def sparsity_bucket(sparsity: float) -> int:
     """Bucket index of a sparsity fraction, 0..SPARSITY_BUCKETS."""
+    sparsity = _as_real(sparsity, "sparsity", ValueError)
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity!r}")
     return round_half_up(sparsity * SPARSITY_BUCKETS)
@@ -163,9 +164,16 @@ class BenchPlan:
     seed: int = 0
 
     def __post_init__(self):
-        m, k, n = self.dims
-        if min(m, k, n) < 1:
+        try:
+            m, k, n = self.dims
+        except (TypeError, ValueError):
+            raise ValueError(f"dims must be (m, k, n), got {self.dims!r}") from None
+        dims = tuple(_as_int(d, "dims entry", ValueError) for d in (m, k, n))
+        if min(dims) < 1:
             raise ValueError(f"dims must be positive, got {self.dims}")
+        object.__setattr__(self, "dims", dims)
+        for name in ("reps", "warmup", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.warmup < 0:
@@ -219,10 +227,12 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
     Raises:
         CalibrationError: When a timing falls below the measurable floor.
         DimensionError: When a shape does not tile (m, k).
+        ValueError: When a sparsity is not a real number in [0, 1].
     """
     m, k, n = plan.dims
     shapes = list(shapes)
-    sparsities = [float(s) for s in sparsities]
+    sparsities = [_as_real(s, "sparsity", ValueError) for s in sparsities]
+    buckets = [sparsity_bucket(s) for s in sparsities]
     for shape in shapes:
         grid_dims(m, k, shape)
 
@@ -233,7 +243,7 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
 
     entries: dict[tuple[BlockShape, int], float] = {}
     for shape in shapes:
-        for sp in sparsities:
+        for sp, bucket in zip(sparsities, buckets):
             w = rng.standard_normal((m, k), dtype=np.float32)
             hbs, _ = prune_hierarchical(w, HBSConfig.of((shape, sp)))
             t_dense, t_sparse = _median_seconds(
@@ -244,5 +254,5 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
                 plan,
             )
             irf = (flops_sparse(hbs, n) / t_sparse) / (f_dense / t_dense)
-            entries[(shape, sparsity_bucket(sp))] = float(min(max(irf, _IRF_FLOOR), 1.0))
+            entries[(shape, bucket)] = float(min(max(irf, _IRF_FLOOR), 1.0))
     return IrfTable(entries, PROVENANCE_CALIBRATED)

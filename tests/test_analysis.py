@@ -106,6 +106,11 @@ class TestTopkRetention:
             with pytest.raises(ValueError, match="fractions"):
                 topk_retention(FOUR, m, [bad])
 
+    def test_empty_original_refused(self):
+        m = pruned(FOUR, (2, 2, 0.75))
+        with pytest.raises(DimensionError, match="matrix must be non-empty, got 4x0"):
+            topk_retention(np.zeros((4, 0), np.float32), m, [0.5])
+
     def test_shape_mismatch(self):
         m = pruned(FOUR, (2, 2, 0.75))
         with pytest.raises(DimensionError):

@@ -117,6 +117,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be a BlockShape, got '1x1'"):
             HBSConfig.of((BlockShape(2, 2), 0.5), ("1x1", 0.25))
 
+    @pytest.mark.parametrize("bad", [(0.5,), (1, 1, 0.5, 9), 0.5])
+    def test_of_refuses_wrong_arity(self, bad):
+        with pytest.raises(ConfigError, match=r"level must be \(bh, bw, sparsity\)"):
+            HBSConfig.of(bad)
+
     def test_of_accepts_both_spellings(self):
         a = HBSConfig.of((2, 2, 0.5))
         b = HBSConfig.of((BlockShape(2, 2), 0.5))
@@ -144,6 +149,12 @@ class TestAsMatrix:
             as_matrix([1, 2, 3])
         with pytest.raises(DimensionError):
             as_matrix(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_rejects_empty(self, shape):
+        r, c = shape
+        with pytest.raises(DimensionError, match=f"matrix must be non-empty, got {r}x{c}"):
+            as_matrix(np.zeros(shape, np.float32))
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
@@ -473,6 +484,19 @@ class TestMatrixType:
     def test_levels_type_checked(self):
         with pytest.raises(ValueError, match="must be BlockSparseLevels, got 'x'"):
             HBSMatrix(2, 2, ("x",))
+
+    def test_compares_and_hashes_by_identity(self):
+        a = np.arange(16, dtype=np.float32).reshape(4, 4)
+        cfg = HBSConfig.of((2, 2, 0.5), (1, 1, 0.75))
+        m1, _ = hbs.prune_hierarchical(a, cfg)
+        m2, _ = hbs.prune_hierarchical(a, cfg)
+        assert m1 == m1 and m1 != m2
+        assert m1 in [m1] and m1 not in [m2]
+        assert len({m1, m2, m1}) == 2 and hash(m1) == hash(m1)
+        lv1, lv2 = m1.levels[0], m2.levels[0]
+        assert lv1 == lv1 and lv1 != lv2 and len({lv1, lv2}) == 2
+        # contents compare through the reconstruction
+        assert (reconstruct(m1) == reconstruct(m2)).all()
 
     def test_levels_coerced_to_tuple(self):
         m = HBSMatrix(2, 2, [])

@@ -1,5 +1,6 @@
-"""The runtime depends on numpy and the standard library only, and the
-package's public surface is exactly what ``hbs/__init__.py`` imports."""
+"""The runtime depends on numpy and the standard library only, the
+package's public surface is exactly what ``hbs/__init__.py`` imports, and
+no module imports a name it never uses."""
 
 import ast
 import sys
@@ -28,6 +29,45 @@ def test_imports_numpy_stdlib_or_relative(path):
             assert top == "numpy" or top in sys.stdlib_module_names, (
                 f"{path.name}:{node.lineno} imports {name}"
             )
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, in order of import.
+
+    A name counts as used when it appears as a name anywhere in the module
+    or is listed in the module's ``__all__``.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_finds_strays():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .core import a, b as c, d\n"
+        "__all__ = ['d']\n"
+        "print(a)\n"
+    )
+    assert unused_imports(source) == ["os", "np", "c"]
 
 
 def test_sources_found():

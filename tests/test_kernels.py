@@ -194,6 +194,19 @@ class TestFlops:
         with pytest.raises(ValueError):
             flops_dense(-1, 2, 2)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2, True, 2), (2, 2, "2")])
+    def test_dense_integers_only(self, dims):
+        with pytest.raises(ValueError, match="must be an integer"):
+            flops_dense(*dims)
+
+    def test_numpy_integers(self):
+        got = flops_dense(np.int64(2), np.uint16(2), 2)
+        assert got == 16 and type(got) is int
+        lv = level_of(BlockShape(2, 2), 2, 2, [(0, 0, np.ones((2, 2)))])
+        assert flops_sparse_level(lv, np.int32(3)) == 24
+        with pytest.raises(ValueError, match="must be an integer"):
+            flops_sparse_level(lv, 3.0)
+
     def test_level_values(self):
         empty = level_of(BlockShape(2, 2), 2, 2, [])
         assert flops_sparse_level(empty, 5) == 0

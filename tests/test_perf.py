@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import hbs.perf as perf
@@ -36,6 +37,15 @@ class TestSparsityBucket:
     def test_range(self):
         with pytest.raises(ValueError):
             sparsity_bucket(1.5)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_real_only(self, bad):
+        with pytest.raises(ValueError, match="sparsity must be a real number"):
+            sparsity_bucket(bad)
+
+    def test_numpy_reals(self):
+        assert sparsity_bucket(np.float32(0.75)) == 48
+        assert sparsity_bucket(np.int64(1)) == 64
 
 
 class TestIrfTable:
@@ -119,6 +129,13 @@ class TestEstimateCost:
         assert est.per_level[0].contribution >= est.per_level[0].flops
         assert est.c_sparse >= 0.5 * est.c_dense
 
+    def test_integer_dims_only(self):
+        t = ones_table(BlockShape(1, 1))
+        with pytest.raises(ValueError, match="must be an integer"):
+            estimate_cost((4.5, 4, 4), HBSConfig.of((1, 1, 0.5)), t)
+        est = estimate_cost((np.int64(4), 4, np.uint8(4)), HBSConfig.of((1, 1, 0.5)), t)
+        assert est.c_dense == 128.0
+
     def test_render(self):
         t = ones_table(BlockShape(1, 1))
         text = estimate_cost((4, 4, 4), HBSConfig.of((1, 1, 0.5)), t).render()
@@ -138,6 +155,24 @@ class TestBenchPlan:
         with pytest.raises(ValueError):
             BenchPlan((4, 4, 4), warmup=-1)
 
+    @pytest.mark.parametrize(
+        "dims,kw,match",
+        [
+            ((4.5, 4, 4), {}, "dims entry must be an integer"),
+            ((4, 4, 4), {"reps": True}, "reps must be an integer"),
+            ((4, 4), {}, r"dims must be \(m, k, n\)"),
+        ],
+        ids=["float-dim", "bool-reps", "two-dims"],
+    )
+    def test_integers_only(self, dims, kw, match):
+        with pytest.raises(ValueError, match=match):
+            BenchPlan(dims, **kw)
+
+    def test_numpy_integers(self):
+        plan = BenchPlan((np.int64(4), 4, np.uint8(4)), reps=np.int32(2))
+        assert plan.dims == (4, 4, 4) and type(plan.dims[0]) is int
+        assert plan.reps == 2 and type(plan.reps) is int
+
 
 class TestCalibration:
     def test_small_run_produces_bounded_entries(self):
@@ -154,6 +189,16 @@ class TestCalibration:
         plan = BenchPlan((8, 8, 4), reps=1, warmup=0)
         with pytest.raises(CalibrationError, match="increase the problem size"):
             calibrate_irf([BlockShape(1, 1)], [0.5], plan)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", 1.5])
+    def test_sparsities_checked_before_timing(self, bad, monkeypatch):
+        def timed(*args):
+            raise AssertionError("timing started")
+
+        monkeypatch.setattr(perf, "_median_seconds", timed)
+        plan = BenchPlan((8, 8, 4))
+        with pytest.raises(ValueError, match="sparsity must be"):
+            calibrate_irf([BlockShape(1, 1)], [0.5, bad], plan)
 
     def test_shape_must_tile_plan_dims(self):
         plan = BenchPlan((8, 8, 4))

@@ -202,6 +202,11 @@ class TestPruneHierarchical:
         with pytest.raises(DimensionError):
             prune_hierarchical(np.zeros((5, 4), np.float32), HBSConfig.of((2, 2, 0.5)))
 
+    def test_empty_matrix_refused(self):
+        cfg = HBSConfig.of((1, 1, 0.5))
+        with pytest.raises(DimensionError, match="matrix must be non-empty, got 0x4"):
+            prune_hierarchical(np.zeros((0, 4), np.float32), cfg)
+
     def test_config_type_checked(self):
         with pytest.raises(ConfigError, match="expected HBSConfig, got str"):
             prune_hierarchical(FOUR, "2x2:0.5")
