@@ -99,10 +99,10 @@ def max_rel_error(got, want) -> float:
 
 def flops_dense(m_rows: int, k: int, n: int) -> int:
     """FLOPs of a dense (m x k) @ (k x n) product: 2*m*k*n."""
-    dims = [_as_int(d, "dimension", ValueError) for d in (m_rows, k, n)]
-    if min(dims) < 0:
+    m_rows, k, n = (_as_int(d, "dimension", ValueError) for d in (m_rows, k, n))
+    if min(m_rows, k, n) < 0:
         raise ValueError("dimensions must be non-negative")
-    return 2 * dims[0] * dims[1] * dims[2]
+    return 2 * m_rows * k * n
 
 
 def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:

@@ -33,6 +33,8 @@ class TestSparsityBucket:
         assert sparsity_bucket(0.75) == 48
         # midpoints round half up: 1/128 sits between buckets 0 and 1
         assert sparsity_bucket(1 / 128) == 1
+        assert sparsity_bucket(np.float32(0.75)) == 48
+        assert sparsity_bucket(np.int64(1)) == 64
 
     def test_range(self):
         with pytest.raises(ValueError):
@@ -42,10 +44,6 @@ class TestSparsityBucket:
     def test_real_only(self, bad):
         with pytest.raises(ValueError, match="sparsity must be a real number"):
             sparsity_bucket(bad)
-
-    def test_numpy_reals(self):
-        assert sparsity_bucket(np.float32(0.75)) == 48
-        assert sparsity_bucket(np.int64(1)) == 64
 
 
 class TestIrfTable:
