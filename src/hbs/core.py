@@ -300,7 +300,9 @@ class BlockSparseLevel:
     that breaks this order.
     All arrays are frozen after construction. Levels compare and hash by
     identity; compare contents through :func:`reconstruct` of a matrix or
-    through ``.hbsf`` bytes.
+    through ``.hbsf`` bytes. The first :func:`~hbs.kernels.hbs_matmul` that
+    uses a level stores the level's execution form in ``_packed``; the
+    layout belongs to :mod:`hbs.kernels`.
     """
 
     shape: BlockShape
@@ -309,6 +311,7 @@ class BlockSparseLevel:
     block_rows: np.ndarray
     block_cols: np.ndarray
     values: np.ndarray
+    _packed: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not isinstance(self.shape, BlockShape):

@@ -9,10 +9,18 @@ and the result is rounded to float32 once at the end. Results are
 deterministic for a fixed BLAS build and thread count, and the single
 rounding keeps oracle comparisons meaningful at tight tolerances.
 
+A level's blocks are fixed once it is built, so :func:`hbs_matmul` packs
+each level on first use and stores the packing on the level: a read-only
+float64 panel of its tiles, twice the bytes of its float32 ``values``, and
+the gather index and block-row bounds the product loops over. The packing
+lives as long as the level does, and matrices that share a level share it.
+
 FLOP counts follow the multiply-add-times-two convention.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,24 +44,46 @@ def dense_matmul(a, b) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
-def _apply_level(level: BlockSparseLevel, b64: np.ndarray, out64: np.ndarray) -> None:
-    """Add one level's product into a double-precision accumulator.
+class _PackedLevel(NamedTuple):
+    """Execution form of one level, built once by :func:`_pack`."""
+
+    panel: np.ndarray  # read-only float64, bh x (n_blocks * bw)
+    # Read-only: the row of b each panel column multiplies; for bw == 1 it
+    # is the level's own block_cols.
+    src: np.ndarray
+    # One entry per non-empty block row: output rows [r0, r1) and the
+    # panel and src slices of that row's tiles.
+    rows: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+
+
+def _pack(level: BlockSparseLevel) -> _PackedLevel:
+    """The level's execution form, built on first use and kept on the level.
 
     The tiles are packed side by side, in stored order, into one
     ``bh x (n_blocks * bw)`` float64 panel; ``src`` gives the row of ``b``
     that each panel column multiplies. Stored blocks are sorted row-major,
-    so each block row's tiles form one contiguous panel slice, and each
-    non-empty block row costs one BLAS product.
+    so each block row's tiles form one contiguous panel slice. Building is
+    idempotent, so two threads that race to fill the slot store equal forms.
     """
-    bh, bw = level.shape.bh, level.shape.bw
-    n = level.n_blocks
-    panel = level.values.astype(np.float64).transpose(1, 0, 2).reshape(bh, n * bw)
-    src = (level.block_cols[:, None] * bw + np.arange(bw)).ravel()
-    starts = np.flatnonzero(np.diff(level.block_rows, prepend=-1))
-    ends = np.append(starts[1:], n)
-    r0s = (level.block_rows[starts] * bh).tolist()
-    for r0, s, e in zip(r0s, (starts * bw).tolist(), (ends * bw).tolist()):
-        out64[r0 : r0 + bh] += panel[:, s:e] @ b64.take(src[s:e], axis=0)
+    packed = level._packed
+    if packed is None:
+        bh, bw = level.shape.bh, level.shape.bw
+        n = level.n_blocks
+        panel = level.values.astype(np.float64).transpose(1, 0, 2).reshape(bh, n * bw)
+        panel.flags.writeable = False
+        if bw == 1:
+            src = level.block_cols  # already frozen; shared, not copied
+        else:
+            src = (level.block_cols[:, None] * bw + np.arange(bw)).ravel()
+            src.flags.writeable = False
+        starts = np.flatnonzero(np.diff(level.block_rows, prepend=-1))
+        ends = np.append(starts[1:], n)
+        r0s = (level.block_rows[starts] * bh).tolist()
+        cuts = zip((starts * bw).tolist(), (ends * bw).tolist())
+        rows = tuple((r0, r0 + bh, panel[:, s:e], src[s:e]) for r0, (s, e) in zip(r0s, cuts))
+        packed = _PackedLevel(panel, src, rows)
+        object.__setattr__(level, "_packed", packed)
+    return packed
 
 
 def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
@@ -66,6 +96,11 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     reconstruction even when level contributions cancel. Deterministic for
     a fixed BLAS build and thread count.
 
+    The first call that uses a level packs it and keeps the packing on the
+    level, so later calls only gather and multiply. The packing holds a
+    float64 copy of the level's tiles, twice its float32 ``values``, for as
+    long as the level lives.
+
     Raises:
         DimensionError: On inner-dimension mismatch.
     """
@@ -75,7 +110,8 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     b64 = b.astype(np.float64)
     out64 = np.zeros((m.rows, b.shape[1]), dtype=np.float64)
     for level in m.levels:
-        _apply_level(level, b64, out64)
+        for r0, r1, p, idx in _pack(level).rows:
+            out64[r0:r1] += p @ b64.take(idx, axis=0)
     return out64.astype(np.float32)
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +170,99 @@ class TestPanelKernel:
         out = hbs_matmul(m, np.ones((8, 3), np.float32))
         assert not out[2:4].any() and not out[6:8].any()
         assert out[0:2].any() and out[4:6].any()
+
+
+def _bits(x):
+    return x.view(np.uint32).tobytes()
+
+
+class TestPackedLevels:
+    """A level is packed by its first product and keeps the packing."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+    @pytest.mark.parametrize("n", [0, 1, 4, 256])
+    def test_first_second_and_fresh_calls_agree(self, name, n):
+        m, fresh = _edge_matrices()[name], _edge_matrices()[name]
+        assert all(lv._packed is None for lv in m.levels + fresh.levels)
+        b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
+
+        first = hbs_matmul(m, b)
+        packed = [lv._packed for lv in m.levels]
+        second = hbs_matmul(m, b)
+
+        assert all(p is not None for p in packed)
+        assert all(lv._packed is p for lv, p in zip(m.levels, packed))
+        assert _bits(first) == _bits(second) == _bits(hbs_matmul(fresh, b))
+
+    def test_packing_is_read_only(self):
+        m = _edge_matrices()["empty-middle"]
+        hbs_matmul(m, np.ones((m.cols, 2), np.float32))
+        for lv in m.levels:
+            packed = lv._packed
+            assert packed.panel.dtype == np.float64
+            assert packed.panel.shape == (lv.shape.bh, lv.n_blocks * lv.shape.bw)
+            # A bw == 1 level gathers by its own block_cols, with no copy.
+            assert (packed.src is lv.block_cols) == (lv.shape.bw == 1)
+            arrays = [packed.panel, packed.src]
+            arrays += [a for *_, p, idx in packed.rows for a in (p, idx)]
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                packed.panel[...] = 0.0
+
+    def test_nothing_packed_when_built_or_read(self, tmp_path):
+        m = EDGE_MATRICES["4x2"]
+        hbs.write_hbsf(tmp_path / "m.hbsf", m)
+        back = hbs.read_hbsf(tmp_path / "m.hbsf")
+        fresh = _edge_matrices()["4x2"]
+        assert all(lv._packed is None for lv in back.levels + fresh.levels)
+
+    def test_identity_repr_and_bytes_unchanged(self, tmp_path):
+        m, twin = _edge_matrices()["2x3"], _edge_matrices()["2x3"]
+        before = (repr(m), hash(m), [hash(lv) for lv in m.levels])
+        hbs.write_hbsf(tmp_path / "before.hbsf", m)
+
+        hbs_matmul(m, np.ones((m.cols, 3), np.float32))
+
+        assert (repr(m), hash(m), [hash(lv) for lv in m.levels]) == before
+        assert repr(m) == repr(twin) and "_packed" not in repr(m)
+        assert m == m and m != twin and m.levels[0] != twin.levels[0]
+        hbs.write_hbsf(tmp_path / "after.hbsf", m)
+        assert (tmp_path / "after.hbsf").read_bytes() == (tmp_path / "before.hbsf").read_bytes()
+
+    def test_matrices_sharing_a_level_share_its_packing(self):
+        full = _edge_matrices()["4x2"]
+        b = np.random.default_rng(3).standard_normal((full.cols, 4), dtype=np.float32)
+        hbs_matmul(full, b)
+        for lv, twin in zip(full.levels, _edge_matrices()["4x2"].levels):
+            packed = lv._packed
+            one = HBSMatrix(full.rows, full.cols, (lv,))
+            also = HBSMatrix(full.rows, full.cols, (lv,))
+            got = hbs_matmul(one, b)
+            assert _bits(got) == _bits(hbs_matmul(also, b))
+            assert _bits(got) == _bits(hbs_matmul(HBSMatrix(full.rows, full.cols, (twin,)), b))
+            assert lv._packed is packed
+
+    def test_threads_racing_to_pack_agree(self):
+        m = _edge_matrices()["empty-middle"]
+        b = np.random.default_rng(8).standard_normal((m.cols, 5), dtype=np.float32)
+        want = _bits(hbs_matmul(_edge_matrices()["empty-middle"], b))
+        got = []
+
+        def run():
+            got.append(_bits(hbs_matmul(m, b)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
