@@ -59,13 +59,18 @@ class IrfTable:
     def __post_init__(self):
         if self.provenance not in (PROVENANCE_CALIBRATED, PROVENANCE_ANALYTIC):
             raise ValueError(f"unknown provenance {self.provenance!r}")
+        entries = {}
         for (shape, bucket), irf in self.entries.items():
             if not isinstance(shape, BlockShape):
                 raise ValueError(f"bad key shape {shape!r}")
+            bucket = _as_int(bucket, "bucket", ValueError)
             if not 0 <= bucket <= SPARSITY_BUCKETS:
                 raise ValueError(f"bucket {bucket} out of range for {shape}")
-            if not 0.0 < irf <= 1.0:
+            if not 0.0 < _as_real(irf, "irf", ValueError) <= 1.0:
                 raise ValueError(f"irf {irf!r} for {shape} bucket {bucket} not in (0, 1]")
+            entries[shape, bucket] = float(irf)
+        # Python numbers only: write_irf prints them with repr.
+        object.__setattr__(self, "entries", entries)
 
     def lookup(self, shape: BlockShape, sparsity: float) -> float:
         """irf for (shape, sparsity), falling back to the nearest bucket.
@@ -121,6 +126,16 @@ class CostEstimate:
         return "\n".join(lines)
 
 
+def _mkn(dims, name: str) -> tuple[int, int, int]:
+    """``dims`` as three Python ints ``(m, k, n)``; ``ValueError`` naming
+    ``name`` unless it is a sequence of three integers."""
+    try:
+        m, k, n = dims
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be (m, k, n), got {dims!r}") from None
+    return tuple(_as_int(d, f"{name} entry", ValueError) for d in (m, k, n))
+
+
 def estimate_cost(
     layer_dims: tuple[int, int, int], config: HBSConfig, irf: IrfTable
 ) -> CostEstimate:
@@ -130,9 +145,11 @@ def estimate_cost(
     ``(1 - sparsity_i) * dense_flops / irf_i``. FLOPs come from the config's
     grid fractions, not from any particular matrix, so the estimate is
     matrix independent.
+
+    Raises:
+        ValueError: If ``layer_dims`` is not three non-negative integers.
     """
-    m, k, n = layer_dims
-    c_dense = flops_dense(m, k, n)
+    c_dense = flops_dense(*_mkn(layer_dims, "layer_dims"))
     per_level = []
     c_sparse = 0.0
     for spec in config.levels:
@@ -164,11 +181,7 @@ class BenchPlan:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            m, k, n = self.dims
-        except (TypeError, ValueError):
-            raise ValueError(f"dims must be (m, k, n), got {self.dims!r}") from None
-        dims = tuple(_as_int(d, "dims entry", ValueError) for d in (m, k, n))
+        dims = _mkn(self.dims, "dims")
         if min(dims) < 1:
             raise ValueError(f"dims must be positive, got {self.dims}")
         object.__setattr__(self, "dims", dims)

@@ -350,6 +350,13 @@ class TestIrf:
         write_irf(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_numpy_entries_round_trip(self, tmp_path):
+        t = IrfTable({(BlockShape(8, 1), np.int64(48)): np.float64(0.8125)}, "calibrated")
+        p = tmp_path / "t.irf"
+        write_irf(p, t)
+        assert p.read_text().splitlines()[1] == "8 1 0.75 0.8125"
+        assert read_irf(p).entries == t.entries
+
     def test_sorted_output(self, tmp_path):
         t = IrfTable({(BlockShape(8, 1), 0): 0.5, (BlockShape(1, 1), 64): 0.5}, "analytic")
         p = tmp_path / "t.irf"

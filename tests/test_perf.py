@@ -76,6 +76,25 @@ class TestIrfTable:
         with pytest.raises(ValueError, match="bad key shape"):
             IrfTable({("1x1", 0): 0.5}, "calibrated")
 
+    @pytest.mark.parametrize(
+        "bucket,irf,match",
+        [
+            (1, True, "irf must be a real number, got True"),
+            (True, 0.5, "bucket must be an integer, got True"),
+            (2.5, 0.5, "bucket must be an integer, got 2.5"),
+        ],
+        ids=["bool-irf", "bool-bucket", "float-bucket"],
+    )
+    def test_typed_entries(self, bucket, irf, match):
+        with pytest.raises(ValueError, match=match):
+            IrfTable({(BlockShape(1, 1), bucket): irf}, "calibrated")
+
+    def test_numpy_entries_stored_as_python_numbers(self):
+        t = IrfTable({(BlockShape(1, 1), np.int64(32)): np.float32(0.25)}, "calibrated")
+        [((_, bucket), irf)] = t.entries.items()
+        assert (bucket, irf) == (32, 0.25)
+        assert type(bucket) is int and type(irf) is float
+
 
 class TestEstimateCost:
     def test_ideal_half_sparsity(self):
@@ -133,6 +152,12 @@ class TestEstimateCost:
             estimate_cost((4.5, 4, 4), HBSConfig.of((1, 1, 0.5)), t)
         est = estimate_cost((np.int64(4), 4, np.uint8(4)), HBSConfig.of((1, 1, 0.5)), t)
         assert est.c_dense == 128.0
+
+    @pytest.mark.parametrize("dims", [(4, 4), (4, 4, 4, 4), 4, None])
+    def test_three_dims_only(self, dims):
+        t = ones_table(BlockShape(1, 1))
+        with pytest.raises(ValueError, match=r"layer_dims must be \(m, k, n\)"):
+            estimate_cost(dims, HBSConfig.of((1, 1, 0.5)), t)
 
     def test_render(self):
         t = ones_table(BlockShape(1, 1))
