@@ -48,9 +48,7 @@ class _PackedLevel(NamedTuple):
     """Execution form of one level, built once by :func:`_pack`."""
 
     panel: np.ndarray  # read-only float64, bh x (n_blocks * bw)
-    # Read-only: the row of b each panel column multiplies; for bw == 1 it
-    # is the level's own block_cols.
-    src: np.ndarray
+    src: np.ndarray  # read-only gather index; block_cols itself when bw == 1
     # One entry per non-empty block row: output rows [r0, r1) and the
     # panel and src slices of that row's tiles.
     rows: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
