@@ -17,7 +17,7 @@ from .analysis import sparsity_summary, topk_retention
 from .core import BlockShape, HBSConfig, reconstruct, validate
 from .errors import ConfigError, HbsError, ValidationError
 from .io import read_dmat, read_hbsf, read_irf, write_dmat, write_hbsf, write_irf
-from .kernels import dense_matmul, hbs_matmul, max_rel_error
+from .kernels import _execution, dense_matmul, flops_sparse_level, hbs_matmul, max_rel_error
 from .perf import BenchPlan, calibrate_irf, estimate_cost
 from .pruning import prune_hierarchical
 
@@ -129,6 +129,13 @@ def _cmd_matmul(args) -> int:
     c = hbs_matmul(m, b)
     write_dmat(args.out, c)
     if args.oracle:
+        n = b.shape[1]
+        for i, lv in enumerate(m.levels, 1):
+            shape, executed = _execution(lv, n)
+            print(
+                f"level {i}: stored {lv.shape}, runs as {shape}; "
+                f"{flops_sparse_level(lv, n)} flops stored, {executed} executed at {n} columns"
+            )
         d = dense_matmul(reconstruct(m), b)
         print(f"max relative error vs dense oracle: {max_rel_error(c, d):.3e}")
     print(f"wrote {args.out}")
@@ -202,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="also run the dense reference product and print the max relative error",
+        help="also print each level's stored and execution shapes and FLOPs, run the "
+        "dense reference product and print the max relative error",
     )
     p.set_defaults(func=_cmd_matmul)
 

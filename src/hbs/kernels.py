@@ -3,19 +3,25 @@
 :func:`dense_matmul` is the correctness oracle for :func:`hbs_matmul`, and
 :func:`max_rel_error` compares the two. Both kernels share one accumulation
 contract: float32 inputs are widened to float64, every product runs in
-float64 BLAS (one call for dense; one per non-empty block row of each level
-for HBS, with levels applied in stored order into one shared accumulator),
-and the result is rounded to float32 once at the end. Results are
-deterministic for a fixed BLAS build and thread count, and the single
-rounding keeps oracle comparisons meaningful at tight tolerances.
+float64 BLAS (one call for dense; for HBS, one per non-empty block row of
+each level's execution shape, with levels applied in stored order into one
+shared accumulator), and the result is rounded to float32 once at the end.
+Results are deterministic for a fixed BLAS build and thread count, and the
+single rounding keeps oracle comparisons meaningful at tight tolerances.
 
 A level's blocks are fixed once it is built, so :func:`hbs_matmul` packs
 each level on first use and stores the packing on the level: a read-only
-float64 panel of its tiles, twice the bytes of its float32 ``values``, and
-the gather index and block-row bounds the product loops over. The packing
-lives as long as the level does, and matrices that share a level share it.
+float64 panel of its tiles in the level's execution shape, and the gather
+index and block-row bounds the product loops over. A fine level (``bh``
+below 8 and dividing 8, on a matrix whose rows 8 divides) runs as
+zero-padded ``8 x bw`` blocks, trading extra FLOPs for fewer, larger BLAS
+calls; every other level runs as stored. The storage shape never changes.
+The panel takes twice the bytes of the level's float32 ``values``, and at
+most ``8 / bh`` times that for a padded level. The packing lives as long as
+the level does, and matrices that share a level share it.
 
-FLOP counts follow the multiply-add-times-two convention.
+FLOP counts follow the multiply-add-times-two convention and count the
+stored, useful cells; a padded level executes more.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BlockSparseLevel, HBSMatrix, _as_int
+from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_int
 from .errors import DimensionError
 
 
@@ -44,11 +50,17 @@ def dense_matmul(a, b) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
+# Height of the zero-padded blocks a fine level runs as (see _pack). Taller
+# blocks mean fewer BLAS calls but more padded FLOPs and panel bytes.
+_EXEC_BH = 8
+
+
 class _PackedLevel(NamedTuple):
     """Execution form of one level, built once by :func:`_pack`."""
 
-    panel: np.ndarray  # read-only float64, bh x (n_blocks * bw)
-    src: np.ndarray  # read-only gather index; block_cols itself when bw == 1
+    shape: BlockShape  # execution shape: stored, or padded to _EXEC_BH rows
+    panel: np.ndarray  # read-only float64, shape.bh x (n_exec_blocks * bw)
+    src: np.ndarray  # read-only gather index; block_cols itself if unpadded, bw == 1
     # One entry per non-empty block row: output rows [r0, r1) and the
     # panel and src slices of that row's tiles.
     rows: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
@@ -57,47 +69,78 @@ class _PackedLevel(NamedTuple):
 def _pack(level: BlockSparseLevel) -> _PackedLevel:
     """The level's execution form, built on first use and kept on the level.
 
-    The tiles are packed side by side, in stored order, into one
-    ``bh x (n_blocks * bw)`` float64 panel; ``src`` gives the row of ``b``
-    that each panel column multiplies. Stored blocks are sorted row-major,
-    so each block row's tiles form one contiguous panel slice. Building is
-    idempotent, so two threads that race to fill the slot store equal forms.
+    A level with ``bh < 8``, ``bh`` dividing 8 and 8 dividing its rows runs
+    as ``8 x bw`` blocks (8 is ``_EXEC_BH``): stored block ``(gr, gc)``
+    lands in execution block ``(gr // (8 / bh), gc)`` at row offset
+    ``(gr % (8 / bh)) * bh``, and the rest of each execution block is
+    ``+0.0``. Padding runs only along rows, so a padded block reads the same
+    rows of ``b`` as its kept cells. Every other level runs as stored.
+
+    The execution tiles are packed side by side, in row-major block order,
+    into one float64 panel of the execution height, at most ``8 / bh``
+    times the level's tiles in float64; ``src`` gives the row of ``b`` that
+    each panel column multiplies, so each block row's tiles form one
+    contiguous panel slice. Building is idempotent, so two threads that race
+    to fill the slot store equal forms.
     """
     packed = level._packed
     if packed is None:
         bh, bw = level.shape.bh, level.shape.bw
-        n = level.n_blocks
-        panel = level.values.astype(np.float64).transpose(1, 0, 2).reshape(bh, n * bw)
-        panel.flags.writeable = False
-        if bw == 1:
-            src = level.block_cols  # already frozen; shared, not copied
+        if bh < _EXEC_BH and _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:
+            eh, per = _EXEC_BH, _EXEC_BH // bh
+            keys = level.block_rows // per * level.grid_cols + level.block_cols
+            keys, slot = np.unique(keys, return_inverse=True)
+            block_rows, block_cols = np.divmod(keys, level.grid_cols)
+            tiles = np.zeros((eh, len(keys), bw))
+            offsets = (level.block_rows % per * bh)[:, None] + np.arange(bh)
+            tiles[offsets, slot[:, None]] = level.values
+            panel = tiles.reshape(eh, -1)
         else:
-            src = (level.block_cols[:, None] * bw + np.arange(bw)).ravel()
-            src.flags.writeable = False
-        starts = np.flatnonzero(np.diff(level.block_rows, prepend=-1))
+            eh, block_rows, block_cols = bh, level.block_rows, level.block_cols
+            panel = level.values.astype(np.float64).transpose(1, 0, 2).reshape(bh, -1)
+        panel.flags.writeable = False
+        n = len(block_rows)
+        if bw == 1:
+            src = block_cols  # for an unpadded level, block_cols itself, not a copy
+        else:
+            src = (block_cols[:, None] * bw + np.arange(bw)).ravel()
+        src.flags.writeable = False
+        starts = np.flatnonzero(np.diff(block_rows, prepend=-1))
         ends = np.append(starts[1:], n)
-        r0s = (level.block_rows[starts] * bh).tolist()
+        r0s = (block_rows[starts] * eh).tolist()
         cuts = zip((starts * bw).tolist(), (ends * bw).tolist())
-        rows = tuple((r0, r0 + bh, panel[:, s:e], src[s:e]) for r0, (s, e) in zip(r0s, cuts))
-        packed = _PackedLevel(panel, src, rows)
+        rows = tuple((r0, r0 + eh, panel[:, s:e], src[s:e]) for r0, (s, e) in zip(r0s, cuts))
+        packed = _PackedLevel(BlockShape(eh, bw), panel, src, rows)
         object.__setattr__(level, "_packed", packed)
     return packed
+
+
+def _execution(level: BlockSparseLevel, n: int) -> tuple[BlockShape, int]:
+    """The shape a level runs as and the FLOPs it executes against n columns.
+
+    Both are read from the level's packing, which this builds if needed.
+    """
+    packed = _pack(level)
+    return packed.shape, 2 * packed.panel.size * n
 
 
 def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     """Multiply an HBS matrix by a dense matrix, level by level.
 
     Levels are applied in stored order into one shared double-precision
-    accumulator, one float64 BLAS product per non-empty block row, and the
-    sum is rounded to float32 once at the end. A single rounding keeps the
-    result within one float32 ulp of the dense product of the
-    reconstruction even when level contributions cancel. Deterministic for
-    a fixed BLAS build and thread count.
+    accumulator, one float64 BLAS product per non-empty execution block
+    row, and the sum is rounded to float32 once at the end. A single
+    rounding keeps the result within one float32 ulp of the dense product
+    of the reconstruction even when level contributions cancel.
+    Deterministic for a fixed BLAS build and thread count.
 
-    The first call that uses a level packs it and keeps the packing on the
-    level, so later calls only gather and multiply. The packing holds a
-    float64 copy of the level's tiles, twice its float32 ``values``, for as
-    long as the level lives.
+    The first call that uses a level packs it in its execution shape and
+    keeps the packing on the level, so later calls only gather and
+    multiply. The packing holds a float64 copy of the level's tiles, twice
+    its float32 ``values`` and at most ``8 / bh`` times that for a fine
+    level run as padded 8-row blocks, for as long as the level lives.
+    Padding adds exact zeros, so the result is within the same bound of the
+    oracle, but it may differ from the unpadded sum in the last bit.
 
     Raises:
         DimensionError: On inner-dimension mismatch.
@@ -118,7 +161,9 @@ def max_rel_error(got, want) -> float:
 
     Each cell's difference is scaled by the larger magnitude of the two
     values, floored at 1e-30 so all-zero cells compare equal instead of
-    dividing by zero.
+    dividing by zero. Equal cells, equal infinities included, contribute 0;
+    any other pair holding a NaN or an infinity contributes ``inf``. Inputs
+    with no cells give 0.0.
 
     Raises:
         DimensionError: If the shapes differ.
@@ -127,8 +172,14 @@ def max_rel_error(got, want) -> float:
     w = _as_f32(want, "want").astype(np.float64)
     if g.shape != w.shape:
         raise DimensionError(f"shape mismatch: {g.shape} vs {w.shape}")
+    if g.size == 0:
+        return 0.0
+    finite = np.isfinite(g) & np.isfinite(w)
     scale = np.maximum(np.maximum(np.abs(g), np.abs(w)), 1e-30)
-    return float(np.max(np.abs(g - w) / scale))
+    with np.errstate(invalid="ignore"):
+        err = np.where(finite, np.abs(g - w) / scale, np.inf)
+    err[g == w] = 0.0
+    return float(err.max())
 
 
 def flops_dense(m_rows: int, k: int, n: int) -> int:
@@ -140,7 +191,11 @@ def flops_dense(m_rows: int, k: int, n: int) -> int:
 
 
 def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
-    """FLOPs of one level's product against n output columns."""
+    """FLOPs of one level's product against n output columns.
+
+    Counts the stored cells only. :func:`hbs_matmul` may run a fine level
+    as zero-padded 8-row blocks and so execute up to ``8 / bh`` times this.
+    """
     n = _as_int(n, "n", ValueError)
     if n < 0:
         raise ValueError("n must be non-negative")

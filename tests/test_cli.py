@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from test_io import hbsf_bytes
-from hbs import read_dmat, read_irf, write_dmat
+from hbs import BlockShape, flops_sparse_level, read_dmat, read_hbsf, read_irf, write_dmat
 from hbs.cli import console_main, main
 
 FOUR = np.array(
@@ -65,6 +65,25 @@ class TestPipelines:
         got = re.search(r"max relative error vs dense oracle: (\S+)", out)
         assert got and float(got.group(1)) <= 1e-5
         assert read_dmat(c).shape == (16, 7)
+
+    @pytest.mark.parametrize("rows, runs", [(16, ["8x2", "8x1"]), (12, ["4x2", "1x1"])])
+    def test_matmul_oracle_prints_execution_shapes(self, run, tmp_path, rows, runs):
+        a, m, b, c = (tmp_path / n for n in ("a.dmat", "m.hbsf", "b.dmat", "c.dmat"))
+        run("gen", "--rows", rows, "--cols", 12, "--seed", 5, "--out", a)
+        run("prune", "--in", a, "--out", m, "--levels", "4x2:0.5,1x1:0.75")
+        run("gen", "--rows", 12, "--cols", 7, "--seed", 6, "--out", b)
+        rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
+        assert rc == 0
+        lines = re.findall(
+            r"level (\d+): stored (\S+), runs as (\S+); "
+            r"(\d+) flops stored, (\d+) executed at 7 columns",
+            out,
+        )
+        assert [line[:3] for line in lines] == [("1", "4x2", runs[0]), ("2", "1x1", runs[1])]
+        for lv, (*_, ran, stored, executed) in zip(read_hbsf(m).levels, lines):
+            assert int(stored) == flops_sparse_level(lv, 7)
+            pad = BlockShape.parse(ran).bh // lv.shape.bh
+            assert int(stored) <= int(executed) <= pad * int(stored)
 
     def test_topk(self, run, tmp_path):
         a, m = tmp_path / "a.dmat", tmp_path / "m.hbsf"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hbs
+from hbs import kernels
 from hbs import (
     BlockShape,
     DimensionError,
@@ -195,19 +196,23 @@ class TestPackedLevels:
         assert _bits(first) == _bits(second) == _bits(hbs_matmul(fresh, b))
 
     def test_packing_is_read_only(self):
-        m = _edge_matrices()["empty-middle"]
-        hbs_matmul(m, np.ones((m.cols, 2), np.float32))
-        for lv in m.levels:
-            packed = lv._packed
-            assert packed.panel.dtype == np.float64
-            assert packed.panel.shape == (lv.shape.bh, lv.n_blocks * lv.shape.bw)
-            # A bw == 1 level gathers by its own block_cols, with no copy.
-            assert (packed.src is lv.block_cols) == (lv.shape.bw == 1)
-            arrays = [packed.panel, packed.src]
-            arrays += [a for *_, p, idx in packed.rows for a in (p, idx)]
-            assert not any(a.flags.writeable for a in arrays)
-            with pytest.raises(ValueError, match="read-only"):
-                packed.panel[...] = 0.0
+        # Both a padded execution shape ("4x2") and the stored one ("2x3").
+        for m in _edge_matrices().values():
+            hbs_matmul(m, np.ones((m.cols, 2), np.float32))
+            for lv in m.levels:
+                packed = lv._packed
+                assert packed.panel.dtype == np.float64
+                assert packed.shape.bw == lv.shape.bw
+                assert packed.panel.shape[0] == packed.shape.bh
+                assert packed.panel.shape[1] == sum(p.shape[1] for *_, p, _ in packed.rows)
+                # An unpadded bw == 1 level gathers by its own block_cols, with no copy.
+                unpadded = packed.shape == lv.shape
+                assert (packed.src is lv.block_cols) == (unpadded and lv.shape.bw == 1)
+                arrays = [packed.panel, packed.src]
+                arrays += [a for *_, p, idx in packed.rows for a in (p, idx)]
+                assert not any(a.flags.writeable for a in arrays)
+                with pytest.raises(ValueError, match="read-only"):
+                    packed.panel[...] = 0.0
 
     def test_nothing_packed_when_built_or_read(self, tmp_path):
         m = EDGE_MATRICES["4x2"]
@@ -263,6 +268,97 @@ class TestPackedLevels:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 8
+
+
+def _one_level(bh, bw, rows, cols, blocks):
+    """A matrix of one ``bh x bw`` level holding ``blocks``, tiles drawn at random."""
+    rng = np.random.default_rng(bh * 100 + bw)
+    tiles = [(gr, gc, rng.standard_normal((bh, bw))) for gr, gc in blocks]
+    return HBSMatrix(rows, cols, (level_of(BlockShape(bh, bw), rows // bh, cols // bw, tiles),))
+
+
+def _unpack(packed, rows, cols):
+    """float64 dense matrix that a level's packing multiplies by."""
+    dense = np.zeros((rows, cols))
+    for r0, r1, p, idx in packed.rows:
+        assert len(np.unique(idx)) == len(idx)
+        dense[r0:r1, idx] = p
+    assert sum(p.size for *_, p, _ in packed.rows) == packed.panel.size
+    return dense
+
+
+def _ladder():
+    a = np.random.default_rng(31).standard_normal((64, 48), dtype=np.float32)
+    cfg = HBSConfig.parse("16x2:0.75,8x1:0.875,4x1:0.9375,2x1:0.96875,1x1:0.96875")
+    return prune_hierarchical(a, cfg)[0]
+
+
+class TestExecutionShape:
+    """Fine levels run as zero-padded 8-row blocks; the rest run as stored."""
+
+    @pytest.mark.parametrize(
+        "bh, bw, rows, run_bh",
+        [
+            (1, 1, 16, 8), (2, 1, 16, 8), (4, 1, 8, 8), (4, 3, 24, 8), (2, 2, 16, 8),
+            (3, 1, 24, 3), (4, 1, 12, 4), (1, 1, 12, 1), (2, 1, 4, 2),
+            (8, 1, 16, 8), (16, 1, 32, 16), (6, 1, 24, 6),
+        ],
+    )
+    def test_rule(self, bh, bw, rows, run_bh):
+        m = _one_level(bh, bw, rows, 2 * bw, [(0, 0), (rows // bh - 1, 1)])
+        (lv,) = m.levels
+        shape, executed = kernels._execution(lv, 5)
+        assert shape == BlockShape(run_bh, bw) and lv._packed.shape == shape
+        assert lv._packed.panel.shape[0] == run_bh
+        assert (lv._packed.src is lv.block_cols) == (run_bh == bh and bw == 1)
+        stored = flops_sparse_level(lv, 5)
+        assert stored <= executed <= run_bh // bh * stored
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES) + ["ladder", "signed-zeros"])
+    def test_unpadding_gives_stored_tiles(self, name):
+        if name == "ladder":
+            m = _ladder()
+        elif name == "signed-zeros":
+            tiles = [(0, 1, [[-0.0], [1.0]]), (3, 0, [[2.0], [-0.0]]), (3, 2, [[-0.0], [-0.0]])]
+            m = HBSMatrix(16, 3, (level_of(BlockShape(2, 1), 8, 3, tiles),))
+        else:
+            m = _edge_matrices()[name]
+        for lv in m.levels:
+            packed = kernels._pack(lv)
+            # Each panel cell lands on its own cell, so comparing bits also
+            # shows that every padding cell is +0.0.
+            want = reconstruct(HBSMatrix(m.rows, m.cols, (lv,))).astype(np.float64)
+            got = _unpack(packed, m.rows, m.cols)
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_ladder_pads_its_fine_levels(self):
+        m = _ladder()
+        run = [str(kernels._execution(lv, 1)[0]) for lv in m.levels]
+        assert run == ["16x2", "8x1", "8x1", "8x1", "8x1"]
+
+    @pytest.mark.parametrize("n", [1, 4, 33])
+    def test_ladder_matches_blockwise_product(self, n):
+        m = _ladder()
+        b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
+        got = hbs_matmul(m, b)
+        assert max_rel_error(got, blockwise_product(m, b).astype(np.float32)) <= 1e-5
+        assert max_rel_error(got, dense_matmul(reconstruct(m), b)) <= 1e-5
+
+    def test_nonfinite_cells_also_nonfinite_in_oracle(self):
+        padded = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a, config = make_random_case(rng, max_dim=32)
+            m, _ = prune_hierarchical(a, config)
+            b = rng.standard_normal((a.shape[1], 3), dtype=np.float32)
+            cells = rng.integers(0, b.size, size=int(rng.integers(1, 4)))
+            b.flat[cells] = rng.choice([np.inf, -np.inf, np.nan], size=len(cells))
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = hbs_matmul(m, b)
+                want = dense_matmul(reconstruct(m), b)
+            assert not np.isfinite(want[~np.isfinite(got)]).any()
+            padded += any(lv._packed.shape != lv.shape for lv in m.levels)
+        assert padded >= 20
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -338,3 +434,31 @@ class TestMaxRelError:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             max_rel_error(np.zeros((2, 2), np.float32), np.zeros((2, 3), np.float32))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_no_cells_is_zero(self, shape):
+        z = np.zeros(shape, np.float32)
+        assert max_rel_error(z, z) == 0.0
+
+    def test_matches_empty_product(self):
+        m = EDGE_MATRICES["4x2"]
+        b = np.zeros((m.cols, 0), np.float32)
+        assert max_rel_error(hbs_matmul(m, b), dense_matmul(reconstruct(m), b)) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_infinities_are_zero(self):
+        inf = np.inf
+        assert max_rel_error([[inf]], [[inf]]) == 0.0
+        assert max_rel_error([[-inf, 0.0]], [[-inf, 0.0]]) == 0.0
+        assert max_rel_error([[inf, 2.0]], [[inf, 1.0]]) == pytest.approx(0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "got, want",
+        [
+            (np.inf, -np.inf), (np.nan, np.nan), (1.0, np.inf), (np.inf, 1.0),
+            (np.nan, 1.0), (0.0, np.nan), (np.nan, np.inf),
+        ],
+    )
+    def test_other_nonfinite_pairs_are_inf(self, got, want):
+        assert max_rel_error([[got, 1.0]], [[want, 1.0]]) == np.inf
