@@ -131,10 +131,11 @@ def _cmd_matmul(args) -> int:
     if args.oracle:
         n = b.shape[1]
         for i, lv in enumerate(m.levels, 1):
-            shape, executed = _execution(lv, n)
+            ex = _execution(lv, n)
             print(
-                f"level {i}: stored {lv.shape}, runs as {shape}; "
-                f"{flops_sparse_level(lv, n)} flops stored, {executed} executed at {n} columns"
+                f"level {i}: stored {lv.shape}, runs as {ex.shape}; "
+                f"{flops_sparse_level(lv, n)} flops stored, {ex.flops} executed at {n} columns; "
+                f"packed {ex.nbytes} bytes in {ex.slabs} slabs, padding share {ex.padding:.3f}"
             )
         d = dense_matmul(reconstruct(m), b)
         print(f"max relative error vs dense oracle: {max_rel_error(c, d):.3e}")
@@ -209,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="also print each level's stored and execution shapes and FLOPs, run the "
-        "dense reference product and print the max relative error",
+        help="also print each level's stored and execution shapes, FLOPs and packing "
+        "size, run the dense reference product and print the max relative error",
     )
     p.set_defaults(func=_cmd_matmul)
 

@@ -3,22 +3,23 @@
 :func:`dense_matmul` is the correctness oracle for :func:`hbs_matmul`, and
 :func:`max_rel_error` compares the two. Both kernels share one accumulation
 contract: float32 inputs are widened to float64, every product runs in
-float64 BLAS (one call for dense; for HBS, one per non-empty block row of
-each level's execution shape, with levels applied in stored order into one
-shared accumulator), and the result is rounded to float32 once at the end.
-Results are deterministic for a fixed BLAS build and thread count, and the
-single rounding keeps oracle comparisons meaningful at tight tolerances.
+float64 BLAS (one call for dense; for HBS, a few stacked GEMMs per level,
+with levels applied in stored order into one shared accumulator), and the
+result is rounded to float32 once at the end. Results are deterministic
+for a fixed BLAS build and thread count, and the single rounding keeps
+oracle comparisons meaningful at tight tolerances.
 
 A level's blocks are fixed once it is built, so :func:`hbs_matmul` packs
-each level on first use and stores the packing on the level: a read-only
-float64 panel of its tiles in the level's execution shape, and the gather
-index and block-row bounds the product loops over. A fine level (``bh``
-below 8 and dividing 8, on a matrix whose rows 8 divides) runs as
-zero-padded ``8 x bw`` blocks, trading extra FLOPs for fewer, larger BLAS
-calls; every other level runs as stored. The storage shape never changes.
-The panel takes twice the bytes of the level's float32 ``values``, and at
-most ``8 / bh`` times that for a padded level. The packing lives as long as
-the level does, and matrices that share a level share it.
+each level on first use and stores the packing on the level. A fine level
+(``bh`` below 8 and dividing 8, on a matrix whose rows 8 divides) runs as
+zero-padded ``8 x bw`` blocks; every other level runs as stored. The
+storage shape never changes. The packing is block-ELL: the level's
+non-empty execution block rows, sorted by length and cut into slabs whose
+rows are zero-padded to a common length, so that one stacked GEMM covers
+many block rows instead of one BLAS call per row. It holds the execution
+tiles in float64 plus their padding, below twice those tiles, and one
+``intp`` gather index per padded column. The packing lives as long as the
+level does, and matrices that share a level share it.
 
 FLOP counts follow the multiply-add-times-two convention and count the
 stored, useful cells; a padded level executes more.
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_int
+from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_int, _row_major
 from .errors import DimensionError
 
 
@@ -51,19 +52,35 @@ def dense_matmul(a, b) -> np.ndarray:
 
 
 # Height of the zero-padded blocks a fine level runs as (see _pack). Taller
-# blocks mean fewer BLAS calls but more padded FLOPs and panel bytes.
+# blocks mean fewer BLAS calls but more padded FLOPs and packed bytes.
 _EXEC_BH = 8
+
+# Largest slice of b, in bytes, that one stacked GEMM over several block
+# rows may gather. Stacking saves a dispatch per row but writes the slice
+# out and reads it back. At 4 columns the saving stops growing near this
+# size; at 256 columns, where one row's slice is tens of KiB, rows run
+# faster alone, and this size keeps nearly all of them alone. A slab whose
+# rows are too long for two to fit runs each row alone.
+_GATHER_BYTES = 128 * 1024
+
+
+class _Slab(NamedTuple):
+    """Block rows of similar length, padded to a common one (see _pack)."""
+
+    tiles: np.ndarray  # read-only float64 (R, eh, L * bw), column-major per row; own tiles first
+    src: np.ndarray  # read-only intp (R, L * bw): row of b per tile column
+    ids: np.ndarray  # read-only intp (R,): execution block row of each slab row
+    lens: np.ndarray  # read-only intp (R,): columns of each row's own tiles, descending
+    # One entry per row: its execution block row, and its tiles and src cut
+    # to its own length, so a row that runs alone slices nothing per call.
+    rows: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
 class _PackedLevel(NamedTuple):
     """Execution form of one level, built once by :func:`_pack`."""
 
     shape: BlockShape  # execution shape: stored, or padded to _EXEC_BH rows
-    panel: np.ndarray  # read-only float64, shape.bh x (n_exec_blocks * bw)
-    src: np.ndarray  # read-only gather index; block_cols itself if unpadded, bw == 1
-    # One entry per non-empty block row: output rows [r0, r1) and the
-    # panel and src slices of that row's tiles.
-    rows: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    slabs: tuple[_Slab, ...]  # longest rows first
 
 
 def _pack(level: BlockSparseLevel) -> _PackedLevel:
@@ -76,71 +93,122 @@ def _pack(level: BlockSparseLevel) -> _PackedLevel:
     ``+0.0``. Padding runs only along rows, so a padded block reads the same
     rows of ``b`` as its kept cells. Every other level runs as stored.
 
-    The execution tiles are packed side by side, in row-major block order,
-    into one float64 panel of the execution height, at most ``8 / bh``
-    times the level's tiles in float64; ``src`` gives the row of ``b`` that
-    each panel column multiplies, so each block row's tiles form one
-    contiguous panel slice. Building is idempotent, so two threads that race
-    to fill the slot store equal forms.
+    The non-empty execution block rows are then stored block-ELL style,
+    sorted by block count, longest first, and cut into slabs: a slab ends
+    before the first row holding at most half the blocks of its own first
+    row. Each slab stacks its rows' tiles side by side in row-major block
+    order, padded with ``+0.0`` to the first row's length, so padding stays
+    below the execution tiles themselves and there are at most
+    ``log2(longest row) + 1`` slabs. ``src`` gives the row of ``b`` each
+    tile column multiplies; padding columns read row ``k``, one past the
+    matrix's last column, which is the zero row :func:`hbs_matmul` appends
+    to its copy of ``b``, so padding never multiplies an infinity. Each
+    slab's arrays are gathered in one vectorised pass; the slab also keeps
+    per-row views of its rows' own tiles and indices, for rows that run
+    alone. Building is idempotent, so two threads that race to fill the
+    slot store equal forms.
     """
     packed = level._packed
     if packed is None:
         bh, bw = level.shape.bh, level.shape.bw
+        per = 1
         if bh < _EXEC_BH and _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:
-            eh, per = _EXEC_BH, _EXEC_BH // bh
-            keys = level.block_rows // per * level.grid_cols + level.block_cols
-            keys, slot = np.unique(keys, return_inverse=True)
-            block_rows, block_cols = np.divmod(keys, level.grid_cols)
-            tiles = np.zeros((eh, len(keys), bw))
-            offsets = (level.block_rows % per * bh)[:, None] + np.arange(bh)
-            tiles[offsets, slot[:, None]] = level.values
-            panel = tiles.reshape(eh, -1)
+            per = _EXEC_BH // bh
+        eh = per * bh
+        # Execution blocks in row-major order: their rows, columns and
+        # tiles, then one all-zero tile that padding gathers.
+        if per == 1:
+            erows, ecols = level.block_rows, level.block_cols
+            blocks = np.zeros((len(erows) + 1, bh, bw))
+            blocks[:-1] = level.values
         else:
-            eh, block_rows, block_cols = bh, level.block_rows, level.block_cols
-            panel = level.values.astype(np.float64).transpose(1, 0, 2).reshape(bh, -1)
-        panel.flags.writeable = False
-        n = len(block_rows)
-        if bw == 1:
-            src = block_cols  # for an unpadded level, block_cols itself, not a copy
-        else:
-            src = (block_cols[:, None] * bw + np.arange(bw)).ravel()
-        src.flags.writeable = False
-        starts = np.flatnonzero(np.diff(block_rows, prepend=-1))
-        ends = np.append(starts[1:], n)
-        r0s = (block_rows[starts] * eh).tolist()
-        cuts = zip((starts * bw).tolist(), (ends * bw).tolist())
-        rows = tuple((r0, r0 + eh, panel[:, s:e], src[s:e]) for r0, (s, e) in zip(r0s, cuts))
-        packed = _PackedLevel(BlockShape(eh, bw), panel, src, rows)
+            keys, slot = np.unique(
+                _row_major(level.block_rows // per, level.block_cols, level.grid_cols),
+                return_inverse=True,
+            )
+            erows, ecols = (a.astype(np.intp) for a in np.divmod(keys, np.uint64(level.grid_cols)))
+            blocks = np.zeros((len(keys) + 1, per, bh, bw))
+            blocks[slot, level.block_rows % per] = level.values
+            blocks = blocks.reshape(-1, eh, bw)
+        cols = np.full((len(blocks), bw), level.cols, dtype=np.intp)
+        cols[:-1] = ecols[:, None] * bw + np.arange(bw)
+        first = np.flatnonzero(np.diff(erows, prepend=-1))
+        lens = np.diff(first, append=len(erows))
+        order = np.argsort(-lens, kind="stable")  # longest first, ties in row order
+        ids, first, lens = erows[first[order]], first[order], lens[order]
+        slabs, lo, descending = [], 0, -lens
+        while lo < len(lens):
+            width = int(lens[lo])
+            hi = int(np.searchsorted(descending, -(width // 2)))
+            # The block at each place of each row; the zero tile past its end.
+            place = np.arange(width)
+            at = np.where(place < lens[lo:hi, None], first[lo:hi, None] + place, len(blocks) - 1)
+            # Gathered as (R, L * bw, eh), one tile column after another, so
+            # the (R, eh, L * bw) stack is a transposed view and needs no copy.
+            tiles = blocks.take(at, axis=0).transpose(0, 1, 3, 2).reshape(hi - lo, -1, eh)
+            tiles = tiles.transpose(0, 2, 1)
+            src = cols.take(at, axis=0).reshape(hi - lo, -1)
+            slab_ids, widths = ids[lo:hi], lens[lo:hi] * bw
+            for a in (tiles, src, slab_ids, widths):
+                a.flags.writeable = False
+            rows = tuple(
+                (r, tiles[s, :, :w], src[s, :w])
+                for s, (r, w) in enumerate(zip(slab_ids.tolist(), widths.tolist()))
+            )
+            slabs.append(_Slab(tiles, src, slab_ids, widths, rows))
+            lo = hi
+        packed = _PackedLevel(BlockShape(eh, bw), tuple(slabs))
         object.__setattr__(level, "_packed", packed)
     return packed
 
 
-def _execution(level: BlockSparseLevel, n: int) -> tuple[BlockShape, int]:
-    """The shape a level runs as and the FLOPs it executes against n columns.
+class _Execution(NamedTuple):
+    """How one level runs, read from its packing (see :func:`_execution`)."""
 
-    Both are read from the level's packing, which this builds if needed.
-    """
+    shape: BlockShape  # execution shape
+    flops: int  # FLOPs of the execution tiles, slab padding not counted
+    nbytes: int  # bytes of the packing's arrays
+    slabs: int
+    padding: float  # share of the packed cells that pad a row to its slab's length
+
+
+def _execution(level: BlockSparseLevel, n: int) -> _Execution:
+    """How a level runs against n columns, from its packing, which this
+    builds if needed."""
     packed = _pack(level)
-    return packed.shape, 2 * packed.panel.size * n
+    cells = sum(int(s.lens.sum()) for s in packed.slabs) * packed.shape.bh
+    packed_cells = sum(s.tiles.size for s in packed.slabs)
+    return _Execution(
+        packed.shape,
+        2 * cells * n,
+        sum(s.tiles.nbytes + s.src.nbytes + s.ids.nbytes + s.lens.nbytes for s in packed.slabs),
+        len(packed.slabs),
+        1 - cells / packed_cells if packed_cells else 0.0,
+    )
 
 
 def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     """Multiply an HBS matrix by a dense matrix, level by level.
 
     Levels are applied in stored order into one shared double-precision
-    accumulator, one float64 BLAS product per non-empty execution block
-    row, and the sum is rounded to float32 once at the end. A single
+    accumulator and the sum is rounded to float32 once at the end. A single
     rounding keeps the result within one float32 ulp of the dense product
     of the reconstruction even when level contributions cancel.
     Deterministic for a fixed BLAS build and thread count.
 
-    The first call that uses a level packs it in its execution shape and
-    keeps the packing on the level, so later calls only gather and
-    multiply. The packing holds a float64 copy of the level's tiles, twice
-    its float32 ``values`` and at most ``8 / bh`` times that for a fine
-    level run as padded 8-row blocks, for as long as the level lives.
-    Padding adds exact zeros, so the result is within the same bound of the
-    oracle, but it may differ from the unpadded sum in the last bit.
+    The first call that uses a level packs it and keeps the packing on the
+    level, so later calls only gather and multiply. Each slab of the
+    packing runs as stacked float64 GEMMs over consecutive rows, as many as
+    keep the gathered slice of ``b`` within ``_GATHER_BYTES``, each cut to
+    the length of its first, longest row. Rows are unique within a level,
+    so their sums land in the accumulator without conflict. A slab whose
+    rows are too long for that runs each row alone over its own tiles,
+    which is the arithmetic of one BLAS call per block row. The packing
+    holds the level's execution tiles in float64 plus their padding, below
+    twice those tiles, and one ``intp`` index per padded column, for as
+    long as the level lives. Padding adds exact zeros, so the result is
+    within the same bound of the oracle, but it may differ in the last bit
+    from a product that skips the padding.
 
     Raises:
         DimensionError: On inner-dimension mismatch.
@@ -148,11 +216,24 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     b = _as_f32(b, "b")
     if m.cols != b.shape[0]:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, b is {b.shape[0]}x{b.shape[1]}")
-    b64 = b.astype(np.float64)
-    out64 = np.zeros((m.rows, b.shape[1]), dtype=np.float64)
+    n = b.shape[1]
+    b64 = np.empty((m.cols + 1, n))
+    b64[:-1] = b
+    b64[-1] = 0.0
+    out64 = np.zeros((m.rows, n))
     for level in m.levels:
-        for r0, r1, p, idx in _pack(level).rows:
-            out64[r0:r1] += p @ b64.take(idx, axis=0)
+        packed = _pack(level)
+        eh = packed.shape.bh
+        out3 = out64.reshape(m.rows // eh, eh, n)
+        for tiles, src, ids, lens, rows in packed.slabs:
+            step = _GATHER_BYTES // max(1, 8 * n * src.shape[1])
+            if step < 2:
+                for row, p, idx in rows:
+                    out3[row] += p @ b64.take(idx, axis=0)
+                continue
+            for s in range(0, len(ids), step):
+                e, w = s + step, lens[s]
+                out3[ids[s:e]] += tiles[s:e, :, :w] @ b64.take(src[s:e, :w], axis=0)
     return out64.astype(np.float32)
 
 
@@ -194,7 +275,9 @@ def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
     """FLOPs of one level's product against n output columns.
 
     Counts the stored cells only. :func:`hbs_matmul` may run a fine level
-    as zero-padded 8-row blocks and so execute up to ``8 / bh`` times this.
+    as zero-padded 8-row blocks, up to ``8 / bh`` times this, and pads
+    block rows to their slab's length, below twice the execution cells;
+    ``hbs matmul --oracle`` prints both.
     """
     n = _as_int(n, "n", ValueError)
     if n < 0:

@@ -4,8 +4,18 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import level_of
 from test_io import hbsf_bytes
-from hbs import BlockShape, flops_sparse_level, read_dmat, read_hbsf, read_irf, write_dmat
+from hbs import (
+    BlockShape,
+    HBSMatrix,
+    flops_sparse_level,
+    read_dmat,
+    read_hbsf,
+    read_irf,
+    write_dmat,
+    write_hbsf,
+)
 from hbs.cli import console_main, main
 
 FOUR = np.array(
@@ -84,6 +94,30 @@ class TestPipelines:
             assert int(stored) == flops_sparse_level(lv, 7)
             pad = BlockShape.parse(ran).bh // lv.shape.bh
             assert int(stored) <= int(executed) <= pad * int(stored)
+
+    def test_matmul_oracle_prints_packing(self, run, tmp_path):
+        m, b, c = (tmp_path / n for n in ("m.hbsf", "b.dmat", "c.dmat"))
+        # 8x1 runs as stored: block rows of 3 and 2 blocks share one slab
+        # of length 3, so 8 of its 48 packed cells pad the shorter row.
+        coarse = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        # 2x1 runs as 8x1 blocks: execution block rows of 2 blocks and 1
+        # block take a slab each, with no padding between tiles.
+        fine = [(0, 3), (4, 2), (5, 3), (7, 2)]
+        levels = [
+            level_of(BlockShape(8, 1), 2, 4, [(r, c, np.ones((8, 1))) for r, c in coarse]),
+            level_of(BlockShape(2, 1), 8, 4, [(r, c, np.ones((2, 1))) for r, c in fine]),
+        ]
+        write_hbsf(m, HBSMatrix(16, 4, tuple(levels)))
+        write_dmat(b, np.ones((4, 3), np.float32))
+        rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
+        assert rc == 0
+        lines = [line for line in out.splitlines() if line.startswith("level")]
+        assert lines == [
+            "level 1: stored 8x1, runs as 8x1; 240 flops stored, 240 executed at 3 columns; "
+            "packed 464 bytes in 1 slabs, padding share 0.167",
+            "level 2: stored 2x1, runs as 8x1; 48 flops stored, 144 executed at 3 columns; "
+            "packed 248 bytes in 2 slabs, padding share 0.000",
+        ]
 
     def test_topk(self, run, tmp_path):
         a, m = tmp_path / "a.dmat", tmp_path / "m.hbsf"

@@ -201,18 +201,28 @@ class TestPackedLevels:
             hbs_matmul(m, np.ones((m.cols, 2), np.float32))
             for lv in m.levels:
                 packed = lv._packed
-                assert packed.panel.dtype == np.float64
                 assert packed.shape.bw == lv.shape.bw
-                assert packed.panel.shape[0] == packed.shape.bh
-                assert packed.panel.shape[1] == sum(p.shape[1] for *_, p, _ in packed.rows)
-                # An unpadded bw == 1 level gathers by its own block_cols, with no copy.
-                unpadded = packed.shape == lv.shape
-                assert (packed.src is lv.block_cols) == (unpadded and lv.shape.bw == 1)
-                arrays = [packed.panel, packed.src]
-                arrays += [a for *_, p, idx in packed.rows for a in (p, idx)]
+                arrays = []
+                for slab in packed.slabs:
+                    assert slab.tiles.dtype == np.float64 and slab.src.dtype == np.intp
+                    assert slab.tiles.shape == (len(slab.ids), packed.shape.bh, slab.src.shape[1])
+                    assert slab.lens.shape == slab.ids.shape == (len(slab.rows),)
+                    # The per-row entries are views cut from the slab's own arrays.
+                    for (row, p, idx), s_row, w in zip(slab.rows, slab.ids, slab.lens):
+                        assert row == s_row and p.shape == (packed.shape.bh, w)
+                        assert len(idx) == w
+                        assert np.shares_memory(p, slab.tiles) and np.shares_memory(idx, slab.src)
+                    assert sum(p.shape[1] for _, p, _ in slab.rows) == slab.lens.sum()
+                    arrays += [slab.tiles, slab.src, slab.ids, slab.lens]
+                    arrays += [a for _, p, idx in slab.rows for a in (p, idx)]
+                # An unpadded level gathers by its own block_cols, in row-major order.
+                if packed.shape == lv.shape:
+                    cols = lv.block_cols[:, None] * lv.shape.bw + np.arange(lv.shape.bw)
+                    assert (_own_src(packed) == cols.ravel()).all()
                 assert not any(a.flags.writeable for a in arrays)
-                with pytest.raises(ValueError, match="read-only"):
-                    packed.panel[...] = 0.0
+                for slab in packed.slabs:
+                    with pytest.raises(ValueError, match="read-only"):
+                        slab.tiles[...] = 0.0
 
     def test_nothing_packed_when_built_or_read(self, tmp_path):
         m = EDGE_MATRICES["4x2"]
@@ -277,14 +287,44 @@ def _one_level(bh, bw, rows, cols, blocks):
     return HBSMatrix(rows, cols, (level_of(BlockShape(bh, bw), rows // bh, cols // bw, tiles),))
 
 
+def _own_src(packed):
+    """The rows of ``b`` each execution block row reads, rows in order."""
+    rows = sorted((row for slab in packed.slabs for row in slab.rows), key=lambda r: r[0])
+    return np.concatenate([idx for *_, idx in rows] or [np.zeros(0, np.intp)])
+
+
 def _unpack(packed, rows, cols):
-    """float64 dense matrix that a level's packing multiplies by."""
+    """float64 dense matrix that a level's packing multiplies by.
+
+    Also checks the slab layout: longest rows first, each slab's rows longer
+    than half its first row, padding cells ``+0.0`` and reading row ``cols``
+    of ``b`` (the zero row), and every execution block row in one slab.
+    """
+    eh, bw = packed.shape.bh, packed.shape.bw
     dense = np.zeros((rows, cols))
-    for r0, r1, p, idx in packed.rows:
-        assert len(np.unique(idx)) == len(idx)
-        dense[r0:r1, idx] = p
-    assert sum(p.size for *_, p, _ in packed.rows) == packed.panel.size
+    seen = []
+    firsts = [slab.lens[0] // bw for slab in packed.slabs]
+    assert all(later <= first // 2 for first, later in zip(firsts, firsts[1:]))
+    for slab in packed.slabs:
+        blocks = slab.lens // bw
+        assert slab.src.shape[1] == slab.lens[0] and (np.diff(blocks) <= 0).all()
+        assert (blocks > blocks[0] // 2).all()
+        for s, (row, w) in enumerate(zip(slab.ids.tolist(), slab.lens.tolist())):
+            p, idx = slab.tiles[s, :, :w], slab.src[s, :w]
+            assert len(np.unique(idx)) == len(idx) and (idx < cols).all()
+            dense[row * eh : (row + 1) * eh, idx] = p
+            pad = slab.tiles[s, :, w:]
+            assert pad.tobytes() == np.zeros_like(pad).tobytes()
+            assert (slab.src[s, w:] == cols).all()
+            seen.append(row)
+    assert len(set(seen)) == len(seen)
     return dense
+
+
+def _cells(packed):
+    """(packed cells, execution cells) of a level's packing."""
+    packed_cells = sum(slab.tiles.size for slab in packed.slabs)
+    return packed_cells, sum(int(slab.lens.sum()) for slab in packed.slabs) * packed.shape.bh
 
 
 def _ladder():
@@ -307,12 +347,15 @@ class TestExecutionShape:
     def test_rule(self, bh, bw, rows, run_bh):
         m = _one_level(bh, bw, rows, 2 * bw, [(0, 0), (rows // bh - 1, 1)])
         (lv,) = m.levels
-        shape, executed = kernels._execution(lv, 5)
-        assert shape == BlockShape(run_bh, bw) and lv._packed.shape == shape
-        assert lv._packed.panel.shape[0] == run_bh
-        assert (lv._packed.src is lv.block_cols) == (run_bh == bh and bw == 1)
+        ex = kernels._execution(lv, 5)
+        assert ex.shape == BlockShape(run_bh, bw) and lv._packed.shape == ex.shape
+        assert all(slab.tiles.shape[1] == run_bh for slab in lv._packed.slabs)
+        # The two blocks land in distinct execution blocks, padded or not,
+        # so the level gathers by its own block_cols.
+        cols = (lv.block_cols[:, None] * bw + np.arange(bw)).ravel()
+        assert (_own_src(lv._packed) == cols).all()
         stored = flops_sparse_level(lv, 5)
-        assert stored <= executed <= run_bh // bh * stored
+        assert stored <= ex.flops <= run_bh // bh * stored
 
     @pytest.mark.parametrize("name", sorted(EDGE_MATRICES) + ["ladder", "signed-zeros"])
     def test_unpadding_gives_stored_tiles(self, name):
@@ -333,7 +376,7 @@ class TestExecutionShape:
 
     def test_ladder_pads_its_fine_levels(self):
         m = _ladder()
-        run = [str(kernels._execution(lv, 1)[0]) for lv in m.levels]
+        run = [str(kernels._execution(lv, 1).shape) for lv in m.levels]
         assert run == ["16x2", "8x1", "8x1", "8x1", "8x1"]
 
     @pytest.mark.parametrize("n", [1, 4, 33])
@@ -345,20 +388,108 @@ class TestExecutionShape:
         assert max_rel_error(got, dense_matmul(reconstruct(m), b)) <= 1e-5
 
     def test_nonfinite_cells_also_nonfinite_in_oracle(self):
-        padded = 0
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            a, config = make_random_case(rng, max_dim=32)
-            m, _ = prune_hierarchical(a, config)
-            b = rng.standard_normal((a.shape[1], 3), dtype=np.float32)
-            cells = rng.integers(0, b.size, size=int(rng.integers(1, 4)))
-            b.flat[cells] = rng.choice([np.inf, -np.inf, np.nan], size=len(cells))
-            with np.errstate(invalid="ignore", over="ignore"):
-                got = hbs_matmul(m, b)
-                want = dense_matmul(reconstruct(m), b)
-            assert not np.isfinite(want[~np.isfinite(got)]).any()
-            padded += any(lv._packed.shape != lv.shape for lv in m.levels)
-        assert padded >= 20
+        # Random hierarchies, where fine levels pad rows, and skewed levels,
+        # where slabs pad columns.
+        for family in ("random", "skewed"):
+            padded = 0
+            for seed in range(200):
+                rng = np.random.default_rng(seed)
+                if family == "random":
+                    a, config = make_random_case(rng, max_dim=32)
+                    m, _ = prune_hierarchical(a, config)
+                else:
+                    m = _random_skewed(rng)
+                b = rng.standard_normal((m.cols, 3), dtype=np.float32)
+                cells = rng.integers(0, b.size, size=int(rng.integers(1, 4)))
+                b.flat[cells] = rng.choice([np.inf, -np.inf, np.nan], size=len(cells))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = hbs_matmul(m, b)
+                    want = dense_matmul(reconstruct(m), b)
+                assert not np.isfinite(want[~np.isfinite(got)]).any()
+                if family == "random":
+                    padded += any(lv._packed.shape != lv.shape for lv in m.levels)
+                else:
+                    padded += any(np.subtract(*_cells(lv._packed)) for lv in m.levels)
+            assert padded >= 20, family
+
+
+def _skewed(bh, bw, grid_rows, grid_cols):
+    """One level whose block row 0 is full and every other block row holds one block."""
+    blocks = [(0, gc) for gc in range(grid_cols)]
+    blocks += [(gr, gr * 7 // 8 % grid_cols) for gr in range(1, grid_rows)]
+    return _one_level(bh, bw, grid_rows * bh, grid_cols * bw, blocks)
+
+
+def _random_skewed(rng):
+    """One level, block row 0 full, the other rows of geometric random length."""
+    bh, bw = int(rng.choice([1, 2, 3, 4, 8])), int(rng.integers(1, 4))
+    grid_rows, grid_cols = int(rng.integers(2, 33)), int(rng.integers(2, 17))
+    counts = np.minimum(rng.geometric(0.3, grid_rows), grid_cols)
+    counts[0] = grid_cols
+    blocks = [
+        (gr, int(gc))
+        for gr, c in enumerate(counts)
+        for gc in np.sort(rng.choice(grid_cols, size=c, replace=False))
+    ]
+    return _one_level(bh, bw, grid_rows * bh, grid_cols * bw, blocks)
+
+
+SKEWED = {"1x1": (1, 1, 64, 40), "3x2": (3, 2, 20, 17), "16x1": (16, 1, 12, 48)}
+
+
+class TestSlabs:
+    """Length-sorted slabs keep a skewed level's padding and products bounded."""
+
+    @pytest.mark.parametrize("case", sorted(SKEWED))
+    def test_skewed_level_padding_is_bounded(self, case):
+        (lv,) = _skewed(*SKEWED[case]).levels
+        packed_cells, exec_cells = _cells(kernels._pack(lv))
+        assert exec_cells <= packed_cells <= 2 * exec_cells
+        assert len(lv._packed.slabs) >= 2  # the full row is not padded with the rest
+
+    @pytest.mark.parametrize("case", sorted(SKEWED))
+    @pytest.mark.parametrize("n", [0, 1, 4, 33, 256])
+    def test_skewed_level_within_oracle(self, case, n):
+        m = _skewed(*SKEWED[case])
+        b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
+        got = hbs_matmul(m, b)
+        want = (reconstruct(m).astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        assert got.shape == want.shape and max_rel_error(got, want) <= 1e-5
+
+    @pytest.mark.parametrize("case", sorted(SKEWED))
+    @pytest.mark.parametrize("n", [1, 4, 33])
+    def test_one_row_and_many_row_products(self, case, n, monkeypatch):
+        m = _skewed(*SKEWED[case])
+        (lv,) = m.levels
+        b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
+        want = (reconstruct(m).astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        packed = kernels._pack(lv)
+        # Room for two of the shortest slab's rows but not two of the longest's.
+        budget = 8 * n * 2 * packed.slabs[-1].src.shape[1]
+        for gather_bytes in (1, budget, 2**40):
+            monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
+            spied = tuple(slab._replace(rows=_Walked(slab.rows)) for slab in packed.slabs)
+            object.__setattr__(lv, "_packed", packed._replace(slabs=spied))
+            got = hbs_matmul(m, b)
+            alone = [slab.rows.walked for slab in spied]
+            if gather_bytes == 1:
+                assert all(alone)
+            elif gather_bytes == budget:
+                assert alone[0] and not alone[-1]
+            else:
+                assert not any(alone)
+            assert max_rel_error(got, want) <= 1e-5
+            assert _bits(got) == _bits(hbs_matmul(m, b)) == _bits(hbs_matmul(m, b))
+
+
+class _Walked(tuple):
+    """A slab's per-row entries, noting whether a product ran its rows alone."""
+
+    walked = False
+
+    def __iter__(self):
+        self.walked = True
+        return super().__iter__()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
