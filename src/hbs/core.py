@@ -84,6 +84,18 @@ def _as_real(value, what: str, error: type[Exception]) -> float:
     return float(value)
 
 
+def _set_dims(obj, names: tuple[str, str], what: str) -> None:
+    """Store ``obj``'s two dimension fields ``names`` as Python ints;
+    ``ValueError`` unless both are integers, positive and below 2^32."""
+    dims = [_as_int(getattr(obj, name), name, ValueError) for name in names]
+    if min(dims) < 1:
+        raise ValueError(f"{what} dimensions must be positive")
+    if max(dims) >= _DIM_LIMIT:
+        raise ValueError(f"{what} dimensions must be below 2^32")
+    for name, dim in zip(names, dims):
+        object.__setattr__(obj, name, dim)
+
+
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ascending indices of the ``k`` largest entries of 1-D ``scores``.
 
@@ -316,14 +328,7 @@ class BlockSparseLevel:
     def __post_init__(self):
         if not isinstance(self.shape, BlockShape):
             raise ValueError(f"level shape must be a BlockShape, got {self.shape!r}")
-        gr = _as_int(self.grid_rows, "grid_rows", ValueError)
-        gc = _as_int(self.grid_cols, "grid_cols", ValueError)
-        if gr < 1 or gc < 1:
-            raise ValueError("grid dimensions must be positive")
-        if gr >= _DIM_LIMIT or gc >= _DIM_LIMIT:
-            raise ValueError("grid dimensions must be below 2^32")
-        object.__setattr__(self, "grid_rows", gr)
-        object.__setattr__(self, "grid_cols", gc)
+        _set_dims(self, ("grid_rows", "grid_cols"), "grid")
         br = _own(self.block_rows, np.int64)
         bc = _own(self.block_cols, np.int64)
         vals = _own(self.values, np.float32)
@@ -370,14 +375,7 @@ class HBSMatrix:
     _report: ValidationReport = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = _as_int(self.rows, "rows", ValueError)
-        cols = _as_int(self.cols, "cols", ValueError)
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if rows >= _DIM_LIMIT or cols >= _DIM_LIMIT:
-            raise ValueError("matrix dimensions must be below 2^32")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        _set_dims(self, ("rows", "cols"), "matrix")
         levels = tuple(self.levels)
         for lv in levels:
             if not isinstance(lv, BlockSparseLevel):
@@ -465,9 +463,8 @@ def _check_blocks(m: HBSMatrix) -> CheckResult:
                 f"{lv.grid_rows}x{lv.grid_cols} grid"
             )
             return CheckResult("blocks", False, detail)
-        # Lexicographic on (row, col): a flat index could exceed int64.
-        r1, r0 = br[1:], br[:-1]
-        unsorted = (r1 < r0) | ((r1 == r0) & (bc[1:] <= bc[:-1]))
+        flat = lv.flat_indices()
+        unsorted = flat[1:] <= flat[:-1]
         if unsorted.any():
             j = int(np.argmax(unsorted)) + 1
             detail = (

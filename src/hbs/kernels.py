@@ -10,8 +10,8 @@ for a fixed BLAS build and thread count, and the single rounding keeps
 oracle comparisons meaningful at tight tolerances.
 
 A level's blocks are fixed once it is built, so :func:`hbs_matmul` packs
-each level on first use and stores the packing on the level. A fine level
-(``bh`` below 8 and dividing 8, on a matrix whose rows 8 divides) runs as
+each level on first use and stores the packing on the level. A level
+whose ``bh`` divides 8, on a matrix whose rows 8 divides, runs as
 zero-padded ``8 x bw`` blocks; every other level runs as stored. The
 storage shape never changes. The packing is block-ELL: the level's
 non-empty execution block rows, sorted by length and cut into slabs whose
@@ -86,8 +86,8 @@ class _PackedLevel(NamedTuple):
 def _pack(level: BlockSparseLevel) -> _PackedLevel:
     """The level's execution form, built on first use and kept on the level.
 
-    A level with ``bh < 8``, ``bh`` dividing 8 and 8 dividing its rows runs
-    as ``8 x bw`` blocks (8 is ``_EXEC_BH``): stored block ``(gr, gc)``
+    A level with ``bh`` dividing 8 and 8 dividing its rows runs as
+    ``8 x bw`` blocks (8 is ``_EXEC_BH``): stored block ``(gr, gc)``
     lands in execution block ``(gr // (8 / bh), gc)`` at row offset
     ``(gr % (8 / bh)) * bh``, and the rest of each execution block is
     ``+0.0``. Padding runs only along rows, so a padded block reads the same
@@ -112,7 +112,7 @@ def _pack(level: BlockSparseLevel) -> _PackedLevel:
     if packed is None:
         bh, bw = level.shape.bh, level.shape.bw
         per = 1
-        if bh < _EXEC_BH and _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:
+        if _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:
             per = _EXEC_BH // bh
         eh = per * bh
         # Execution blocks in row-major order: their rows, columns and

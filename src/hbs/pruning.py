@@ -11,6 +11,7 @@ are carried over bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,19 +80,15 @@ def round_half_up(x: float) -> int:
 def _block_sums(mag: np.ndarray, shape: BlockShape) -> np.ndarray:
     """Sum a float64 rows x cols array over each ``shape`` grid block.
 
-    A block's cells are added one by one in row-major order, so scores do
-    not depend on how numpy would vectorize a reduction.
+    A block's cells are added one by one in row-major order, on a view of
+    ``mag``, so scores do not depend on how numpy would vectorize a
+    reduction and nothing is copied.
     """
     gr, gc = grid_dims(mag.shape[0], mag.shape[1], shape)
-    bh, bw = shape.bh, shape.bw
-    cells = (
-        mag.reshape(gr, bh, gc, bw)
-        .transpose(0, 2, 1, 3)
-        .reshape(gr, gc, bh * bw)
-    )
+    cells = mag.reshape(gr, shape.bh, gc, shape.bw)
     scores = np.zeros((gr, gc), dtype=np.float64)
-    for j in range(bh * bw):
-        scores += cells[:, :, j]
+    for i, j in itertools.product(range(shape.bh), range(shape.bw)):
+        scores += cells[:, i, :, j]
     return scores
 
 
