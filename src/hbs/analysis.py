@@ -9,12 +9,22 @@ cumulative densities from block counts, independent of the values.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import BlockShape, HBSMatrix, _as_real, _top_k, as_matrix, density, support_mask
+from .core import (
+    BlockShape,
+    HBSMatrix,
+    _as_real,
+    _require,
+    _top_k,
+    as_matrix,
+    density,
+    support_mask,
+)
 from .errors import DimensionError
 
 
@@ -77,13 +87,14 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     Raises:
         DimensionError: If the shapes differ.
     """
+    _require(hbs, HBSMatrix, "hbs")
+    percentiles = tuple(_require(percentiles, Iterable, "percentiles"))
     a = as_matrix(original)
     if a.shape != (hbs.rows, hbs.cols):
         raise DimensionError(
             f"shape mismatch: original is {a.shape[0]}x{a.shape[1]}, "
             f"pruned is {hbs.rows}x{hbs.cols}"
         )
-    percentiles = tuple(percentiles)
     total = a.size
     sizes = _top_sizes(percentiles, total)
 
@@ -131,6 +142,7 @@ def sparsity_summary(hbs: HBSMatrix) -> SparsitySummary:
     Disjointness of a valid HBS makes the cumulative density the plain sum
     of the per-level densities.
     """
+    _require(hbs, HBSMatrix, "hbs")
     cells = hbs.rows * hbs.cols
     per_level = []
     for lv in hbs.levels:

@@ -19,6 +19,7 @@ it again.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,25 @@ def _own(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
+
+
+def _as_coords(values, what: str) -> np.ndarray:
+    """``values`` as a frozen int64 copy; ``ValueError`` naming ``what``
+    unless they are integers within int64. An empty array of any dtype
+    holds no coordinate, so it passes."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.size and arr.dtype == np.uint64 and arr.max() >= 2**63:
+        raise ValueError(f"{what} must be within int64, got {arr.max()}")
+    return _own(arr, np.int64)
+
+
+def _require(value, kind: type, what: str, error: type[Exception] = ValueError):
+    """``value``; ``error`` naming ``what`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"{what}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _as_int(value, what: str, error: type[Exception]) -> int:
@@ -148,6 +168,7 @@ class BlockShape:
     @classmethod
     def parse(cls, text: str) -> "BlockShape":
         """Parse ``"<bh>x<bw>"``, e.g. ``"32x1"``."""
+        _require(text, str, "text", ConfigError)
         parts = text.strip().split("x")
         if len(parts) != 2:
             raise ConfigError(f"bad block shape {text!r}, expected <bh>x<bw>")
@@ -267,6 +288,7 @@ class HBSConfig:
 
         Example: ``"32x1:0.75,16x1:0.875,1x1:0.96875"``.
         """
+        _require(text, str, "text", ConfigError)
         entries = [e for e in text.split(",") if e.strip()]
         if not entries:
             raise ConfigError(f"empty level spec {text!r}")
@@ -329,8 +351,8 @@ class BlockSparseLevel:
         if not isinstance(self.shape, BlockShape):
             raise ValueError(f"level shape must be a BlockShape, got {self.shape!r}")
         _set_dims(self, ("grid_rows", "grid_cols"), "grid")
-        br = _own(self.block_rows, np.int64)
-        bc = _own(self.block_cols, np.int64)
+        br = _as_coords(self.block_rows, "block_rows")
+        bc = _as_coords(self.block_cols, "block_cols")
         vals = _own(self.values, np.float32)
         if br.ndim != 1 or bc.ndim != 1 or br.shape != bc.shape:
             raise ValueError("block_rows and block_cols must be 1-D and equal length")
@@ -376,7 +398,7 @@ class HBSMatrix:
 
     def __post_init__(self):
         _set_dims(self, ("rows", "cols"), "matrix")
-        levels = tuple(self.levels)
+        levels = tuple(_require(self.levels, Iterable, "levels"))
         for lv in levels:
             if not isinstance(lv, BlockSparseLevel):
                 raise ValueError(f"levels must be BlockSparseLevels, got {lv!r}")
@@ -561,6 +583,7 @@ def reconstruct(m: HBSMatrix) -> np.ndarray:
     Because level supports are disjoint, each covered cell carries its
     level's stored tile value bit for bit.
     """
+    _require(m, HBSMatrix, "m")
     out = np.zeros((m.rows, m.cols), dtype=np.float32)
     for lv in m.levels:
         _scatter(out, lv, lv.values)
@@ -572,12 +595,14 @@ def density(m: HBSMatrix) -> float:
 
     Exact: integer covered-cell count divided in double precision.
     """
+    _require(m, HBSMatrix, "m")
     covered = sum(lv.n_blocks * lv.shape.area for lv in m.levels)
     return covered / (m.rows * m.cols)
 
 
 def support_mask(m: HBSMatrix) -> np.ndarray:
     """Boolean rows x cols mask of cells covered by any level."""
+    _require(m, HBSMatrix, "m")
     mask = np.zeros((m.rows, m.cols), dtype=bool)
     for lv in m.levels:
         _scatter(mask, lv, True)

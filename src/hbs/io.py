@@ -30,6 +30,7 @@ from .core import (
     CheckResult,
     HBSMatrix,
     ValidationReport,
+    _require,
     as_matrix,
 )
 from .errors import (
@@ -129,6 +130,7 @@ def _record_dtype(bh: int, bw: int) -> np.dtype:
 def write_hbsf(path, m: HBSMatrix) -> None:
     """Write an HBS matrix. An invalid matrix cannot be built, so every
     matrix is writable."""
+    _require(m, HBSMatrix, "m")
     parts = [HBSF_MAGIC, struct.pack("<IIII", FORMAT_VERSION, m.rows, m.cols, m.n_levels)]
     for lv in m.levels:
         parts.append(struct.pack("<III", lv.shape.bh, lv.shape.bw, lv.n_blocks))

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_int, _row_major
+from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_int, _require, _row_major
 from .errors import DimensionError
 
 
@@ -213,6 +213,7 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     Raises:
         DimensionError: On inner-dimension mismatch.
     """
+    _require(m, HBSMatrix, "m")
     b = _as_f32(b, "b")
     if m.cols != b.shape[0]:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, b is {b.shape[0]}x{b.shape[1]}")
@@ -287,4 +288,5 @@ def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
 
 def flops_sparse(m: HBSMatrix, n: int) -> int:
     """Total FLOPs across all levels (additive)."""
+    _require(m, HBSMatrix, "m")
     return sum(flops_sparse_level(level, n) for level in m.levels)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import statistics
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockShape, HBSConfig, _as_int, _as_real, grid_dims
-from .errors import CalibrationError, IrfLookupError
+from .core import BlockShape, HBSConfig, _as_int, _as_real, _require, grid_dims
+from .errors import CalibrationError, ConfigError, IrfLookupError
 from .kernels import dense_matmul, flops_dense, flops_sparse, hbs_matmul
 from .pruning import prune_hierarchical, round_half_up
 
@@ -60,7 +61,7 @@ class IrfTable:
         if self.provenance not in (PROVENANCE_CALIBRATED, PROVENANCE_ANALYTIC):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         entries = {}
-        for (shape, bucket), irf in self.entries.items():
+        for (shape, bucket), irf in _require(self.entries, Mapping, "entries").items():
             if not isinstance(shape, BlockShape):
                 raise ValueError(f"bad key shape {shape!r}")
             bucket = _as_int(bucket, "bucket", ValueError)
@@ -147,9 +148,13 @@ def estimate_cost(
     matrix independent.
 
     Raises:
-        ValueError: If ``layer_dims`` is not three non-negative integers.
+        ValueError: If ``layer_dims`` is not three non-negative integers,
+            or ``irf`` is not an :class:`IrfTable`.
+        ConfigError: If ``config`` is not an :class:`~hbs.core.HBSConfig`.
     """
     c_dense = flops_dense(*_mkn(layer_dims, "layer_dims"))
+    _require(config, HBSConfig, "config", ConfigError)
+    _require(irf, IrfTable, "irf")
     per_level = []
     c_sparse = 0.0
     for spec in config.levels:
@@ -239,15 +244,17 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
 
     Raises:
         CalibrationError: When a timing falls below the measurable floor.
+        ConfigError: When a shape is not a :class:`~hbs.core.BlockShape`.
         DimensionError: When a shape does not tile (m, k).
-        ValueError: When a sparsity is not a real number in [0, 1].
+        ValueError: When a sparsity is not a real number in [0, 1], or
+            ``plan`` is not a :class:`BenchPlan`.
     """
-    m, k, n = plan.dims
+    m, k, n = _require(plan, BenchPlan, "plan").dims
     shapes = list(shapes)
     sparsities = [_as_real(s, "sparsity", ValueError) for s in sparsities]
     buckets = [sparsity_bucket(s) for s in sparsities]
     for shape in shapes:
-        grid_dims(m, k, shape)
+        grid_dims(m, k, _require(shape, BlockShape, "shapes entry", ConfigError))
 
     rng = np.random.default_rng(plan.seed)
     a = rng.standard_normal((m, k), dtype=np.float32)

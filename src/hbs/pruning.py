@@ -22,6 +22,7 @@ from .core import (
     BlockSparseLevel,
     HBSConfig,
     HBSMatrix,
+    _require,
     _scatter,
     _top_k,
     as_matrix,
@@ -112,8 +113,7 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     Returns:
         ``(hbs, trace)`` where ``trace`` holds one audit record per level.
     """
-    if not isinstance(config, HBSConfig):
-        raise ConfigError(f"expected HBSConfig, got {type(config).__name__}")
+    _require(config, HBSConfig, "config", ConfigError)
     m = as_matrix(m)
     rows, cols = m.shape
     mag = np.abs(m, dtype=np.float64)

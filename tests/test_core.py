@@ -221,6 +221,44 @@ class TestLevel:
         assert (lv.grid_rows, lv.grid_cols) == (2, 3)
         assert type(lv.grid_rows) is int and type(lv.grid_cols) is int
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.7], [np.nan], [True], ["1"], [2**63], np.array([2**63], np.uint64), [2**64]],
+        ids=["float", "nan", "bool", "str", "2^63", "uint64-2^63", "2^64"],
+    )
+    @pytest.mark.parametrize("field", ["block_rows", "block_cols"])
+    def test_coordinates_integer_within_int64(self, bad, field):
+        coords = {"block_rows": [0], "block_cols": [0], field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be") as exc:
+            BlockSparseLevel(BlockShape(1, 1), 2, 2, **coords, values=np.ones((1, 1, 1)))
+        assert type(exc.value) is ValueError
+
+    def test_fractional_coordinates_not_truncated(self):
+        # The tile once landed at (1, 0), truncated from (1.7, 0.2).
+        with pytest.raises(ValueError, match="block_rows must be integers, got dtype float64"):
+            BlockSparseLevel(BlockShape(1, 1), 2, 2, [1.7], [0.2], np.ones((1, 1, 1)))
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.uint8, np.int32, np.uint32, np.int64, np.uint64]
+    )
+    def test_integer_coordinate_dtypes(self, dtype):
+        lv = BlockSparseLevel(
+            BlockShape(1, 1), 2, 2, np.array([1], dtype), np.array([0], dtype), np.ones((1, 1, 1))
+        )
+        assert lv.block_rows.dtype == np.int64 and lv.block_rows.tolist() == [1]
+        assert reconstruct(HBSMatrix(2, 2, (lv,)))[1, 0] == 1.0
+
+    def test_largest_int64_coordinate_reaches_the_blocks_check(self):
+        big = np.array([2**63 - 1], np.uint64)
+        lv = BlockSparseLevel(BlockShape(1, 1), 2, 2, big, [0], np.ones((1, 1, 1)))
+        detail = report_of(2, 2, (lv,)).first_failure.detail
+        assert detail == f"level 1: block ({2**63 - 1},0) outside 2x2 grid"
+
+    @pytest.mark.parametrize("empty", [[], np.array([], str), np.zeros(0, bool), np.zeros(0)])
+    def test_empty_coordinates_of_any_dtype(self, empty):
+        lv = BlockSparseLevel(BlockShape(1, 1), 2, 2, empty, empty, np.zeros((0, 1, 1)))
+        assert lv.n_blocks == 0 and lv.block_rows.dtype == np.int64
+
     def test_flat_indices(self):
         lv = level_of(BlockShape(1, 1), 2, 3, [(0, 2, [[1.0]]), (1, 0, [[2.0]])])
         assert lv.flat_indices().tolist() == [2, 3]
@@ -276,6 +314,30 @@ class TestValidate:
             BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]]), (0, 0, [[2.0]])]
         )
         assert report_of(2, 2, (lv,)).first_failure.name == "blocks"
+
+    @pytest.mark.parametrize("n", [3, 2**32 - 1], ids=["small", "2^32-1"])
+    @pytest.mark.parametrize(
+        "coords,at",
+        [
+            (lambda n: [(1, n - 1), (1, 0)], lambda n: (1, 0)),
+            (lambda n: [(n - 1, 0), (0, n - 1)], lambda n: (0, n - 1)),
+            (lambda n: [(0, 1), (n - 1, n - 1), (n - 1, n - 1)], lambda n: (n - 1, n - 1)),
+            (lambda n: [(n - 1, 0), (n - 1, 0)], lambda n: (n - 1, 0)),
+        ],
+        ids=["unsorted-in-row", "unsorted-across-rows", "duplicated-corner", "duplicated"],
+    )
+    def test_order_failure_detail(self, n, coords, at):
+        first = level_of(BlockShape(1, 1), n, n, [])
+        blocks = [(r, c, [[1.0]]) for r, c in coords(n)]
+        second = level_of(BlockShape(1, 1), n, n, blocks)
+        check = report_of(n, n, (first, second)).first_failure
+        assert check.name == "blocks"
+        assert check.detail == "level 2: blocks unsorted or duplicated at (%d,%d)" % at(n)
+
+    def test_order_passes_across_rows_of_largest_grid(self):
+        n = 2**32 - 1
+        blocks = [(0, n - 1, [[1.0]]), (1, 0, [[2.0]]), (n - 1, n - 1, [[3.0]])]
+        assert validate(HBSMatrix(n, n, (level_of(BlockShape(1, 1), n, n, blocks),))).ok
 
     def test_disjointness_failure_names_cell_and_levels(self):
         l1 = level_of(BlockShape(2, 2), 2, 2, [(0, 0, [[1, 2], [3, 4]])])
@@ -501,3 +563,36 @@ class TestMatrixType:
     def test_levels_coerced_to_tuple(self):
         m = HBSMatrix(2, 2, [])
         assert m.levels == () and m.n_levels == 0
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (2.0, "{name} must be an integer, got 2.0"),
+        ("2", "{name} must be an integer, got '2'"),
+        (0, "{what} dimensions must be positive"),
+        (-3, "{what} dimensions must be positive"),
+        (2**32, "{what} dimensions must be below 2^32"),
+        (2**64, "{what} dimensions must be below 2^32"),
+    ],
+)
+@pytest.mark.parametrize(
+    "build,names,what",
+    [
+        (
+            lambda r, c: BlockSparseLevel(BlockShape(1, 1), r, c, [], [], np.zeros((0, 1, 1))),
+            ("grid_rows", "grid_cols"),
+            "grid",
+        ),
+        (lambda r, c: HBSMatrix(r, c, ()), ("rows", "cols"), "matrix"),
+    ],
+    ids=["level", "matrix"],
+)
+def test_dimension_messages(build, names, what, bad, message, axis):
+    dims = [3, 3]
+    dims[axis] = bad
+    with pytest.raises(ValueError) as exc:
+        build(*dims)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message.format(name=names[axis], what=what)
