@@ -208,9 +208,13 @@ def test_08_calibrated_speedup_prediction():
         measured = t_dense / t_sparse
 
         ratio = predicted / measured
+        # On failure, tell a host slow spell (one odd median, or calibrated
+        # irf values far from a rerun's) from a model error.
+        irfs = ", ".join(f"{s} bucket {k}: {v:.4g}" for (s, k), v in table.entries.items())
         assert 1 / 1.5 <= ratio <= 1.5, (
             f"predicted {predicted:.3f} vs measured {measured:.3f} "
-            f"(ratio {ratio:.3f})"
+            f"(ratio {ratio:.3f}); measured medians dense {t_dense:.4g}s, "
+            f"sparse {t_sparse:.4g}s; calibrated irf {irfs}"
         )
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
