@@ -60,8 +60,9 @@ class IrfTable:
     def __post_init__(self):
         if self.provenance not in (PROVENANCE_CALIBRATED, PROVENANCE_ANALYTIC):
             raise ValueError(f"unknown provenance {self.provenance!r}")
+        _require(self.entries, Mapping, "entries")
         entries = {}
-        for (shape, bucket), irf in _require(self.entries, Mapping, "entries").items():
+        for (shape, bucket), irf in self.entries.items():
             if not isinstance(shape, BlockShape):
                 raise ValueError(f"bad key shape {shape!r}")
             bucket = _as_int(bucket, "bucket", ValueError)
@@ -249,12 +250,14 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
         ValueError: When a sparsity is not a real number in [0, 1], or
             ``plan`` is not a :class:`BenchPlan`.
     """
-    m, k, n = _require(plan, BenchPlan, "plan").dims
+    _require(plan, BenchPlan, "plan")
+    m, k, n = plan.dims
     shapes = list(shapes)
     sparsities = [_as_real(s, "sparsity", ValueError) for s in sparsities]
     buckets = [sparsity_bucket(s) for s in sparsities]
     for shape in shapes:
-        grid_dims(m, k, _require(shape, BlockShape, "shapes entry", ConfigError))
+        _require(shape, BlockShape, "shapes entry", ConfigError)
+        grid_dims(m, k, shape)
 
     rng = np.random.default_rng(plan.seed)
     a = rng.standard_normal((m, k), dtype=np.float32)

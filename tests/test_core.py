@@ -334,11 +334,6 @@ class TestValidate:
         assert check.name == "blocks"
         assert check.detail == "level 2: blocks unsorted or duplicated at (%d,%d)" % at(n)
 
-    def test_order_passes_across_rows_of_largest_grid(self):
-        n = 2**32 - 1
-        blocks = [(0, n - 1, [[1.0]]), (1, 0, [[2.0]]), (n - 1, n - 1, [[3.0]])]
-        assert validate(HBSMatrix(n, n, (level_of(BlockShape(1, 1), n, n, blocks),))).ok
-
     def test_disjointness_failure_names_cell_and_levels(self):
         l1 = level_of(BlockShape(2, 2), 2, 2, [(0, 0, [[1, 2], [3, 4]])])
         l2 = level_of(BlockShape(1, 1), 4, 4, [(0, 0, [[9.0]])])
