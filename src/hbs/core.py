@@ -313,9 +313,11 @@ def grid_dims(rows: int, cols: int, shape: BlockShape) -> tuple[int, int]:
     """Grid dimensions of a rows x cols matrix tiled by ``shape``.
 
     Raises:
+        ConfigError: If ``shape`` is not a :class:`BlockShape`.
         DimensionError: Naming the offending axis when a dimension is not
             divisible by the block dimension.
     """
+    _require(shape, BlockShape, "shape", ConfigError)
     if rows % shape.bh != 0:
         raise DimensionError(f"rows ({rows}) not divisible by block height {shape.bh}")
     if cols % shape.bw != 0:
@@ -574,7 +576,7 @@ def validate(m: HBSMatrix) -> ValidationReport:
     constructor raised, on its ``report``. Every call returns the same
     report object: the checks are not run again.
     """
-    return m._report
+    return _require(m, HBSMatrix, "m")._report
 
 
 def reconstruct(m: HBSMatrix) -> np.ndarray:

@@ -280,6 +280,7 @@ def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
     block rows to their slab's length, below twice the execution cells;
     ``hbs matmul --oracle`` prints both.
     """
+    _require(level, BlockSparseLevel, "level")
     n = _as_int(n, "n", ValueError)
     if n < 0:
         raise ValueError("n must be non-negative")

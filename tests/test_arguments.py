@@ -15,12 +15,15 @@ from hbs import (
     density,
     estimate_cost,
     flops_sparse,
+    flops_sparse_level,
+    grid_dims,
     hbs_matmul,
     prune_hierarchical,
     reconstruct,
     sparsity_summary,
     support_mask,
     topk_retention,
+    validate,
     write_hbsf,
 )
 
@@ -35,7 +38,15 @@ CASES = [
     ("reconstruct", lambda tmp: reconstruct(A), ValueError, "m: expected HBSMatrix"),
     ("density", lambda tmp: density(A), ValueError, "m: expected HBSMatrix"),
     ("support_mask", lambda tmp: support_mask(A), ValueError, "m: expected HBSMatrix"),
+    ("validate", lambda tmp: validate(A), ValueError, "m: expected HBSMatrix"),
     ("flops_sparse", lambda tmp: flops_sparse(A, 4), ValueError, "m: expected HBSMatrix"),
+    (
+        "flops_sparse_level",
+        lambda tmp: flops_sparse_level(M, 4),
+        ValueError,
+        "level: expected BlockSparseLevel, got HBSMatrix",
+    ),
+    ("grid_dims", lambda tmp: grid_dims(8, 8, "2x1"), ConfigError, "shape: expected BlockShape"),
     ("sparsity_summary", lambda tmp: sparsity_summary(A), ValueError, "hbs: expected HBSMatrix"),
     ("topk_retention", lambda tmp: topk_retention(A, A, [0.1]), ValueError, "hbs: expected HBSMatrix"),
     ("write_hbsf", lambda tmp: write_hbsf(tmp / "m.hbsf", A), ValueError, "m: expected HBSMatrix"),
