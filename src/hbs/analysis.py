@@ -20,7 +20,7 @@ from .core import (
     HBSMatrix,
     _as_real,
     _require,
-    _top_k,
+    _top_mask,
     as_matrix,
     density,
     support_mask,
@@ -81,8 +81,10 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     retention is the share of that set inside the pruned support. The size
     is the ceiling of the exact product of ``total`` and p's shortest
     decimal repr. Each top set is found by selection (one ``np.partition``
-    per percentile), in time linear in the cells, and is exactly the prefix
-    of a stable descending sort.
+    per percentile, on the int32 bit patterns of the magnitudes, which
+    order like the magnitudes), in time linear in the cells, and is exactly
+    the prefix of a stable descending sort. It is kept as a mask and
+    counted against the support mask, with no index arrays.
 
     Raises:
         DimensionError: If the shapes differ.
@@ -98,10 +100,12 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     total = a.size
     sizes = _top_sizes(percentiles, total)
 
-    # Ranked in float32: widening to float64 is exact and keeps the order.
-    mag = np.abs(a.ravel())
+    # Finite non-negative float32 magnitudes order like their int32 bits.
+    keys = np.abs(a.ravel()).view(np.int32)
     support = support_mask(hbs).ravel()
-    retained = tuple(int(np.count_nonzero(support[_top_k(mag, sz)])) / sz for sz in sizes)
+    retained = tuple(
+        int(np.count_nonzero(_top_mask(keys, sz) & support)) / sz for sz in sizes
+    )
     return RetentionReport(tuple(float(p) for p in percentiles), retained, total)
 
 

@@ -116,23 +116,34 @@ def _set_dims(obj, names: tuple[str, str], what: str) -> None:
         object.__setattr__(obj, name, dim)
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the ``k`` largest entries of 1-D ``scores``.
+def _top_mask(keys: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the ``k`` largest entries of 1-D ``keys``.
 
-    Ties at the cut go to the lower index, so the result equals the first
-    ``k`` of a stable descending sort, found by selection in linear time.
-    ``k >= n`` keeps everything; ``k <= 0`` keeps nothing.
+    Ties at the cut go to the lower index, so the mask marks the first ``k``
+    of a stable descending sort, found by selection in linear time.
+    ``k >= n`` marks everything; ``k <= 0`` marks nothing. Any ordered dtype
+    works, but integers select about twice as fast as floats: finite
+    non-negative floats order like their bit patterns, so callers rank
+    magnitudes and scores on a same-width signed integer ``view``.
     """
-    n = scores.shape[0]
+    n = keys.shape[0]
     if k >= n:
-        return np.arange(n)
+        return np.ones(n, dtype=bool)
     if k <= 0:
-        return np.arange(0)
-    cut = np.partition(scores, n - k)[n - k]
-    keep = scores > cut
-    ties = np.flatnonzero(scores == cut)
-    keep[ties[: k - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep)
+        return np.zeros(n, dtype=bool)
+    cut = np.partition(keys, n - k)[n - k]
+    keep = keys >= cut
+    extra = np.count_nonzero(keep) - k
+    if extra:
+        ties = np.flatnonzero(keys == cut)
+        keep[ties[ties.size - extra :]] = False
+    return keep
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the ``k`` largest entries of 1-D ``scores``:
+    the first ``k`` of a stable descending sort (see :func:`_top_mask`)."""
+    return np.flatnonzero(_top_mask(scores, k))
 
 
 def _row_major(rows: np.ndarray, cols: np.ndarray, grid_cols: int) -> np.ndarray:
@@ -315,9 +326,11 @@ def grid_dims(rows: int, cols: int, shape: BlockShape) -> tuple[int, int]:
     Raises:
         ConfigError: If ``shape`` is not a :class:`BlockShape`.
         DimensionError: Naming the offending axis when a dimension is not
-            divisible by the block dimension.
+            an integer or not divisible by the block dimension.
     """
     _require(shape, BlockShape, "shape", ConfigError)
+    rows = _as_int(rows, "rows", DimensionError)
+    cols = _as_int(cols, "cols", DimensionError)
     if rows % shape.bh != 0:
         raise DimensionError(f"rows ({rows}) not divisible by block height {shape.bh}")
     if cols % shape.bw != 0:

@@ -15,10 +15,16 @@ HBS-IRF layout: ASCII lines. Header ``HBS-IRF v1 <calibrated|analytic>``,
 then one ``bh bw sparsity irf`` line per entry, sparsity written as the
 exact bucket fraction, lines sorted by (bh, bw, bucket). The shortest
 round-trip float representation keeps canonical files byte-stable.
+
+Binary reads take the whole file into one buffer and decode views of it;
+a DMAT read returns its values in place in that buffer, a buffer of its
+own per read. Binary writes stream the header and then each array's
+buffer to the open file, with no intermediate byte strings.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -59,14 +65,20 @@ _MAX_RECORD_BYTES = 2**31 - 1
 
 
 class _Cursor:
-    """Sequential reader over an in-memory file with truncation errors."""
+    """Sequential reader over a file read whole into one buffer, with
+    truncation errors. ``take`` returns views of that buffer, not copies."""
 
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
+    def __init__(self, path: Path):
+        with open(path, "rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            del buf[f.readinto(buf) :]
+            # A pipe has no size, and a file may grow: read what is left.
+            buf += f.read()
+        self.data = memoryview(buf)
         self.path = path
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         remain = len(self.data) - self.offset
         if remain < n:
             raise TruncatedError(
@@ -84,7 +96,7 @@ class _Cursor:
 
 
 def _check_magic(cur: _Cursor, magic: bytes, name: str) -> None:
-    got = cur.take(len(magic), "magic")
+    got = bytes(cur.take(len(magic), "magic"))
     if got != magic:
         raise MagicError(f"{cur.path}: not a {name} file (magic {got!r}, expected {magic!r})")
 
@@ -100,8 +112,9 @@ def _check_version(cur: _Cursor) -> None:
 def write_dmat(path, values) -> None:
     """Write a dense float32 matrix. Stored bits are the input bits."""
     a = as_matrix(values, check_finite=False)
-    header = DMAT_MAGIC + struct.pack("<III", FORMAT_VERSION, *a.shape)
-    Path(path).write_bytes(header + a.astype("<f4", copy=False).tobytes())
+    with Path(path).open("wb") as f:
+        f.write(DMAT_MAGIC + struct.pack("<III", FORMAT_VERSION, *a.shape))
+        f.write(a.astype("<f4", copy=False))
 
 
 def read_dmat(path) -> np.ndarray:
@@ -112,7 +125,7 @@ def read_dmat(path) -> np.ndarray:
             malformed file, naming the problem.
     """
     path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
+    cur = _Cursor(path)
     _check_magic(cur, DMAT_MAGIC, "DMAT")
     _check_version(cur)
     rows, cols = struct.unpack("<II", cur.take(8, "dimensions"))
@@ -120,7 +133,7 @@ def read_dmat(path) -> np.ndarray:
         raise FormatError(f"{path}: non-positive dimensions {rows}x{cols}")
     raw = cur.take(4 * rows * cols, f"{rows}x{cols} float32 values")
     cur.done("values")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(rows, cols)
+    return np.frombuffer(raw, dtype="<f4").astype(np.float32, copy=False).reshape(rows, cols)
 
 
 def _record_dtype(bh: int, bw: int) -> np.dtype:
@@ -131,15 +144,15 @@ def write_hbsf(path, m: HBSMatrix) -> None:
     """Write an HBS matrix. An invalid matrix cannot be built, so every
     matrix is writable."""
     _require(m, HBSMatrix, "m")
-    parts = [HBSF_MAGIC, struct.pack("<IIII", FORMAT_VERSION, m.rows, m.cols, m.n_levels)]
-    for lv in m.levels:
-        parts.append(struct.pack("<III", lv.shape.bh, lv.shape.bw, lv.n_blocks))
-        rec = np.zeros(lv.n_blocks, dtype=_record_dtype(lv.shape.bh, lv.shape.bw))
-        rec["gr"] = lv.block_rows
-        rec["gc"] = lv.block_cols
-        rec["tile"] = lv.values
-        parts.append(rec.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with Path(path).open("wb") as f:
+        f.write(HBSF_MAGIC + struct.pack("<IIII", FORMAT_VERSION, m.rows, m.cols, m.n_levels))
+        for lv in m.levels:
+            f.write(struct.pack("<III", lv.shape.bh, lv.shape.bw, lv.n_blocks))
+            rec = np.zeros(lv.n_blocks, dtype=_record_dtype(lv.shape.bh, lv.shape.bw))
+            rec["gr"] = lv.block_rows
+            rec["gc"] = lv.block_cols
+            rec["tile"] = lv.values
+            f.write(rec)
 
 
 def _tiling_failure(index: int, bh: int, bw: int, rows: int, cols: int):
@@ -161,7 +174,7 @@ def read_hbsf(path) -> HBSMatrix:
             with a report holding the tiling check alone.
     """
     path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
+    cur = _Cursor(path)
     _check_magic(cur, HBSF_MAGIC, "HBSF")
     _check_version(cur)
     rows, cols, level_count = struct.unpack("<III", cur.take(12, "header"))

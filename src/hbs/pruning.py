@@ -87,8 +87,11 @@ def _block_sums(mag: np.ndarray, shape: BlockShape) -> np.ndarray:
     """
     gr, gc = grid_dims(mag.shape[0], mag.shape[1], shape)
     cells = mag.reshape(gr, shape.bh, gc, shape.bw)
-    scores = np.zeros((gr, gc), dtype=np.float64)
-    for i, j in itertools.product(range(shape.bh), range(shape.bw)):
+    # Starting from a copy of the first cell is exact (0.0 + x == x for
+    # x >= 0 and -inf) and saves a pass over the scores.
+    first, *rest = itertools.product(range(shape.bh), range(shape.bw))
+    scores = cells[:, first[0], :, first[1]].copy()
+    for i, j in rest:
         scores += cells[:, i, :, j]
     return scores
 
@@ -103,8 +106,10 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     are reproducible. Ranking: score descending, ties broken by ascending
     row-major grid index; blocks owned by an earlier level are never kept,
     and the keep count is capped at the blocks still free. The kept blocks
-    are found by selection (one ``np.partition``), in time linear in the
-    blocks, and are exactly those a stable descending sort would put first.
+    are found by selection (one ``np.partition`` on the scores' int64 bit
+    patterns, which order like the non-negative scores), in time linear in
+    the blocks, and are exactly those a stable descending sort would put
+    first.
     The result is valid by construction: building its :class:`HBSMatrix`
     ran every :func:`hbs.core.validate` check, and they passed. Every
     nonzero cell of its reconstruction equals the corresponding input cell
@@ -125,12 +130,16 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         total = gr * gc
         # Kept cells are -inf in ``mag``. Every shape divides the shapes of
         # the earlier levels, so a block lies either wholly inside a kept
-        # block (score -inf: left out of the ranking, which caps the keep
-        # count at the free supply) or wholly outside all of them (score
-        # exactly as on the input with the kept cells zeroed).
+        # block (score -inf) or wholly outside all of them (score exactly
+        # as on the input with the kept cells zeroed). Scores rank on their
+        # int64 bits: a free block's finite non-negative score orders like
+        # its bits, and -inf is a negative key below every free block, so
+        # capping the keep count at the free supply, counted from the
+        # earlier levels' blocks, leaves the owned blocks out.
         scores = _block_sums(mag, shape).reshape(-1)
-        free = np.flatnonzero(np.isfinite(scores))
-        kept = free[_top_k(scores[free], total - round_half_up(spec.sparsity * total))]
+        free = total - sum(lv.n_blocks * (lv.shape.area // shape.area) for lv in levels)
+        want = total - round_half_up(spec.sparsity * total)
+        kept = _top_k(scores.view(np.int64), min(want, free))
         block_rows = kept // gc
         block_cols = kept % gc
         tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)

@@ -62,6 +62,37 @@ def make_random_case(rng, max_dim=64):
     return a, config
 
 
+_F32 = np.finfo(np.float32)
+# Cells that stress ranking on bit patterns: signed zeros, the smallest and
+# largest subnormals, the smallest normal, float32's extremes, and equal
+# magnitudes of both signs.
+EDGE_VALUES = np.array(
+    [
+        0.0,
+        -0.0,
+        _F32.smallest_subnormal,
+        -_F32.smallest_subnormal,
+        np.nextafter(_F32.smallest_normal, np.float32(0)),
+        -np.nextafter(_F32.smallest_normal, np.float32(0)),
+        _F32.smallest_normal,
+        1.0,
+        -1.0,
+        _F32.max,
+        -_F32.max,
+    ],
+    dtype=np.float32,
+)
+
+
+def make_edge_case(rng, max_dim=24):
+    """``make_random_case`` with every cell drawn from ``EDGE_VALUES``, or,
+    one time in four, all cells equal to one of them."""
+    a, config = make_random_case(rng, max_dim)
+    if rng.random() < 0.25:
+        return np.full(a.shape, rng.choice(EDGE_VALUES), dtype=np.float32), config
+    return rng.choice(EDGE_VALUES, a.shape), config
+
+
 FAULTS = ("tiling", "divisibility", "outside", "unsorted", "duplicate", "overlap")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import level_of, make_random_case
+from conftest import level_of, make_edge_case, make_random_case
 from hbs import (
     BlockShape,
     DimensionError,
@@ -19,6 +19,13 @@ from hbs.analysis import _top_sizes
 FOUR = np.array(
     [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]], dtype=np.float32
 )
+
+
+def stable_sort_retention(a, m, percentiles):
+    """Independent retention oracle: a stable argsort of the magnitudes."""
+    order = np.argsort(-np.abs(a.ravel()), kind="stable")
+    cum = np.cumsum(support_mask(m).ravel()[order])
+    return tuple(float(cum[sz - 1]) / sz for sz in _top_sizes(percentiles, a.size))
 
 
 def pruned(a, *levels):
@@ -78,11 +85,6 @@ class TestTopkRetention:
         assert _top_sizes([p], total) == [size]
 
     def test_matches_stable_sort_oracle(self):
-        def oracle(a, m, percentiles):
-            order = np.argsort(-np.abs(a.ravel()), kind="stable")
-            cum = np.cumsum(support_mask(m).ravel()[order])
-            return tuple(float(cum[sz - 1]) / sz for sz in _top_sizes(percentiles, a.size))
-
         rng = np.random.default_rng(8)
         for _ in range(200):
             a, config = make_random_case(rng, max_dim=24)
@@ -90,8 +92,19 @@ class TestTopkRetention:
             m, _ = prune_hierarchical(a, config)
             pcts = [1.0, *rng.uniform(0.001, 1.0, 5)]
             rep = topk_retention(a, m, pcts)
-            assert rep.retained == oracle(a, m, pcts)
+            assert rep.retained == stable_sort_retention(a, m, pcts)
             assert all(type(r) is float for r in rep.retained)
+
+    def test_edge_values_match_stable_sort_oracle(self):
+        # Magnitudes rank on their int32 bits: signed zeros, subnormals,
+        # float32's extremes, both signs of one magnitude and all-equal
+        # matrices must rank as the floats do, ties to the earlier cell.
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            a, config = make_edge_case(rng)
+            m, _ = prune_hierarchical(a, config)
+            pcts = [1.0, *rng.uniform(0.001, 1.0, 5)]
+            assert topk_retention(a, m, pcts).retained == stable_sort_retention(a, m, pcts)
 
     @pytest.mark.parametrize("bad", [True, "0.5", None])
     def test_percentile_real_only(self, bad):

@@ -8,6 +8,7 @@ from hbs import (
     BenchPlan,
     BlockShape,
     ConfigError,
+    DimensionError,
     HBSConfig,
     HBSMatrix,
     IrfTable,
@@ -47,6 +48,24 @@ CASES = [
         "level: expected BlockSparseLevel, got HBSMatrix",
     ),
     ("grid_dims", lambda tmp: grid_dims(8, 8, "2x1"), ConfigError, "shape: expected BlockShape"),
+    (
+        "grid_dims-float-rows",
+        lambda tmp: grid_dims(4.0, 4, BlockShape(2, 2)),
+        DimensionError,
+        "rows must be an integer, got 4.0",
+    ),
+    (
+        "grid_dims-fractional-rows",
+        lambda tmp: grid_dims(4.5, 4, BlockShape(2, 2)),
+        DimensionError,
+        "rows must be an integer, got 4.5",
+    ),
+    (
+        "grid_dims-bool-rows",
+        lambda tmp: grid_dims(True, 4, BlockShape(1, 1)),
+        DimensionError,
+        "rows must be an integer, got True",
+    ),
     ("sparsity_summary", lambda tmp: sparsity_summary(A), ValueError, "hbs: expected HBSMatrix"),
     ("topk_retention", lambda tmp: topk_retention(A, A, [0.1]), ValueError, "hbs: expected HBSMatrix"),
     ("write_hbsf", lambda tmp: write_hbsf(tmp / "m.hbsf", A), ValueError, "m: expected HBSMatrix"),

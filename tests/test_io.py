@@ -1,5 +1,7 @@
+import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,27 @@ class TestDmat:
         with pytest.raises(OSError):
             read_dmat(tmp_path / "nope.dmat")
 
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_reads_a_pipe(self):
+        r, w = os.pipe()
+        os.write(w, GOLDEN_DMAT_1X1_7)
+        os.close(w)
+        try:
+            assert read_dmat(f"/dev/fd/{r}").tolist() == [[7.0]]
+        finally:
+            os.close(r)
+
+    def test_read_returns_a_private_writeable_array(self, tmp_path):
+        p = tmp_path / "a.dmat"
+        write_dmat(p, np.arange(6, dtype=np.float32).reshape(2, 3))
+        first, second = read_dmat(p), read_dmat(p)
+        for a in (first, second):
+            assert a.dtype == np.float32 and a.shape == (2, 3)
+            assert a.flags.writeable and a.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+        first[0, 0] = 9.0
+        assert second[0, 0] == 0.0 and read_dmat(p)[0, 0] == 0.0
+
 
 def sample_hbs(seed=9):
     rng = np.random.default_rng(seed)
@@ -153,6 +176,14 @@ class TestHbsf:
         p.write_bytes(hbsf_bytes(4, 4, [(2, 2, [])]))
         back = read_hbsf(p)
         assert back.n_levels == 1 and back.levels[0].n_blocks == 0
+
+    def test_empty_and_wide_levels_round_trip_bytes(self, tmp_path):
+        tiles = [(0, 1, [[1.5, -0.0]]), (3, 0, [[2.0, -3.0]]), (3, 1, [[4.0, 5.0]])]
+        data = hbsf_bytes(4, 4, [(2, 2, []), (1, 2, tiles)])
+        p, again = tmp_path / "a.hbsf", tmp_path / "b.hbsf"
+        p.write_bytes(data)
+        write_hbsf(again, read_hbsf(p))
+        assert again.read_bytes() == data
 
     def test_write_refuses_invalid(self, tmp_path):
         dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
@@ -332,6 +363,86 @@ class TestHbsf:
         p.write_bytes(hbsf_bytes(2, 2, []) + b"!")
         with pytest.raises(FormatError, match="trailing"):
             read_hbsf(p)
+
+
+# Every message a damaged binary file raises, verbatim; ``{p}`` is its path.
+DAMAGED = [
+    (
+        "dmat-magic",
+        dmat_bytes(1, 1, [[1.0]], magic=b"XMAT"),
+        read_dmat,
+        MagicError,
+        "{p}: not a DMAT file (magic b'XMAT', expected b'DMAT')",
+    ),
+    (
+        "dmat-header",
+        GOLDEN_DMAT_1X1_7[:10],
+        read_dmat,
+        TruncatedError,
+        "{p}: truncated reading dimensions: need 8 bytes at offset 8, 2 remain",
+    ),
+    (
+        "dmat-values",
+        dmat_bytes(2, 2, np.ones((2, 2)))[:-3],
+        read_dmat,
+        TruncatedError,
+        "{p}: truncated reading 2x2 float32 values: need 16 bytes at offset 16, 13 remain",
+    ),
+    (
+        "dmat-trailing",
+        GOLDEN_DMAT_1X1_7 + b"\x00",
+        read_dmat,
+        FormatError,
+        "{p}: 1 trailing byte(s) after values",
+    ),
+    (
+        "dmat-short-magic",
+        b"DM",
+        read_dmat,
+        TruncatedError,
+        "{p}: truncated reading magic: need 4 bytes at offset 0, 2 remain",
+    ),
+    (
+        "hbsf-magic",
+        hbsf_bytes(2, 2, [], magic=b"HBSX"),
+        read_hbsf,
+        MagicError,
+        "{p}: not a HBSF file (magic b'HBSX', expected b'HBSF')",
+    ),
+    (
+        "hbsf-level-header",
+        hbsf_bytes(2, 2, [(1, 1, [])])[:-4],
+        read_hbsf,
+        TruncatedError,
+        "{p}: truncated reading level 1 header: need 12 bytes at offset 20, 8 remain",
+    ),
+    (
+        "hbsf-records",
+        hbsf_bytes(2, 2, [(1, 1, [(0, 0, [[1.0]])])])[:-2],
+        read_hbsf,
+        TruncatedError,
+        "{p}: truncated reading level 1 block records: need 12 bytes at offset 32, 10 remain",
+    ),
+    (
+        "hbsf-trailing",
+        hbsf_bytes(2, 2, []) + b"!",
+        read_hbsf,
+        FormatError,
+        "{p}: 1 trailing byte(s) after the last level",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data,read,error,message", [d[1:] for d in DAMAGED], ids=[d[0] for d in DAMAGED]
+)
+def test_damaged_file_messages_are_verbatim(tmp_path, data, read, error, message):
+    p = tmp_path / "damaged"
+    p.write_bytes(data)
+    with pytest.raises(error) as exc:
+        read(p)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(p=p)
 
 
 class TestIrf:

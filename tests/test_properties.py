@@ -144,3 +144,18 @@ def test_top_k_is_a_stable_descending_sort_prefix(scores):
     order = np.argsort(-s, kind="stable")
     for k in range(-1, s.size + 2):
         assert np.array_equal(_top_k(s, k), np.sort(order[: max(k, 0)])), k
+
+
+@PROPERTY
+@given(
+    magnitudes=st.lists(
+        st.floats(0.0, allow_infinity=False, width=32) | st.just(-np.inf), max_size=200
+    )
+)
+def test_top_k_on_bit_patterns_ranks_like_the_floats(magnitudes):
+    # Pruning and retention rank finite non-negative floats, and -inf, on
+    # same-width signed integer views of their bits.
+    for dtype, key in ((np.float32, np.int32), (np.float64, np.int64)):
+        s = np.array(magnitudes, dtype=dtype)
+        for k in range(-1, s.size + 2):
+            assert np.array_equal(_top_k(s.view(key), k), _top_k(s, k)), (dtype, k)

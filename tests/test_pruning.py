@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hbs
+from conftest import make_edge_case
 from hbs import (
     BlockShape,
     ConfigError,
@@ -241,6 +242,22 @@ class TestPruneHierarchical:
                 for r, c, tile in zip(lv.block_rows, lv.block_cols, lv.values):
                     cell = a[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw]
                     assert tile.tobytes() == cell.tobytes()
+
+    def test_edge_values_match_brute_force(self):
+        # Scores rank on their int64 bits and owned blocks on -inf's bits:
+        # signed zeros, subnormals, float32's extremes, both signs of one
+        # magnitude and all-equal matrices must rank as the floats do.
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            a, config = make_edge_case(rng)
+            m, trace = prune_hierarchical(a, config)
+            want = brute_force_hierarchy(a, config)
+            for lv, lt, (kept, scores) in zip(m.levels, trace.levels, want, strict=True):
+                assert lv.flat_indices().tolist() == kept
+                assert lt.kept_blocks + lt.pruned_blocks == lv.grid_rows * lv.grid_cols
+                assert lt.kept_blocks == len(kept)
+                assert lt.zero_score_kept == scores.count(0.0)
+                assert lt.cutoff_score == (min(scores) if scores else None)
 
     def test_zero_matrix_still_valid(self):
         m, trace = prune_hierarchical(
