@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .analysis import sparsity_summary, topk_retention
-from .core import BlockShape, HBSConfig, reconstruct, validate
+from .core import BlockShape, HBSConfig, _as_fraction, reconstruct, validate
 from .errors import ConfigError, HbsError, ValidationError
 from .io import read_dmat, read_hbsf, read_irf, write_dmat, write_hbsf, write_irf
 from .kernels import _execution, dense_matmul, flops_sparse_level, hbs_matmul, max_rel_error
@@ -69,10 +69,7 @@ def _sparsity(tok: str) -> float:
         v = float(tok)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad sparsity {tok!r}") from None
-    if not 0.0 <= v <= 1.0:
-        hint = " (sparsities are fractions in [0, 1], not percentages)" if v > 1 else ""
-        raise argparse.ArgumentTypeError(f"sparsity {tok!r} outside [0, 1]{hint}")
-    return v
+    return _as_fraction(v, "sparsity", argparse.ArgumentTypeError)
 
 
 def _shape(tok: str) -> BlockShape:

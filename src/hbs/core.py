@@ -104,6 +104,19 @@ def _as_real(value, what: str, error: type[Exception]) -> float:
     return float(value)
 
 
+def _as_fraction(value, what: str, error: type[Exception]) -> float:
+    """``value`` as a Python float in [0, 1]; ``error`` naming ``what``
+    unless it is a real number there. A finite value above 1 is most
+    likely a percentage, and the message says so."""
+    v = _as_real(value, what, error)
+    if not 0.0 <= v <= 1.0:
+        hint = ""
+        if v > 1.0 and np.isfinite(v):
+            hint = " (sparsities are fractions in [0, 1], not percentages)"
+        raise error(f"{what} must be in [0, 1], {v!r} is outside{hint}")
+    return v
+
+
 def _set_dims(obj, names: tuple[str, str], what: str) -> None:
     """Store ``obj``'s two dimension fields ``names`` as Python ints;
     ``ValueError`` unless both are integers, positive and below 2^32."""
@@ -226,12 +239,7 @@ class LevelSpec:
     def __post_init__(self):
         if not isinstance(self.shape, BlockShape):
             raise ConfigError(f"level shape must be a BlockShape, got {self.shape!r}")
-        sp = _as_real(self.sparsity, "sparsity", ConfigError)
-        if not np.isfinite(sp) or sp < 0.0 or sp > 1.0:
-            hint = ""
-            if np.isfinite(sp) and sp > 1.0:
-                hint = " (sparsities are fractions in [0, 1], not percentages)"
-            raise ConfigError(f"sparsity must be in [0, 1], got {self.sparsity!r}{hint}")
+        sp = _as_fraction(self.sparsity, "sparsity", ConfigError)
         object.__setattr__(self, "sparsity", sp)
 
     @property
@@ -474,8 +482,8 @@ def _check_tiling(m: HBSMatrix) -> CheckResult:
     for i, lv in enumerate(m.levels):
         if lv.rows != m.rows or lv.cols != m.cols:
             detail = (
-                f"level {i + 1}: {lv.grid_rows}x{lv.grid_cols} grid of {lv.shape} "
-                f"blocks covers {lv.rows}x{lv.cols}, matrix is {m.rows}x{m.cols}"
+                f"level {i + 1}: {lv.shape} blocks do not tile {m.rows}x{m.cols} "
+                f"(a {lv.grid_rows}x{lv.grid_cols} grid covers {lv.rows}x{lv.cols})"
             )
             return CheckResult("tiling", False, detail)
     return CheckResult("tiling", True)

@@ -18,8 +18,8 @@ class ConfigError(HbsError, ValueError):
 class ValidationError(HbsError):
     """A hierarchical block sparse matrix failed invariant validation.
 
-    Raised by the :class:`~hbs.core.HBSMatrix` constructor, and by
-    :func:`~hbs.io.read_hbsf` for a level that does not tile the matrix.
+    Raised by the :class:`~hbs.core.HBSMatrix` constructor, so by every
+    function that builds one, :func:`~hbs.io.read_hbsf` among them.
     Carries the full :class:`~hbs.core.ValidationReport` on ``report``; the
     message names the first violated invariant.
     """

@@ -30,22 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BlockShape,
-    BlockSparseLevel,
-    CheckResult,
-    HBSMatrix,
-    ValidationReport,
-    _require,
-    as_matrix,
-)
-from .errors import (
-    FormatError,
-    MagicError,
-    TruncatedError,
-    ValidationError,
-    VersionError,
-)
+from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_fraction, _require, as_matrix
+from .errors import FormatError, MagicError, TruncatedError, VersionError
 from .perf import (
     PROVENANCE_ANALYTIC,
     PROVENANCE_CALIBRATED,
@@ -155,12 +141,6 @@ def write_hbsf(path, m: HBSMatrix) -> None:
             f.write(rec)
 
 
-def _tiling_failure(index: int, bh: int, bw: int, rows: int, cols: int):
-    detail = f"level {index + 1}: {bh}x{bw} blocks do not tile {rows}x{cols}"
-    report = ValidationReport((CheckResult("tiling", False, detail),))
-    return ValidationError(report)
-
-
 def read_hbsf(path) -> HBSMatrix:
     """Read an HBSF file into an HBS matrix, valid by construction.
 
@@ -169,9 +149,7 @@ def read_hbsf(path) -> HBSMatrix:
             malformed byte stream.
         ValidationError: When the decoded structure violates an HBS
             invariant, raised by the matrix constructor; its ``report`` is
-            the full :class:`~hbs.core.ValidationReport`. A level that does
-            not tile the matrix is refused before its records are read,
-            with a report holding the tiling check alone.
+            the full :class:`~hbs.core.ValidationReport`.
     """
     path = Path(path)
     cur = _Cursor(path)
@@ -185,8 +163,6 @@ def read_hbsf(path) -> HBSMatrix:
         bh, bw, kept = struct.unpack("<III", cur.take(12, f"level {i + 1} header"))
         if bh < 1 or bw < 1:
             raise FormatError(f"{path}: level {i + 1} has non-positive block shape {bh}x{bw}")
-        if rows % bh or cols % bw:
-            raise _tiling_failure(i, bh, bw, rows, cols)
         if 8 + 4 * bh * bw > _MAX_RECORD_BYTES:
             raise FormatError(
                 f"{path}: level {i + 1} block shape {bh}x{bw} is too large: "
@@ -197,11 +173,13 @@ def read_hbsf(path) -> HBSMatrix:
         rec_dtype = _record_dtype(bh, bw)
         raw = cur.take(kept * rec_dtype.itemsize, f"level {i + 1} block records")
         rec = np.frombuffer(raw, dtype=rec_dtype)
+        # A ceiling grid is at least 1x1 and covers the matrix, so a level
+        # that does not tile it still builds, and HBSMatrix names it.
         levels.append(
             BlockSparseLevel(
                 BlockShape(bh, bw),
-                rows // bh,
-                cols // bw,
+                -(-rows // bh),
+                -(-cols // bw),
                 rec["gr"],
                 rec["gc"],
                 rec["tile"],
@@ -259,8 +237,7 @@ def read_irf(path) -> IrfTable:
             raise FormatError(f"{path}:{lineno}: unparsable entry {line!r}") from None
         if bh < 1 or bw < 1:
             raise FormatError(f"{path}:{lineno}: non-positive block shape {bh}x{bw}")
-        if not 0.0 <= sparsity <= 1.0:
-            raise FormatError(f"{path}:{lineno}: sparsity {sparsity!r} outside [0, 1]")
+        sparsity = _as_fraction(sparsity, f"{path}:{lineno}: sparsity", FormatError)
         if not 0.0 < irf <= 1.0:
             raise FormatError(f"{path}:{lineno}: irf {irf!r} outside (0, 1]")
         key = (BlockShape(bh, bw), sparsity_bucket(sparsity))

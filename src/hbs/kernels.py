@@ -191,9 +191,15 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     """Multiply an HBS matrix by a dense matrix, level by level.
 
     Levels are applied in stored order into one shared double-precision
-    accumulator and the sum is rounded to float32 once at the end. A single
-    rounding keeps the result within one float32 ulp of the dense product
-    of the reconstruction even when level contributions cancel.
+    accumulator and the sum is rounded to float32 once at the end. Products
+    of float32 values are exact in float64, so each cell of that sum is
+    within ``gamma_K`` times the same cell of ``|A| @ |b|`` of the exact
+    product ``A @ b``, where ``A`` is the reconstruction,
+    ``gamma_K = K*u / (1 - K*u)``, ``u = 2^-53`` and ``K = k + n_levels``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.5); the final rounding adds half a float32 ulp. The bound is
+    componentwise, as for :func:`dense_matmul`: where products cancel, the
+    relative error may be large.
     Deterministic for a fixed BLAS build and thread count.
 
     The first call that uses a level packs it and keeps the packing on the

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockShape, HBSConfig, _as_int, _as_real, _require, grid_dims
+from .core import BlockShape, HBSConfig, _as_fraction, _as_int, _as_real, _require, grid_dims
 from .errors import CalibrationError, ConfigError, IrfLookupError
 from .kernels import dense_matmul, flops_dense, flops_sparse, hbs_matmul
 from .pruning import prune_hierarchical, round_half_up
@@ -39,9 +39,7 @@ _IRF_FLOOR = 1e-9
 
 def sparsity_bucket(sparsity: float) -> int:
     """Bucket index of a sparsity fraction, 0..SPARSITY_BUCKETS."""
-    sparsity = _as_real(sparsity, "sparsity", ValueError)
-    if not 0.0 <= sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity!r}")
+    sparsity = _as_fraction(sparsity, "sparsity", ValueError)
     return round_half_up(sparsity * SPARSITY_BUCKETS)
 
 

@@ -125,6 +125,9 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     levels: list[BlockSparseLevel] = []
     traces: list[LevelTrace] = []
     for spec in config.levels:
+        # Drop the previous level's cells here: nothing ranks the last's.
+        if levels:
+            _scatter(mag, levels[-1], -np.inf)
         shape = spec.shape
         gr, gc = grid_dims(rows, cols, shape)
         total = gr * gc
@@ -145,7 +148,6 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)
         values = tiles4[block_rows, :, block_cols, :]
         level = BlockSparseLevel(shape, gr, gc, block_rows, block_cols, values)
-        _scatter(mag, level, -np.inf)
 
         kept_scores = scores[kept]
         levels.append(level)

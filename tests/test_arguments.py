@@ -1,5 +1,6 @@
 """A wrong argument type is refused up front with a package error that
-names the argument, not by an AttributeError or TypeError from deep inside."""
+names the argument, not by an AttributeError or TypeError from deep inside.
+A sparsity outside [0, 1] gets the same message at every boundary."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hbs import (
     BlockShape,
     ConfigError,
     DimensionError,
+    FormatError,
     HBSConfig,
     HBSMatrix,
     IrfTable,
+    LevelSpec,
     calibrate_irf,
     density,
     estimate_cost,
@@ -20,13 +23,16 @@ from hbs import (
     grid_dims,
     hbs_matmul,
     prune_hierarchical,
+    read_irf,
     reconstruct,
+    sparsity_bucket,
     sparsity_summary,
     support_mask,
     topk_retention,
     validate,
     write_hbsf,
 )
+from hbs.cli import main
 
 A = np.ones((8, 8), np.float32)
 M, _ = prune_hierarchical(A, HBSConfig.parse("2x1:0.5"))
@@ -124,3 +130,33 @@ def test_wrong_argument_type_is_named(tmp_path, call, error, message):
     assert type(exc.value) is error
     assert str(exc.value).startswith(message)
     assert not list(tmp_path.iterdir())
+
+
+def _sparsity_refusal(site, value, tmp_path, capsys) -> str:
+    """The message with which ``site`` refuses the sparsity ``value``."""
+    if site == "LevelSpec":
+        with pytest.raises(ConfigError) as exc:
+            LevelSpec(BlockShape(1, 1), value)
+    elif site == "sparsity_bucket":
+        with pytest.raises(ValueError) as exc:
+            sparsity_bucket(value)
+    elif site == "read_irf":
+        path = tmp_path / "t.irf"
+        path.write_text(f"HBS-IRF v1 analytic\n1 1 {value!r} 0.5\n")
+        with pytest.raises(FormatError) as exc:
+            read_irf(path)
+        assert str(exc.value).startswith(f"{path}:2: sparsity must be")
+    else:
+        argv = ["bench", "calibrate", "--shapes", "4x1", "--sparsities", repr(value),
+                "--dims", "8x8x8", "--out", str(tmp_path / "t.irf")]
+        assert main(argv) == 2
+        return capsys.readouterr().err
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("site", ["LevelSpec", "sparsity_bucket", "read_irf", "calibrate"])
+@pytest.mark.parametrize("value", [1.5, -0.1, float("nan"), float("inf")])
+def test_sparsity_range_has_one_message(tmp_path, capsys, site, value):
+    message = _sparsity_refusal(site, value, tmp_path, capsys)
+    assert f"sparsity must be in [0, 1], {value!r} is outside" in message
+    assert ("not percentages" in message) == (value == 1.5)

@@ -174,6 +174,17 @@ class TestValidate:
         assert rc == 1
         assert "FAIL" in out and "disjoint" in out
 
+    def test_non_tiling_file_reports_every_family(self, run, tmp_path):
+        p = tmp_path / "bad.hbsf"
+        p.write_bytes(hbsf_bytes(4, 4, [(3, 1, [(0, 0, [[1.0], [2.0], [3.0]])])]))
+        rc, out, _ = run("validate", "--in", p)
+        assert rc == 1
+        tiling, divisibility, blocks, disjointness = out.splitlines()
+        assert tiling.startswith("tiling") and "FAIL" in tiling and "do not tile" in tiling
+        assert divisibility.split() == ["divisibility", "pass"]
+        assert blocks.split() == ["blocks", "pass"]
+        assert disjointness.startswith("disjointness") and "not evaluated" in disjointness
+
 
 class TestExitCodes:
     def test_usage_errors_exit_2(self, run, tmp_path):

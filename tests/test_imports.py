@@ -70,6 +70,61 @@ def test_unused_import_check_finds_strays():
     assert unused_imports(source) == ["os", "np", "c"]
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level private name (one leading
+    underscore) that no module of ``sources`` ever reads: as a name, as an
+    attribute or as an imported name."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [
+                (module, n) for n in names if n.startswith("_") and not n.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{module}:{name}" for module, name in defined if name not in used]
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_check_finds_strays():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_unused_limit: int = 4\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _dead():\n"
+            "    pass\n"
+            "class _Shared:\n"
+            "    def _method(self):\n"
+            "        pass\n"
+            "def __getattr__(name):\n"
+            "    pass\n"
+            "print(_helper())\n"
+        ),
+        "b.py": "from .a import _Shared\nimport a\na._via_attribute = 1\n",
+        "c.py": "_via_attribute = 0\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py:_unused_limit", "a.py:_dead"]
+
+
 def test_sources_found():
     assert {"core.py", "pruning.py"} <= {p.name for p in SOURCES}
 

@@ -223,6 +223,15 @@ class TestHbsf:
             read_hbsf(p)
         assert "do not tile" in exc.value.report.render()
 
+    def test_level_taller_than_matrix(self, tmp_path):
+        p = tmp_path / "x.hbsf"
+        p.write_bytes(hbsf_bytes(2, 4, [(4, 1, [(0, 3, [[1.0], [2.0], [3.0], [4.0]])])]))
+        with pytest.raises(ValidationError) as exc:
+            read_hbsf(p)
+        tiling = exc.value.report.checks[0]
+        assert tiling.name == "tiling" and not tiling.passed
+        assert tiling.detail == "level 1: 4x1 blocks do not tile 2x4 (a 1x4 grid covers 4x4)"
+
     def test_huge_kept_count_is_truncation(self, tmp_path):
         head = b"HBSF" + struct.pack("<IIII", 1, 4, 4, 1)
         head += struct.pack("<III", 2, 2, 0xFFFFFFFF)

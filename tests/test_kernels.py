@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -9,6 +10,7 @@ import hbs
 from hbs import kernels
 from hbs import (
     BlockShape,
+    BlockSparseLevel,
     DimensionError,
     HBSConfig,
     HBSMatrix,
@@ -21,6 +23,7 @@ from hbs import (
     max_rel_error,
     prune_hierarchical,
     reconstruct,
+    support_mask,
 )
 from conftest import level_of, make_random_case
 
@@ -505,6 +508,122 @@ def test_hbs_matmul_within_float64_oracle(seed, n, scale):
     assert got.shape == want.shape
     if n:
         assert max_rel_error(got, want) <= 1e-5
+
+
+def assert_within_componentwise_bound(got, a, b, n_levels):
+    """Check a float32 product of ``a @ b`` against the exact result.
+
+    ``c`` is the exact product: the float64 products of float32 values are
+    exact, and ``math.fsum`` adds them with one rounding. With
+    ``K = k + n_levels`` and ``u = 2^-53``, every finite cell obeys
+    ``|got - c| <= gamma_K * (|a||b|) + ulp_f32(got)``, where
+    ``gamma_K = K*u / (1 - K*u)``: the float64 accumulation bound plus
+    the final rounding to float32. A cell whose exact result rounds to a
+    float32 infinity must equal it, by ``max_rel_error``'s equality rule.
+    """
+    a64 = np.asarray(a, np.float32).astype(np.float64)
+    b64 = np.asarray(b, np.float32).astype(np.float64)
+    k = a64.shape[1]
+    ku = (k + n_levels) * 2.0**-53
+    gamma = ku / (1 - ku)
+    exact = np.empty(got.shape)
+    bound = np.empty(got.shape)
+    for i, j in np.ndindex(got.shape):
+        terms = a64[i] * b64[:, j]
+        exact[i, j] = math.fsum(terms)
+        bound[i, j] = gamma * math.fsum(np.abs(terms))
+    with np.errstate(over="ignore"):
+        want = exact.astype(np.float32)
+    inf = ~np.isfinite(want)
+    assert max_rel_error(got[inf].reshape(1, -1), want[inf].reshape(1, -1)) == 0.0
+    err = np.abs(got[~inf].astype(np.float64) - exact[~inf])
+    slack = bound[~inf] + np.spacing(np.abs(got[~inf]))
+    assert (err <= slack).all(), (err - slack).max()
+    return exact
+
+
+class TestAccuracyBound:
+    """Both kernels stay within the componentwise float64 bound, also where
+    products cancel, which a relative bound cannot promise."""
+
+    def test_cancelling_levels(self):
+        # The 1x1 level's GEMM rounds -1e20 + 1 to -1e20 before the 8x1
+        # level's 1e20 is added, so hbs_matmul may give 0.0 where the
+        # exact product is 1.0: a relative error of 1, within the bound.
+        coarse = level_of(BlockShape(8, 1), 1, 3, [(0, 0, [[1e20]] + [[0.0]] * 7)])
+        fine = level_of(BlockShape(1, 1), 8, 3, [(0, 1, [[-1e20]]), (0, 2, [[1.0]])])
+        m = HBSMatrix(8, 3, (coarse, fine))
+        b = np.ones((3, 1), dtype=np.float32)
+        a = reconstruct(m)
+        exact = assert_within_componentwise_bound(hbs_matmul(m, b), a, b, m.n_levels)
+        assert exact[0, 0] == 1.0
+        assert_within_componentwise_bound(dense_matmul(a, b), a, b, m.n_levels)
+
+    def test_random_cancellation(self):
+        within = across = cancelled = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            m, b, kinds = _cancelling_case(rng)
+            within += kinds.count("within")
+            across += kinds.count("across")
+            a = reconstruct(m)
+            with np.errstate(over="ignore"):
+                got, dense = hbs_matmul(m, b), dense_matmul(a, b)
+            exact = assert_within_componentwise_bound(got, a, b, m.n_levels)
+            assert_within_componentwise_bound(dense, a, b, m.n_levels)
+            scale = np.abs(a.astype(np.float64)) @ np.abs(b.astype(np.float64))
+            cancelled += int(np.count_nonzero(np.abs(exact) < 1e-6 * scale))
+        assert min(within, across) >= 50 and cancelled >= 50, (within, across, cancelled)
+
+
+def _cancelling_case(rng):
+    """A pruned random matrix refilled so that its products cancel.
+
+    Returns ``(m, b, kinds)``. ``b``'s rows repeat three random rows, and
+    pairs of cells in one row of ``m`` hold ``x`` and ``-x``, with ``x``
+    up to 1e20, over equal rows of ``b``: both cells in one level
+    (``"within"``) or in two (``"across"``), as ``kinds`` lists. One case
+    in five puts a float32 extreme over a row of ``b`` holding 4s, so that
+    cells overflow float32.
+    """
+    a, config = make_random_case(rng, max_dim=24)
+    m, _ = prune_hierarchical(a, config)
+    a = reconstruct(m)
+    owner = np.zeros(a.shape, dtype=int)
+    for i, lv in enumerate(m.levels, 1):
+        owner[support_mask(HBSMatrix(m.rows, m.cols, (lv,)))] = i
+    n = int(rng.integers(1, 5))
+    pool = rng.standard_normal((4, n), dtype=np.float32)
+    pool[3] = 4.0
+    which = rng.integers(0, 3, size=m.cols)
+    kinds = []
+    for _ in range(int(rng.integers(1, 2 * m.rows + 1))):
+        r = int(rng.integers(m.rows))
+        j = int(rng.integers(m.cols))
+        same = (which == which[j]) & (owner[r] > 0) & (np.arange(m.cols) != j)
+        if not owner[r, j] or not same.any():
+            continue
+        kind = "within" if rng.random() < 0.5 else "across"
+        mates = same & ((owner[r] == owner[r, j]) == (kind == "within"))
+        if not mates.any():
+            continue
+        x = np.float32(rng.choice([-1, 1]) * 10.0 ** rng.uniform(3, 20))
+        a[r, j], a[r, int(rng.choice(np.flatnonzero(mates)))] = x, -x
+        kinds.append(kind)
+    if rng.random() < 0.2 and owner.any():
+        r, j = np.argwhere(owner)[int(rng.integers(np.count_nonzero(owner)))]
+        a[r, j] = rng.choice([-1, 1]) * np.finfo(np.float32).max
+        which[j] = 3
+    levels = tuple(
+        BlockSparseLevel(
+            lv.shape, lv.grid_rows, lv.grid_cols, lv.block_rows, lv.block_cols,
+            a.reshape(lv.grid_rows, lv.shape.bh, lv.grid_cols, lv.shape.bw)[
+                lv.block_rows, :, lv.block_cols, :
+            ],
+        )
+        for lv in m.levels
+    )
+    return HBSMatrix(m.rows, m.cols, levels), pool[which], kinds
 
 
 class TestFlops:

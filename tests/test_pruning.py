@@ -293,6 +293,17 @@ class TestPruneHierarchical:
         fine = support_mask(hbs.HBSMatrix(4, 4, (m.levels[1],)))
         assert not (covered & fine).any()
 
+    def test_repeated_level_spec_object(self):
+        # One LevelSpec object twice: the second pass must still see the
+        # first pass's blocks dropped, and pick the other half.
+        spec = hbs.LevelSpec(BlockShape(2, 2), 0.5)
+        m, _ = prune_hierarchical(FOUR, HBSConfig((spec, spec)))
+        first = support_mask(hbs.HBSMatrix(4, 4, m.levels[:1]))
+        second = support_mask(hbs.HBSMatrix(4, 4, m.levels[1:]))
+        assert first.sum() == second.sum() == 8
+        assert not (first & second).any()
+        assert (reconstruct(m) == FOUR).all()
+
     def test_trace_renders(self):
         _, trace = prune_hierarchical(FOUR, HBSConfig.of((2, 2, 0.75), (1, 1, 0.875)))
         text = trace.render()
