@@ -355,11 +355,10 @@ class BlockSparseLevel:
     float32 tile. Blocks are expected in strictly ascending row-major grid
     order (``gr * grid_cols + gc``); an :class:`HBSMatrix` refuses a level
     that breaks this order.
-    All arrays are frozen after construction. Levels compare and hash by
+    All arrays are frozen after construction, and copies and pickles are
+    built through the constructor too. Levels compare and hash by
     identity; compare contents through :func:`reconstruct` of a matrix or
-    through ``.hbsf`` bytes. The first :func:`~hbs.kernels.hbs_matmul` that
-    uses a level stores the level's execution form in ``_packed``; the
-    layout belongs to :mod:`hbs.kernels`.
+    through ``.hbsf`` bytes.
     """
 
     shape: BlockShape
@@ -368,7 +367,6 @@ class BlockSparseLevel:
     block_rows: np.ndarray
     block_cols: np.ndarray
     values: np.ndarray
-    _packed: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not isinstance(self.shape, BlockShape):
@@ -385,6 +383,11 @@ class BlockSparseLevel:
         object.__setattr__(self, "block_rows", br)
         object.__setattr__(self, "block_cols", bc)
         object.__setattr__(self, "values", vals)
+
+    def __reduce__(self):
+        return BlockSparseLevel, (
+            self.shape, self.grid_rows, self.grid_cols, self.block_rows, self.block_cols, self.values
+        )
 
     @property
     def n_blocks(self) -> int:

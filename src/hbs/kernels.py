@@ -10,16 +10,29 @@ for a fixed BLAS build and thread count, and the single rounding keeps
 oracle comparisons meaningful at tight tolerances.
 
 A level's blocks are fixed once it is built, so :func:`hbs_matmul` packs
-each level on first use and stores the packing on the level. A level
-whose ``bh`` divides 8, on a matrix whose rows 8 divides, runs as
-zero-padded ``8 x bw`` blocks; every other level runs as stored. The
-storage shape never changes. The packing is block-ELL: the level's
-non-empty execution block rows, sorted by length and cut into slabs whose
-rows are zero-padded to a common length, so that one stacked GEMM covers
-many block rows instead of one BLAS call per row. It holds the execution
-tiles in float64 plus their padding, below twice those tiles, and one
-``intp`` gather index per padded column. The packing lives as long as the
-level does, and matrices that share a level share it.
+each level on first use and keeps the packing for as long as the level
+lives; matrices that share a level share it. A level whose ``bh`` divides
+8, on a matrix whose rows 8 divides, runs as zero-padded ``8 x bw`` blocks
+(8 is ``_EXEC_BH``): stored block ``(gr, gc)`` lands in execution block
+``(gr // (8 / bh), gc)`` at row offset ``(gr % (8 / bh)) * bh``, and the
+rest of each execution block is ``+0.0``. Padding runs only along rows, so
+a padded block reads the same rows of ``b`` as its kept cells. Every other
+level runs as stored. The storage shape never changes.
+
+The non-empty execution block rows are then stored block-ELL style, so
+that one stacked GEMM covers many block rows instead of one BLAS call per
+row: sorted by block count, longest first, and cut into slabs. A slab ends
+before the first row holding at most half the blocks of its own first row.
+Each slab stacks its rows' tiles side by side in row-major block order,
+padded with ``+0.0`` to the first row's length, so padding stays below the
+execution tiles themselves and there are at most ``log2(longest row) + 1``
+slabs. The packing holds the execution tiles in float64 plus their
+padding, below twice those tiles, and one ``intp`` gather index per padded
+column: the row of ``b`` that column multiplies. Padding columns read row
+``k``, one past the matrix's last column, which is the zero row
+:func:`hbs_matmul` appends to its copy of ``b``, so padding never
+multiplies an infinity. Each slab also keeps per-row views of its rows'
+own tiles and indices, for rows that run alone.
 
 FLOP counts follow the multiply-add-times-two convention and count the
 stored, useful cells; a padded level executes more.
@@ -27,6 +40,7 @@ stored, useful cells; a padded level executes more.
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -83,83 +97,63 @@ class _PackedLevel(NamedTuple):
     slabs: tuple[_Slab, ...]  # longest rows first
 
 
+# Each level's packing, for as long as the level lives. Levels hash by
+# identity, so matrices that share a level share its packing.
+_PACKED = weakref.WeakKeyDictionary()
+
+
 def _pack(level: BlockSparseLevel) -> _PackedLevel:
-    """The level's execution form, built on first use and kept on the level.
+    """The level's packing (see the module docstring), built on first use.
 
-    A level with ``bh`` dividing 8 and 8 dividing its rows runs as
-    ``8 x bw`` blocks (8 is ``_EXEC_BH``): stored block ``(gr, gc)``
-    lands in execution block ``(gr // (8 / bh), gc)`` at row offset
-    ``(gr % (8 / bh)) * bh``, and the rest of each execution block is
-    ``+0.0``. Padding runs only along rows, so a padded block reads the same
-    rows of ``b`` as its kept cells. Every other level runs as stored.
-
-    The non-empty execution block rows are then stored block-ELL style,
-    sorted by block count, longest first, and cut into slabs: a slab ends
-    before the first row holding at most half the blocks of its own first
-    row. Each slab stacks its rows' tiles side by side in row-major block
-    order, padded with ``+0.0`` to the first row's length, so padding stays
-    below the execution tiles themselves and there are at most
-    ``log2(longest row) + 1`` slabs. ``src`` gives the row of ``b`` each
-    tile column multiplies; padding columns read row ``k``, one past the
-    matrix's last column, which is the zero row :func:`hbs_matmul` appends
-    to its copy of ``b``, so padding never multiplies an infinity. Each
-    slab's arrays are gathered in one vectorised pass; the slab also keeps
-    per-row views of its rows' own tiles and indices, for rows that run
-    alone. Building is idempotent, so two threads that race to fill the
-    slot store equal forms.
+    Each slab's arrays are gathered in one vectorised pass. Threads that
+    race to build a packing build equal ones, and all keep the first stored.
     """
-    packed = level._packed
-    if packed is None:
-        bh, bw = level.shape.bh, level.shape.bw
-        per = 1
-        if _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:
-            per = _EXEC_BH // bh
-        eh = per * bh
-        # Execution blocks in row-major order: their rows, columns and
-        # tiles, then one all-zero tile that padding gathers.
-        if per == 1:
-            erows, ecols = level.block_rows, level.block_cols
-            blocks = np.zeros((len(erows) + 1, bh, bw))
-            blocks[:-1] = level.values
-        else:
-            keys, slot = np.unique(
-                _row_major(level.block_rows // per, level.block_cols, level.grid_cols),
-                return_inverse=True,
-            )
-            erows, ecols = (a.astype(np.intp) for a in np.divmod(keys, np.uint64(level.grid_cols)))
-            blocks = np.zeros((len(keys) + 1, per, bh, bw))
-            blocks[slot, level.block_rows % per] = level.values
-            blocks = blocks.reshape(-1, eh, bw)
-        cols = np.full((len(blocks), bw), level.cols, dtype=np.intp)
-        cols[:-1] = ecols[:, None] * bw + np.arange(bw)
-        first = np.flatnonzero(np.diff(erows, prepend=-1))
-        lens = np.diff(first, append=len(erows))
-        order = np.argsort(-lens, kind="stable")  # longest first, ties in row order
-        ids, first, lens = erows[first[order]], first[order], lens[order]
-        slabs, lo, descending = [], 0, -lens
-        while lo < len(lens):
-            width = int(lens[lo])
-            hi = int(np.searchsorted(descending, -(width // 2)))
-            # The block at each place of each row; the zero tile past its end.
-            place = np.arange(width)
-            at = np.where(place < lens[lo:hi, None], first[lo:hi, None] + place, len(blocks) - 1)
-            # Gathered as (R, L * bw, eh), one tile column after another, so
-            # the (R, eh, L * bw) stack is a transposed view and needs no copy.
-            tiles = blocks.take(at, axis=0).transpose(0, 1, 3, 2).reshape(hi - lo, -1, eh)
-            tiles = tiles.transpose(0, 2, 1)
-            src = cols.take(at, axis=0).reshape(hi - lo, -1)
-            slab_ids, widths = ids[lo:hi], lens[lo:hi] * bw
-            for a in (tiles, src, slab_ids, widths):
-                a.flags.writeable = False
-            rows = tuple(
-                (r, tiles[s, :, :w], src[s, :w])
-                for s, (r, w) in enumerate(zip(slab_ids.tolist(), widths.tolist()))
-            )
-            slabs.append(_Slab(tiles, src, slab_ids, widths, rows))
-            lo = hi
-        packed = _PackedLevel(BlockShape(eh, bw), tuple(slabs))
-        object.__setattr__(level, "_packed", packed)
-    return packed
+    packed = _PACKED.get(level)
+    if packed is not None:
+        return packed
+    bh, bw = level.shape.bh, level.shape.bw
+    per = 1
+    if _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:
+        per = _EXEC_BH // bh
+    eh = per * bh
+    # Execution blocks in row-major order: their rows, columns and tiles,
+    # then one all-zero tile that padding gathers.
+    keys, slot = np.unique(
+        _row_major(level.block_rows // per, level.block_cols, level.grid_cols),
+        return_inverse=True,
+    )
+    erows, ecols = (a.astype(np.intp) for a in np.divmod(keys, np.uint64(level.grid_cols)))
+    blocks = np.zeros((len(keys) + 1, per, bh, bw))
+    blocks[slot, level.block_rows % per] = level.values
+    blocks = blocks.reshape(-1, eh, bw)
+    cols = np.full((len(blocks), bw), level.cols, dtype=np.intp)
+    cols[:-1] = ecols[:, None] * bw + np.arange(bw)
+    first = np.flatnonzero(np.diff(erows, prepend=-1))
+    lens = np.diff(first, append=len(erows))
+    order = np.argsort(-lens, kind="stable")  # longest first, ties in row order
+    ids, first, lens = erows[first[order]], first[order], lens[order]
+    slabs, lo, descending = [], 0, -lens
+    while lo < len(lens):
+        width = int(lens[lo])
+        hi = int(np.searchsorted(descending, -(width // 2)))
+        # The block at each place of each row; the zero tile past its end.
+        place = np.arange(width)
+        at = np.where(place < lens[lo:hi, None], first[lo:hi, None] + place, len(blocks) - 1)
+        # Gathered as (R, L * bw, eh), one tile column after another, so
+        # the (R, eh, L * bw) stack is a transposed view and needs no copy.
+        tiles = blocks.take(at, axis=0).transpose(0, 1, 3, 2).reshape(hi - lo, -1, eh)
+        tiles = tiles.transpose(0, 2, 1)
+        src = cols.take(at, axis=0).reshape(hi - lo, -1)
+        slab_ids, widths = ids[lo:hi], lens[lo:hi] * bw
+        for a in (tiles, src, slab_ids, widths):
+            a.flags.writeable = False
+        rows = tuple(
+            (r, tiles[s, :, :w], src[s, :w])
+            for s, (r, w) in enumerate(zip(slab_ids.tolist(), widths.tolist()))
+        )
+        slabs.append(_Slab(tiles, src, slab_ids, widths, rows))
+        lo = hi
+    return _PACKED.setdefault(level, _PackedLevel(BlockShape(eh, bw), tuple(slabs)))
 
 
 class _Execution(NamedTuple):
@@ -202,17 +196,15 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     relative error may be large.
     Deterministic for a fixed BLAS build and thread count.
 
-    The first call that uses a level packs it and keeps the packing on the
-    level, so later calls only gather and multiply. Each slab of the
-    packing runs as stacked float64 GEMMs over consecutive rows, as many as
-    keep the gathered slice of ``b`` within ``_GATHER_BYTES``, each cut to
-    the length of its first, longest row. Rows are unique within a level,
-    so their sums land in the accumulator without conflict. A slab whose
-    rows are too long for that runs each row alone over its own tiles,
-    which is the arithmetic of one BLAS call per block row. The packing
-    holds the level's execution tiles in float64 plus their padding, below
-    twice those tiles, and one ``intp`` index per padded column, for as
-    long as the level lives. Padding adds exact zeros, so the result is
+    The first call that uses a level packs it (see the module docstring),
+    and the packing is kept for as long as the level lives, so later calls
+    only gather and multiply. Each slab of the packing runs as stacked
+    float64 GEMMs over consecutive rows, as many as keep the gathered slice
+    of ``b`` within ``_GATHER_BYTES``, each cut to the length of its first,
+    longest row. Rows are unique within a level, so their sums land in the
+    accumulator without conflict. A slab whose rows are too long for that
+    runs each row alone over its own tiles, which is the arithmetic of one
+    BLAS call per block row. Padding adds exact zeros, so the result is
     within the same bound of the oracle, but it may differ in the last bit
     from a product that skips the padding.
 
@@ -281,9 +273,8 @@ def flops_dense(m_rows: int, k: int, n: int) -> int:
 def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
     """FLOPs of one level's product against n output columns.
 
-    Counts the stored cells only. :func:`hbs_matmul` may run a fine level
-    as zero-padded 8-row blocks, up to ``8 / bh`` times this, and pads
-    block rows to their slab's length, below twice the execution cells;
+    Counts the stored cells only. :func:`hbs_matmul` runs the level's
+    packing (see the module docstring), whose zero padding executes more;
     ``hbs matmul --oracle`` prints both.
     """
     _require(level, BlockSparseLevel, "level")

@@ -14,6 +14,7 @@ import statistics
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,12 +48,13 @@ def sparsity_bucket(sparsity: float) -> int:
 class IrfTable:
     """Irregularity factors keyed by (block shape, sparsity bucket).
 
-    ``entries`` maps ``(BlockShape, bucket_index)`` to an irf in (0, 1].
+    ``entries`` is a read-only map from ``(BlockShape, bucket_index)`` to an
+    irf in (0, 1].
     Lookups for a known shape fall back to the nearest populated bucket
     (ties take the lower bucket); an unknown shape is an error.
     """
 
-    entries: dict[tuple[BlockShape, int], float]
+    entries: Mapping[tuple[BlockShape, int], float]
     provenance: str
 
     def __post_init__(self):
@@ -70,7 +72,11 @@ class IrfTable:
                 raise ValueError(f"irf {irf!r} for {shape} bucket {bucket} not in (0, 1]")
             entries[shape, bucket] = float(irf)
         # Python numbers only: write_irf prints them with repr.
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+
+    def __reduce__(self):
+        # A mappingproxy neither copies nor pickles, so both rebuild the table.
+        return IrfTable, (dict(self.entries), self.provenance)
 
     def lookup(self, shape: BlockShape, sparsity: float) -> float:
         """irf for (shape, sparsity), falling back to the nearest bucket.
@@ -79,10 +85,7 @@ class IrfTable:
             IrfLookupError: If the shape has no entries at all.
         """
         want = sparsity_bucket(sparsity)
-        hit = self.entries.get((shape, want))
-        if hit is not None:
-            return hit
-        buckets = sorted(b for s, b in self.entries if s == shape)
+        buckets = [b for s, b in self.entries if s == shape]
         if not buckets:
             raise IrfLookupError(f"no irf entries for block shape {shape}")
         nearest = min(buckets, key=lambda b: (abs(b - want), b))

@@ -1,5 +1,8 @@
 """Shared helpers for randomized property tests."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,14 @@ def level_of(shape, grid_rows, grid_cols, blocks):
     gc = np.array([b[1] for b in blocks], dtype=np.int64)
     vals = np.array([b[2] for b in blocks], dtype=np.float32).reshape(-1, shape.bh, shape.bw)
     return hbs.BlockSparseLevel(shape, grid_rows, grid_cols, gr, gc, vals)
+
+
+# The ways an object can be duplicated without its constructor being named.
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
 
 
 def report_of(rows, cols, levels):

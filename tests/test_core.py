@@ -559,6 +559,28 @@ class TestMatrixType:
         m = HBSMatrix(2, 2, [])
         assert m.levels == () and m.n_levels == 0
 
+    def test_nothing_written_after_construction(self, tmp_path):
+        a = np.random.default_rng(12).standard_normal((32, 24), dtype=np.float32)
+        cfg = HBSConfig.parse("8x2:0.5,4x1:0.75,1x1:0.875")
+        m, _ = hbs.prune_hierarchical(a, cfg)
+        write_hbsf(tmp_path / "m.hbsf", m)
+        back = read_hbsf(tmp_path / "m.hbsf")
+        objects = [m, *m.levels, back, *back.levels]
+        # Each object's fields, held so that their identities can be compared.
+        before = [dict(vars(obj)) for obj in objects]
+        for mat in (m, back):
+            for n in (4, 256):
+                hbs_matmul(mat, np.ones((mat.cols, n), np.float32))
+            reconstruct(mat)
+            validate(mat)
+            write_hbsf(tmp_path / "again.hbsf", mat)
+            topk_retention(a, mat, [0.1, 0.5])
+            sparsity_summary(mat)
+        for obj, was in zip(objects, before):
+            now = vars(obj)
+            assert now.keys() == was.keys(), type(obj).__name__
+            assert all(now[k] is was[k] for k in was), type(obj).__name__
+
 
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize(

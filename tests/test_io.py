@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import level_of
+from conftest import COPIES, level_of
 from hbs import (
     BlockShape,
     DimensionError,
@@ -469,6 +469,16 @@ class TestIrf:
         assert back.entries == entries
         write_irf(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copies_write_the_same_file(self, how, tmp_path):
+        dup = COPIES[how]
+        t = IrfTable({(BlockShape(8, 1), 48): 0.8125, (BlockShape(1, 1), 32): 0.1}, "analytic")
+        twin = dup(t)
+        assert twin.entries == t.entries and twin.provenance == t.provenance
+        write_irf(tmp_path / "t.irf", t)
+        write_irf(tmp_path / "twin.irf", twin)
+        assert (tmp_path / "twin.irf").read_bytes() == (tmp_path / "t.irf").read_bytes()
 
     def test_numpy_entries_round_trip(self, tmp_path):
         t = IrfTable({(BlockShape(8, 1), np.int64(48)): np.float64(0.8125)}, "calibrated")

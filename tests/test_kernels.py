@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import threading
 
@@ -25,7 +26,7 @@ from hbs import (
     reconstruct,
     support_mask,
 )
-from conftest import level_of, make_random_case
+from conftest import COPIES, level_of, make_random_case
 
 
 def blockwise_product(m, b):
@@ -180,6 +181,11 @@ def _bits(x):
     return x.view(np.uint32).tobytes()
 
 
+def _packed(lv):
+    """The level's packing if a product has built it, else None."""
+    return kernels._PACKED.get(lv)
+
+
 class TestPackedLevels:
     """A level is packed by its first product and keeps the packing."""
 
@@ -187,15 +193,15 @@ class TestPackedLevels:
     @pytest.mark.parametrize("n", [0, 1, 4, 256])
     def test_first_second_and_fresh_calls_agree(self, name, n):
         m, fresh = _edge_matrices()[name], _edge_matrices()[name]
-        assert all(lv._packed is None for lv in m.levels + fresh.levels)
+        assert all(_packed(lv) is None for lv in m.levels + fresh.levels)
         b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
 
         first = hbs_matmul(m, b)
-        packed = [lv._packed for lv in m.levels]
+        packed = [_packed(lv) for lv in m.levels]
         second = hbs_matmul(m, b)
 
         assert all(p is not None for p in packed)
-        assert all(lv._packed is p for lv, p in zip(m.levels, packed))
+        assert all(_packed(lv) is p for lv, p in zip(m.levels, packed))
         assert _bits(first) == _bits(second) == _bits(hbs_matmul(fresh, b))
 
     def test_packing_is_read_only(self):
@@ -203,7 +209,7 @@ class TestPackedLevels:
         for m in _edge_matrices().values():
             hbs_matmul(m, np.ones((m.cols, 2), np.float32))
             for lv in m.levels:
-                packed = lv._packed
+                packed = _packed(lv)
                 assert packed.shape.bw == lv.shape.bw
                 arrays = []
                 for slab in packed.slabs:
@@ -232,7 +238,7 @@ class TestPackedLevels:
         hbs.write_hbsf(tmp_path / "m.hbsf", m)
         back = hbs.read_hbsf(tmp_path / "m.hbsf")
         fresh = _edge_matrices()["4x2"]
-        assert all(lv._packed is None for lv in back.levels + fresh.levels)
+        assert all(_packed(lv) is None for lv in back.levels + fresh.levels)
 
     def test_identity_repr_and_bytes_unchanged(self, tmp_path):
         m, twin = _edge_matrices()["2x3"], _edge_matrices()["2x3"]
@@ -252,13 +258,38 @@ class TestPackedLevels:
         b = np.random.default_rng(3).standard_normal((full.cols, 4), dtype=np.float32)
         hbs_matmul(full, b)
         for lv, twin in zip(full.levels, _edge_matrices()["4x2"].levels):
-            packed = lv._packed
+            packed = _packed(lv)
             one = HBSMatrix(full.rows, full.cols, (lv,))
             also = HBSMatrix(full.rows, full.cols, (lv,))
             got = hbs_matmul(one, b)
             assert _bits(got) == _bits(hbs_matmul(also, b))
             assert _bits(got) == _bits(hbs_matmul(HBSMatrix(full.rows, full.cols, (twin,)), b))
-            assert lv._packed is packed
+            assert _packed(lv) is packed
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copies_rebuild_through_the_constructor(self, how, tmp_path):
+        dup = COPIES[how]
+        m = _ladder()
+        b = np.random.default_rng(6).standard_normal((m.cols, 4), dtype=np.float32)
+        want = hbs_matmul(m, b)
+        twin = dup(m)
+        for lv in twin.levels:
+            assert not any(a.flags.writeable for a in (lv.block_rows, lv.block_cols, lv.values))
+        hbs.write_hbsf(tmp_path / "m.hbsf", m)
+        hbs.write_hbsf(tmp_path / "twin.hbsf", twin)
+        assert (tmp_path / "twin.hbsf").read_bytes() == (tmp_path / "m.hbsf").read_bytes()
+        assert _bits(reconstruct(twin)) == _bits(reconstruct(m))
+        assert _bits(hbs_matmul(twin, b)) == _bits(want)
+        # A copied level is a new, unpacked level.
+        lv = dup(m.levels[0])
+        assert lv is not m.levels[0] and _packed(lv) is None
+        assert not any(a.flags.writeable for a in (lv.block_rows, lv.block_cols, lv.values))
+
+    def test_pickle_carries_no_packing(self):
+        m = _ladder()
+        size = len(pickle.dumps(m))
+        hbs_matmul(m, np.ones((m.cols, 4), np.float32))
+        assert len(pickle.dumps(m)) == size
 
     def test_threads_racing_to_pack_agree(self):
         m = _edge_matrices()["empty-middle"]
@@ -351,12 +382,12 @@ class TestExecutionShape:
         m = _one_level(bh, bw, rows, 2 * bw, [(0, 0), (rows // bh - 1, 1)])
         (lv,) = m.levels
         ex = kernels._execution(lv, 5)
-        assert ex.shape == BlockShape(run_bh, bw) and lv._packed.shape == ex.shape
-        assert all(slab.tiles.shape[1] == run_bh for slab in lv._packed.slabs)
+        assert ex.shape == BlockShape(run_bh, bw) and _packed(lv).shape == ex.shape
+        assert all(slab.tiles.shape[1] == run_bh for slab in _packed(lv).slabs)
         # The two blocks land in distinct execution blocks, padded or not,
         # so the level gathers by its own block_cols.
         cols = (lv.block_cols[:, None] * bw + np.arange(bw)).ravel()
-        assert (_own_src(lv._packed) == cols).all()
+        assert (_own_src(_packed(lv)) == cols).all()
         stored = flops_sparse_level(lv, 5)
         assert stored <= ex.flops <= run_bh // bh * stored
 
@@ -410,9 +441,9 @@ class TestExecutionShape:
                     want = dense_matmul(reconstruct(m), b)
                 assert not np.isfinite(want[~np.isfinite(got)]).any()
                 if family == "random":
-                    padded += any(lv._packed.shape != lv.shape for lv in m.levels)
+                    padded += any(_packed(lv).shape != lv.shape for lv in m.levels)
                 else:
-                    padded += any(np.subtract(*_cells(lv._packed)) for lv in m.levels)
+                    padded += any(np.subtract(*_cells(_packed(lv))) for lv in m.levels)
             assert padded >= 20, family
 
 
@@ -448,7 +479,7 @@ class TestSlabs:
         (lv,) = _skewed(*SKEWED[case]).levels
         packed_cells, exec_cells = _cells(kernels._pack(lv))
         assert exec_cells <= packed_cells <= 2 * exec_cells
-        assert len(lv._packed.slabs) >= 2  # the full row is not padded with the rest
+        assert len(_packed(lv).slabs) >= 2  # the full row is not padded with the rest
 
     @pytest.mark.parametrize("case", sorted(SKEWED))
     @pytest.mark.parametrize("n", [0, 1, 4, 33, 256])
@@ -472,7 +503,7 @@ class TestSlabs:
         for gather_bytes in (1, budget, 2**40):
             monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
             spied = tuple(slab._replace(rows=_Walked(slab.rows)) for slab in packed.slabs)
-            object.__setattr__(lv, "_packed", packed._replace(slabs=spied))
+            kernels._PACKED[lv] = packed._replace(slabs=spied)
             got = hbs_matmul(m, b)
             alone = [slab.rows.walked for slab in spied]
             if gather_bytes == 1:

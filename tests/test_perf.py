@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -57,6 +58,14 @@ class TestIrfTable:
         # nearest populated bucket serves any other sparsity
         assert t.lookup(s, 0.0) == 0.5
         assert t.lookup(s, 1.0) == 0.25
+
+    def test_entries_read_only(self):
+        s = BlockShape(1, 1)
+        t = IrfTable({(s, 32): 0.25}, "calibrated")
+        for table in (t, copy.deepcopy(t)):
+            with pytest.raises(TypeError):
+                table.entries[(s, 40)] = 5.0
+            assert table.entries == {(s, 32): 0.25}
 
     def test_missing_shape(self):
         t = IrfTable({(BlockShape(8, 1), 32): 0.5}, "calibrated")
