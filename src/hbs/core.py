@@ -12,15 +12,15 @@ This module defines the immutable structures (:class:`BlockShape`,
 whole-matrix views :func:`reconstruct`, :func:`density` and
 :func:`support_mask`. An invalid :class:`HBSMatrix` cannot be built: the
 constructor runs the checks once and raises :class:`ValidationError`,
-whose ``report`` is the full :class:`ValidationReport`. Levels copy and
-freeze their arrays, so a built matrix stays valid and no consumer checks
-it again.
+whose ``report`` is the full :class:`ValidationReport`; :func:`validate`
+returns the one passing report. Levels copy and freeze their arrays, so a
+built matrix stays valid and no consumer checks it again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,10 @@ def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
     Raises:
         DimensionError: If the input is not two dimensional, or has no rows
             or no columns.
-        ValueError: If ``check_finite`` and a non-finite value is present.
+        ValueError: If the input holds anything but bools, integers and
+            floats, or if ``check_finite`` and a non-finite value is present.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float32)
+    arr = _as_floats(values, "matrix")
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {arr.ndim} dimension(s)")
     rows, cols = arr.shape
@@ -56,6 +57,17 @@ def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
     if check_finite and not np.all(np.isfinite(arr)):
         raise ValueError("matrix contains non-finite values")
     return arr
+
+
+def _as_floats(values, what: str) -> np.ndarray:
+    """``values`` as a C-contiguous float32 array; ``ValueError`` naming
+    ``what`` unless they are bools, integers or floats: no string is parsed,
+    no ``None`` becomes NaN and no imaginary part is dropped. An empty array
+    of any dtype holds no value, so it passes."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be bools, integers or floats, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.float32)
 
 
 def _own(values, dtype) -> np.ndarray:
@@ -206,23 +218,23 @@ class BlockShape:
         return f"{self.bh}x{self.bw}"
 
 
-def hierarchy_violation(index: int, coarse: BlockShape, fine: BlockShape) -> str | None:
-    """Divisibility failure message between consecutive levels, or None.
-
-    ``index`` is the 0-based position of the coarser level; messages use
-    1-based level numbers. The same wording is used by config construction
-    and by :func:`validate` so both surfaces report identically.
+def hierarchy_violation(shapes: Sequence[BlockShape]) -> str | None:
+    """Message naming the first of ``shapes`` that does not evenly divide
+    the one before it, with 1-based level numbers; None if each divides.
+    Config construction and :func:`validate` share it, so they report alike.
     """
-    if fine.divides(coarse):
-        return None
-    if coarse.bh % fine.bh != 0:
-        axis, a, b = "rows", coarse.bh, fine.bh
-    else:
-        axis, a, b = "cols", coarse.bw, fine.bw
-    return (
-        f"level {index + 2} block {fine} does not evenly divide "
-        f"level {index + 1} block {coarse} ({a} % {b} != 0 on {axis})"
-    )
+    for n, (coarse, fine) in enumerate(zip(shapes, shapes[1:]), 2):
+        if fine.divides(coarse):
+            continue
+        if coarse.bh % fine.bh != 0:
+            axis, a, b = "rows", coarse.bh, fine.bh
+        else:
+            axis, a, b = "cols", coarse.bw, fine.bw
+        return (
+            f"level {n} block {fine} does not evenly divide "
+            f"level {n - 1} block {coarse} ({a} % {b} != 0 on {axis})"
+        )
+    return None
 
 
 @dataclass(frozen=True)
@@ -269,10 +281,9 @@ class HBSConfig:
         for lv in levels:
             if not isinstance(lv, LevelSpec):
                 raise ConfigError(f"expected LevelSpec, got {type(lv).__name__}")
-        for i in range(len(levels) - 1):
-            msg = hierarchy_violation(i, levels[i].shape, levels[i + 1].shape)
-            if msg is not None:
-                raise ConfigError(msg)
+        msg = hierarchy_violation([lv.shape for lv in levels])
+        if msg is not None:
+            raise ConfigError(msg)
         object.__setattr__(self, "levels", levels)
         total = self.cumulative_density
         if total > 1.0 + _DENSITY_SLACK:
@@ -374,7 +385,7 @@ class BlockSparseLevel:
         _set_dims(self, ("grid_rows", "grid_cols"), "grid")
         br = _as_coords(self.block_rows, "block_rows")
         bc = _as_coords(self.block_cols, "block_cols")
-        vals = _own(self.values, np.float32)
+        vals = _own(_as_floats(self.values, "values"), np.float32)
         if br.ndim != 1 or bc.ndim != 1 or br.shape != bc.shape:
             raise ValueError("block_rows and block_cols must be 1-D and equal length")
         expected = (br.shape[0], self.shape.bh, self.shape.bw)
@@ -420,7 +431,6 @@ class HBSMatrix:
     rows: int
     cols: int
     levels: tuple[BlockSparseLevel, ...]
-    _report: ValidationReport = field(init=False, repr=False)
 
     def __post_init__(self):
         _set_dims(self, ("rows", "cols"), "matrix")
@@ -429,19 +439,24 @@ class HBSMatrix:
             if not isinstance(lv, BlockSparseLevel):
                 raise ValueError(f"levels must be BlockSparseLevels, got {lv!r}")
         object.__setattr__(self, "levels", levels)
-        tiling = _check_tiling(self)
-        divisibility = _check_divisibility(self)
-        blocks = _check_blocks(self)
-        hierarchy_ok = tiling.passed and divisibility.passed and blocks.passed
-        disjointness = _check_disjointness(self, hierarchy_ok)
-        report = ValidationReport((tiling, divisibility, blocks, disjointness))
-        if not report.ok:
-            raise ValidationError(report)
-        object.__setattr__(self, "_report", report)
+        # Failure details in _FAMILIES order; None where a check passed.
+        shapes = [lv.shape for lv in levels]
+        faults = [_check_tiling(self), hierarchy_violation(shapes), _check_blocks(self)]
+        if any(faults):
+            faults.append("not evaluated: requires valid tiling, divisibility and block indices")
+        else:
+            faults.append(_check_disjointness(self))
+        if any(faults):
+            checks = (CheckResult(n, f is None, f) for n, f in zip(_FAMILIES, faults))
+            raise ValidationError(ValidationReport(tuple(checks)))
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+
+# The invariant families, in report order.
+_FAMILIES = ("tiling", "divisibility", "blocks", "disjointness")
 
 
 @dataclass(frozen=True)
@@ -465,10 +480,7 @@ class ValidationReport:
 
     @property
     def first_failure(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.checks if not c.passed), None)
 
     def render(self) -> str:
         lines = []
@@ -481,45 +493,29 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _check_tiling(m: HBSMatrix) -> CheckResult:
-    for i, lv in enumerate(m.levels):
+def _check_tiling(m: HBSMatrix) -> str | None:
+    for i, lv in enumerate(m.levels, 1):
         if lv.rows != m.rows or lv.cols != m.cols:
-            detail = (
-                f"level {i + 1}: {lv.shape} blocks do not tile {m.rows}x{m.cols} "
+            return (
+                f"level {i}: {lv.shape} blocks do not tile {m.rows}x{m.cols} "
                 f"(a {lv.grid_rows}x{lv.grid_cols} grid covers {lv.rows}x{lv.cols})"
             )
-            return CheckResult("tiling", False, detail)
-    return CheckResult("tiling", True)
+    return None
 
 
-def _check_divisibility(m: HBSMatrix) -> CheckResult:
-    for i in range(len(m.levels) - 1):
-        msg = hierarchy_violation(i, m.levels[i].shape, m.levels[i + 1].shape)
-        if msg is not None:
-            return CheckResult("divisibility", False, msg)
-    return CheckResult("divisibility", True)
-
-
-def _check_blocks(m: HBSMatrix) -> CheckResult:
-    for i, lv in enumerate(m.levels):
+def _check_blocks(m: HBSMatrix) -> str | None:
+    for i, lv in enumerate(m.levels, 1):
         br, bc = lv.block_rows, lv.block_cols
         bad = (br < 0) | (br >= lv.grid_rows) | (bc < 0) | (bc >= lv.grid_cols)
         if bad.any():
             j = int(np.argmax(bad))
-            detail = (
-                f"level {i + 1}: block ({br[j]},{bc[j]}) outside "
-                f"{lv.grid_rows}x{lv.grid_cols} grid"
-            )
-            return CheckResult("blocks", False, detail)
+            return f"level {i}: block ({br[j]},{bc[j]}) outside {lv.grid_rows}x{lv.grid_cols} grid"
         flat = lv.flat_indices()
         unsorted = flat[1:] <= flat[:-1]
         if unsorted.any():
             j = int(np.argmax(unsorted)) + 1
-            detail = (
-                f"level {i + 1}: blocks unsorted or duplicated at ({br[j]},{bc[j]})"
-            )
-            return CheckResult("blocks", False, detail)
-    return CheckResult("blocks", True)
+            return f"level {i}: blocks unsorted or duplicated at ({br[j]},{bc[j]})"
+    return None
 
 
 def _scatter(out: np.ndarray, lv: BlockSparseLevel, value) -> None:
@@ -561,10 +557,7 @@ def _first_overlap(
     return int(x.block_rows[k]) * x.shape.bh, int(x.block_cols[k]) * x.shape.bw
 
 
-def _check_disjointness(m: HBSMatrix, hierarchy_ok: bool) -> CheckResult:
-    if not hierarchy_ok:
-        detail = "not evaluated: requires valid tiling, divisibility and block indices"
-        return CheckResult("disjointness", False, detail)
+def _check_disjointness(m: HBSMatrix) -> str | None:
     held = [(i, lv) for i, lv in enumerate(m.levels, 1) if lv.n_blocks]
     # Lookup tables (one byte per block) may grow to the number of stored
     # cells, a quarter of the bytes the tiles already take.
@@ -579,14 +572,17 @@ def _check_disjointness(m: HBSMatrix, hierarchy_ok: bool) -> CheckResult:
             if cell is not None:
                 owners.setdefault(cell, set()).update((i, k))
     if not owners:
-        return CheckResult("disjointness", True)
+        return None
     r, c = min(owners)
     levels = ", ".join(str(i) for i in sorted(owners[r, c]))
-    return CheckResult("disjointness", False, f"cell ({r},{c}) covered by levels {levels}")
+    return f"cell ({r},{c}) covered by levels {levels}"
+
+
+_PASSED = ValidationReport(tuple(CheckResult(name, True) for name in _FAMILIES))
 
 
 def validate(m: HBSMatrix) -> ValidationReport:
-    """The invariant report of an HBS matrix, made when ``m`` was built.
+    """The invariant report of an HBS matrix: the one passing report.
 
     Families, in order: exact tiling of every level, hierarchical
     divisibility of consecutive block shapes, per-level block index
@@ -595,12 +591,12 @@ def validate(m: HBSMatrix) -> ValidationReport:
     coordinate. Disjointness is evaluated only on a valid hierarchy (the
     first three families pass); otherwise it fails as "not evaluated".
 
-    An invalid matrix cannot be built, so the report returned here always
-    passes; a failing one is carried by the :class:`ValidationError` the
-    constructor raised, on its ``report``. Every call returns the same
-    report object: the checks are not run again.
+    The constructor ran these checks and no invalid matrix can be built, so
+    every call returns one frozen passing report; a failing report rides on
+    the constructor's :class:`ValidationError`, as ``report``.
     """
-    return _require(m, HBSMatrix, "m")._report
+    _require(m, HBSMatrix, "m")
+    return _PASSED
 
 
 def reconstruct(m: HBSMatrix) -> np.ndarray:

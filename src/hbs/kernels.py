@@ -45,12 +45,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_int, _require, _row_major
+from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_floats, _as_int, _require, _row_major
 from .errors import DimensionError
 
 
 def _as_f32(x, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float32)
+    arr = _as_floats(x, name)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got {arr.ndim} dimension(s)")
     return arr

@@ -22,6 +22,7 @@ from .core import (
     BlockSparseLevel,
     HBSConfig,
     HBSMatrix,
+    _as_floats,
     _require,
     _scatter,
     _top_k,
@@ -174,7 +175,7 @@ def lower_tensor4d(t, order: str = "CRS") -> np.ndarray:
     that is a multiple of R*S aligns block boundaries with input-channel
     boundaries); ``"RSC"`` iterates r, s, then c.
     """
-    arr = np.ascontiguousarray(t, dtype=np.float32)
+    arr = _as_floats(t, "tensor")
     if arr.ndim != 4:
         raise DimensionError(f"expected a 4-D tensor, got {arr.ndim} dimension(s)")
     if order == "CRS":

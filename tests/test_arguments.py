@@ -8,6 +8,7 @@ import pytest
 from hbs import (
     BenchPlan,
     BlockShape,
+    BlockSparseLevel,
     ConfigError,
     DimensionError,
     FormatError,
@@ -15,13 +16,17 @@ from hbs import (
     HBSMatrix,
     IrfTable,
     LevelSpec,
+    as_matrix,
     calibrate_irf,
+    dense_matmul,
     density,
     estimate_cost,
     flops_sparse,
     flops_sparse_level,
     grid_dims,
     hbs_matmul,
+    lower_tensor4d,
+    max_rel_error,
     prune_hierarchical,
     read_irf,
     reconstruct,
@@ -30,6 +35,7 @@ from hbs import (
     support_mask,
     topk_retention,
     validate,
+    write_dmat,
     write_hbsf,
 )
 from hbs.cli import main
@@ -160,3 +166,39 @@ def test_sparsity_range_has_one_message(tmp_path, capsys, site, value):
     message = _sparsity_refusal(site, value, tmp_path, capsys)
     assert f"sparsity must be in [0, 1], {value!r} is outside" in message
     assert ("not percentages" in message) == (value == 1.5)
+
+
+# Where float values enter: (call on tmp_path and the input, input shape,
+# the argument its refusal names).
+FLOAT_INTAKES = {
+    "as_matrix": (lambda tmp, x: as_matrix(x), (2, 2), "matrix"),
+    "prune_hierarchical": (lambda tmp, x: prune_hierarchical(x, CFG), (8, 8), "matrix"),
+    "write_dmat": (lambda tmp, x: write_dmat(tmp / "m.dmat", x), (2, 2), "matrix"),
+    "hbs_matmul": (lambda tmp, x: hbs_matmul(M, x), (8, 2), "b"),
+    "dense_matmul": (lambda tmp, x: dense_matmul(x, A), (8, 8), "a"),
+    "max_rel_error": (lambda tmp, x: max_rel_error(A, x), (8, 8), "want"),
+    "lower_tensor4d": (lambda tmp, x: lower_tensor4d(x), (2, 1, 1, 1), "tensor"),
+    "BlockSparseLevel": (
+        lambda tmp, x: BlockSparseLevel(BlockShape(1, 1), 2, 2, [0], [0], x), (1, 1, 1), "values"
+    ),
+}
+NON_REAL = {"str": "1.5", "object": None, "complex": 1.5 + 0j}
+
+
+@pytest.mark.parametrize("fill", list(NON_REAL))
+@pytest.mark.parametrize("intake", list(FLOAT_INTAKES))
+def test_non_real_values_are_refused(tmp_path, intake, fill):
+    call, shape, what = FLOAT_INTAKES[intake]
+    x = np.full(shape, NON_REAL[fill])
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path, x)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{what} must be bools, integers or floats, got dtype {x.dtype}"
+    assert not list(tmp_path.iterdir())
+
+
+def test_bool_and_empty_values_pass(tmp_path):
+    write_dmat(tmp_path / "mask.dmat", support_mask(M))
+    assert hbs_matmul(M, np.ones((8, 2), bool)).dtype == np.float32
+    level = BlockSparseLevel(BlockShape(1, 1), 2, 2, [], [], np.empty((0, 1, 1), object))
+    assert level.values.dtype == np.float32 and level.n_blocks == 0

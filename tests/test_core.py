@@ -271,6 +271,84 @@ def two_level_4x4():
     return HBSMatrix(4, 4, (l1, l2))
 
 
+_NOT_EVALUATED = "not evaluated: requires valid tiling, divisibility and block indices"
+_TILE = [[1, 2], [3, 4]]
+
+# Failing matrices, each with its exact report rendering and error message.
+PINNED_REPORTS = {
+    "tiling": (
+        lambda: (4, 4, (level_of(BlockShape(2, 2), 1, 1, [(0, 0, _TILE)]),)),
+        "tiling        FAIL  (level 1: 2x2 blocks do not tile 4x4 (a 1x1 grid covers 2x2))\n"
+        "divisibility  pass\nblocks        pass\n"
+        f"disjointness  FAIL  ({_NOT_EVALUATED})",
+        "tiling check failed: level 1: 2x2 blocks do not tile 4x4 (a 1x1 grid covers 2x2)",
+    ),
+    "divisibility": (
+        lambda: (6, 6, (level_of(BlockShape(3, 1), 2, 6, []), level_of(BlockShape(2, 1), 3, 6, []))),
+        "tiling        pass\n"
+        "divisibility  FAIL  (level 2 block 2x1 does not evenly divide level 1 block 3x1 "
+        "(3 % 2 != 0 on rows))\n"
+        f"blocks        pass\ndisjointness  FAIL  ({_NOT_EVALUATED})",
+        "divisibility check failed: level 2 block 2x1 does not evenly divide level 1 block 3x1 "
+        "(3 % 2 != 0 on rows)",
+    ),
+    "outside": (
+        lambda: (4, 4, (level_of(BlockShape(2, 2), 2, 2, [(0, 2, _TILE)]),)),
+        "tiling        pass\ndivisibility  pass\n"
+        "blocks        FAIL  (level 1: block (0,2) outside 2x2 grid)\n"
+        f"disjointness  FAIL  ({_NOT_EVALUATED})",
+        "blocks check failed: level 1: block (0,2) outside 2x2 grid",
+    ),
+    "unsorted": (
+        lambda: (2, 2, (level_of(BlockShape(1, 1), 2, 2, [(1, 1, [[1.0]]), (0, 0, [[2.0]])]),)),
+        "tiling        pass\ndivisibility  pass\n"
+        "blocks        FAIL  (level 1: blocks unsorted or duplicated at (0,0))\n"
+        f"disjointness  FAIL  ({_NOT_EVALUATED})",
+        "blocks check failed: level 1: blocks unsorted or duplicated at (0,0)",
+    ),
+    "duplicated": (
+        lambda: (2, 2, (level_of(BlockShape(1, 1), 2, 2, [(0, 1, [[1.0]]), (0, 1, [[2.0]])]),)),
+        "tiling        pass\ndivisibility  pass\n"
+        "blocks        FAIL  (level 1: blocks unsorted or duplicated at (0,1))\n"
+        f"disjointness  FAIL  ({_NOT_EVALUATED})",
+        "blocks check failed: level 1: blocks unsorted or duplicated at (0,1)",
+    ),
+    # Levels 1 and 2 share cell (0,0), but a bad block leaves it unchecked.
+    "not-evaluated": (
+        lambda: (4, 4, (
+            level_of(BlockShape(2, 2), 2, 2, [(0, 0, _TILE)]),
+            level_of(BlockShape(1, 1), 4, 4, [(0, 0, [[1.0]]), (4, 0, [[2.0]])]),
+        )),
+        "tiling        pass\ndivisibility  pass\n"
+        "blocks        FAIL  (level 2: block (4,0) outside 4x4 grid)\n"
+        f"disjointness  FAIL  ({_NOT_EVALUATED})",
+        "blocks check failed: level 2: block (4,0) outside 4x4 grid",
+    ),
+    "three-levels": (
+        lambda: (4, 4, (
+            level_of(BlockShape(4, 4), 1, 1, [(0, 0, [[1] * 4] * 4)]),
+            level_of(BlockShape(2, 2), 2, 2, [(1, 1, _TILE)]),
+            level_of(BlockShape(1, 1), 4, 4, [(2, 2, [[1.0]])]),
+        )),
+        "tiling        pass\ndivisibility  pass\nblocks        pass\n"
+        "disjointness  FAIL  (cell (2,2) covered by levels 1, 2, 3)",
+        "disjointness check failed: cell (2,2) covered by levels 1, 2, 3",
+    ),
+    "every-family": (
+        lambda: (4, 4, (
+            level_of(BlockShape(2, 2), 1, 2, [(0, 0, _TILE)]),
+            level_of(BlockShape(3, 1), 1, 4, [(0, 5, [[1], [2], [3]])]),
+        )),
+        "tiling        FAIL  (level 1: 2x2 blocks do not tile 4x4 (a 1x2 grid covers 2x4))\n"
+        "divisibility  FAIL  (level 2 block 3x1 does not evenly divide level 1 block 2x2 "
+        "(2 % 3 != 0 on rows))\n"
+        "blocks        FAIL  (level 2: block (0,5) outside 1x4 grid)\n"
+        f"disjointness  FAIL  ({_NOT_EVALUATED})",
+        "tiling check failed: level 1: 2x2 blocks do not tile 4x4 (a 1x2 grid covers 2x4)",
+    ),
+}
+
+
 class TestValidate:
     def test_all_pass(self):
         report = validate(two_level_4x4())
@@ -442,6 +520,24 @@ class TestValidate:
     def test_report_render(self):
         text = validate(two_level_4x4()).render()
         assert "tiling" in text and "pass" in text
+
+    @pytest.mark.parametrize("name", list(PINNED_REPORTS))
+    def test_failure_report_is_pinned(self, name):
+        build, render, message = PINNED_REPORTS[name]
+        with pytest.raises(ValidationError) as exc:
+            HBSMatrix(*build())
+        assert exc.value.report.render() == render
+        assert str(exc.value) == message
+
+    def test_passing_report_is_pinned(self):
+        assert validate(two_level_4x4()).render() == (
+            "tiling        pass\ndivisibility  pass\nblocks        pass\ndisjointness  pass"
+        )
+
+    def test_one_passing_report(self):
+        a, b = two_level_4x4(), HBSMatrix(2, 2, ())
+        assert validate(a) is validate(b)
+        assert vars(a).keys() == {"rows", "cols", "levels"}
 
     def test_checks_run_once_per_matrix(self, monkeypatch, tmp_path):
         calls = []
