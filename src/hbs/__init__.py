@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     VersionError,
 )
-from .io import read_dmat, read_hbsf, read_irf, write_dmat, write_hbsf, write_irf
+from .io import read_dmat, read_hbsf, write_dmat, write_hbsf
 from .kernels import (
     dense_matmul,
     flops_dense,
@@ -59,7 +59,9 @@ from .perf import (
     LevelCost,
     calibrate_irf,
     estimate_cost,
+    read_irf,
     sparsity_bucket,
+    write_irf,
 )
 from .pruning import (
     LevelTrace,

@@ -16,9 +16,9 @@ import numpy as np
 from .analysis import sparsity_summary, topk_retention
 from .core import BlockShape, HBSConfig, _as_fraction, reconstruct, validate
 from .errors import ConfigError, HbsError, ValidationError
-from .io import read_dmat, read_hbsf, read_irf, write_dmat, write_hbsf, write_irf
+from .io import read_dmat, read_hbsf, write_dmat, write_hbsf
 from .kernels import _execution, dense_matmul, flops_sparse_level, hbs_matmul, max_rel_error
-from .perf import BenchPlan, calibrate_irf, estimate_cost
+from .perf import BenchPlan, calibrate_irf, estimate_cost, read_irf, write_irf
 from .pruning import prune_hierarchical
 
 

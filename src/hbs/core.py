@@ -48,9 +48,7 @@ def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
         ValueError: If the input holds anything but bools, integers and
             floats, or if ``check_finite`` and a non-finite value is present.
     """
-    arr = _as_floats(values, "matrix")
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got {arr.ndim} dimension(s)")
+    arr = _as_2d(values, "matrix")
     rows, cols = arr.shape
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix must be non-empty, got {rows}x{cols}")
@@ -68,6 +66,14 @@ def _as_floats(values, what: str) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be bools, integers or floats, got dtype {arr.dtype}")
     return np.ascontiguousarray(arr, dtype=np.float32)
+
+
+def _as_2d(values, what: str) -> np.ndarray:
+    """:func:`_as_floats`, and ``DimensionError`` naming ``what`` unless 2-D."""
+    arr = _as_floats(values, what)
+    if arr.ndim != 2:
+        raise DimensionError(f"{what} must be 2-D, got {arr.ndim} dimension(s)")
+    return arr
 
 
 def _own(values, dtype) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Bit-exact file formats: DMAT (dense), HBSF (block sparse), HBS-IRF (text).
+"""Bit-exact binary file formats: DMAT (dense) and HBSF (block sparse).
 
 DMAT layout: magic ``DMAT``, then version, rows, cols as little-endian
 uint32, then rows*cols float32 little-endian values in row-major order.
@@ -10,11 +10,6 @@ keptCount records of (gr: uint32, gc: uint32, bh*bw float32 tile,
 row-major), sorted ascending by gr*gridCols+gc. A decoded matrix must pass
 validation. An invalid matrix cannot be built, so every matrix is
 writable and every well-formed file round-trips byte for byte.
-
-HBS-IRF layout: ASCII lines. Header ``HBS-IRF v1 <calibrated|analytic>``,
-then one ``bh bw sparsity irf`` line per entry, sparsity written as the
-exact bucket fraction, lines sorted by (bh, bw, bucket). The shortest
-round-trip float representation keeps canonical files byte-stable.
 
 Binary reads take the whole file into one buffer and decode views of it;
 a DMAT read returns its values in place in that buffer, a buffer of its
@@ -30,21 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_fraction, _require, as_matrix
+from .core import BlockShape, BlockSparseLevel, HBSMatrix, _require, as_matrix
 from .errors import FormatError, MagicError, TruncatedError, VersionError
-from .perf import (
-    PROVENANCE_ANALYTIC,
-    PROVENANCE_CALIBRATED,
-    SPARSITY_BUCKETS,
-    IrfTable,
-    sparsity_bucket,
-)
 
 DMAT_MAGIC = b"DMAT"
 HBSF_MAGIC = b"HBSF"
 FORMAT_VERSION = 1
-IRF_MAGIC = "HBS-IRF"
-IRF_VERSION = "v1"
 # numpy holds a dtype's size in a C int, so a block record (two uint32
 # coordinates and a bh*bw float32 tile) may not exceed this many bytes.
 _MAX_RECORD_BYTES = 2**31 - 1
@@ -188,62 +174,3 @@ def read_hbsf(path) -> HBSMatrix:
     cur.done("the last level")
     return HBSMatrix(rows, cols, tuple(levels))
 
-
-def write_irf(path, table: IrfTable) -> None:
-    """Write an IrfTable in canonical form: sorted, shortest float repr."""
-    lines = [f"{IRF_MAGIC} {IRF_VERSION} {table.provenance}"]
-    for (shape, bucket), irf in sorted(
-        table.entries.items(), key=lambda kv: (kv[0][0].bh, kv[0][0].bw, kv[0][1])
-    ):
-        lines.append(f"{shape.bh} {shape.bw} {bucket / SPARSITY_BUCKETS!r} {irf!r}")
-    Path(path).write_bytes("\n".join(lines).encode("ascii") + b"\n")
-
-
-def read_irf(path) -> IrfTable:
-    """Read an HBS-IRF text file.
-
-    Raises:
-        MagicError, VersionError, FormatError: On a malformed file.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="ascii", errors="replace").splitlines()
-    for lineno, line in enumerate(lines, 1):
-        if "\ufffd" in line:
-            raise FormatError(f"{path}:{lineno}: non-ASCII byte, {IRF_MAGIC} files are ASCII")
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        raise MagicError(f"{path}: empty file, expected an {IRF_MAGIC} header")
-    _, header = rows[0]
-    fields = header.split()
-    if fields[0] != IRF_MAGIC:
-        raise MagicError(f"{path}: not an {IRF_MAGIC} file (header starts {fields[0]!r})")
-    if len(fields) < 2 or fields[1] != IRF_VERSION:
-        got = fields[1] if len(fields) > 1 else "<missing>"
-        raise VersionError(f"{path}: unsupported version {got}, expected {IRF_VERSION}")
-    if len(fields) != 3 or fields[2] not in (PROVENANCE_CALIBRATED, PROVENANCE_ANALYTIC):
-        raise FormatError(
-            f"{path}: header must end with 'calibrated' or 'analytic', got {header!r}"
-        )
-    provenance = fields[2]
-    entries: dict[tuple[BlockShape, int], float] = {}
-    for lineno, line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 'bh bw sparsity irf', got {line!r}")
-        try:
-            bh, bw = int(parts[0]), int(parts[1])
-            sparsity, irf = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: unparsable entry {line!r}") from None
-        if bh < 1 or bw < 1:
-            raise FormatError(f"{path}:{lineno}: non-positive block shape {bh}x{bw}")
-        sparsity = _as_fraction(sparsity, f"{path}:{lineno}: sparsity", FormatError)
-        if not 0.0 < irf <= 1.0:
-            raise FormatError(f"{path}:{lineno}: irf {irf!r} outside (0, 1]")
-        key = (BlockShape(bh, bw), sparsity_bucket(sparsity))
-        if key in entries:
-            raise FormatError(
-                f"{path}:{lineno}: duplicate entry for {key[0]} bucket {key[1]}"
-            )
-        entries[key] = irf
-    return IrfTable(entries, provenance)

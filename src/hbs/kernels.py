@@ -45,21 +45,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_floats, _as_int, _require, _row_major
+from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_2d, _as_int, _require, _row_major
 from .errors import DimensionError
-
-
-def _as_f32(x, name: str) -> np.ndarray:
-    arr = _as_floats(x, name)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got {arr.ndim} dimension(s)")
-    return arr
 
 
 def dense_matmul(a, b) -> np.ndarray:
     """Dense product a @ b: one float64 BLAS product, rounded to float32 once."""
-    a = _as_f32(a, "a")
-    b = _as_f32(b, "b")
+    a = _as_2d(a, "a")
+    b = _as_2d(b, "b")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions differ: a is {a.shape}, b is {b.shape}")
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
@@ -212,7 +205,7 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
         DimensionError: On inner-dimension mismatch.
     """
     _require(m, HBSMatrix, "m")
-    b = _as_f32(b, "b")
+    b = _as_2d(b, "b")
     if m.cols != b.shape[0]:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, b is {b.shape[0]}x{b.shape[1]}")
     n = b.shape[1]
@@ -248,8 +241,8 @@ def max_rel_error(got, want) -> float:
     Raises:
         DimensionError: If the shapes differ.
     """
-    g = _as_f32(got, "got").astype(np.float64)
-    w = _as_f32(want, "want").astype(np.float64)
+    g = _as_2d(got, "got").astype(np.float64)
+    w = _as_2d(want, "want").astype(np.float64)
     if g.shape != w.shape:
         raise DimensionError(f"shape mismatch: {g.shape} vs {w.shape}")
     if g.size == 0:

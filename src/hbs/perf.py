@@ -6,6 +6,12 @@ of that sparse configuration relative to dense throughput on the machine at
 hand. Speedup is the dense-to-sparse cost ratio. irf values are measured with
 microbenchmarks (:func:`calibrate_irf`) or supplied, for example read from
 an ``.irf`` file; the table remembers which.
+
+HBS-IRF layout: ASCII lines. Header ``HBS-IRF v1 <calibrated|analytic>``,
+then one ``bh bw sparsity irf`` line per entry, sparsity written as the
+exact bucket fraction, lines sorted by (bh, bw, bucket), floats in shortest
+round-trip form, so canonical files are byte-stable. Each entry read from a
+file passes the one rule :class:`IrfTable` applies to every entry.
 """
 
 from __future__ import annotations
@@ -14,12 +20,15 @@ import statistics
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
 from .core import BlockShape, HBSConfig, _as_fraction, _as_int, _as_real, _require, grid_dims
-from .errors import CalibrationError, ConfigError, IrfLookupError
+from .errors import (
+    CalibrationError, ConfigError, FormatError, IrfLookupError, MagicError, VersionError
+)
 from .kernels import dense_matmul, flops_dense, flops_sparse, hbs_matmul
 from .pruning import prune_hierarchical, round_half_up
 
@@ -32,6 +41,9 @@ MIN_MEASURABLE_SECONDS = 1e-5
 
 PROVENANCE_CALIBRATED = "calibrated"
 PROVENANCE_ANALYTIC = "analytic"
+_PROVENANCES = (PROVENANCE_CALIBRATED, PROVENANCE_ANALYTIC)
+IRF_MAGIC = "HBS-IRF"
+IRF_VERSION = "v1"
 
 # Floor for calibrated irf: the contract range (0, 1] has no minimum, and a
 # meaningless near-zero throughput ratio must still produce a usable entry.
@@ -42,6 +54,21 @@ def sparsity_bucket(sparsity: float) -> int:
     """Bucket index of a sparsity fraction, 0..SPARSITY_BUCKETS."""
     sparsity = _as_fraction(sparsity, "sparsity", ValueError)
     return round_half_up(sparsity * SPARSITY_BUCKETS)
+
+
+def _irf_entry(shape, bucket, irf) -> tuple[tuple[BlockShape, int], float]:
+    """``((shape, bucket), irf)`` in Python numbers, for write_irf's repr;
+    ``ValueError`` unless ``shape`` is a BlockShape, ``bucket`` an integer
+    in 0..SPARSITY_BUCKETS and ``irf`` a real number in (0, 1]."""
+    if not isinstance(shape, BlockShape):
+        raise ValueError(f"bad key shape {shape!r}")
+    bucket = _as_int(bucket, "bucket", ValueError)
+    if not 0 <= bucket <= SPARSITY_BUCKETS:
+        raise ValueError(f"bucket {bucket} out of range for {shape}")
+    irf = _as_real(irf, "irf", ValueError)
+    if not 0.0 < irf <= 1.0:
+        raise ValueError(f"irf for {shape} bucket {bucket} must be in (0, 1], {irf!r} is outside")
+    return (shape, bucket), irf
 
 
 @dataclass(frozen=True)
@@ -58,20 +85,10 @@ class IrfTable:
     provenance: str
 
     def __post_init__(self):
-        if self.provenance not in (PROVENANCE_CALIBRATED, PROVENANCE_ANALYTIC):
+        if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         _require(self.entries, Mapping, "entries")
-        entries = {}
-        for (shape, bucket), irf in self.entries.items():
-            if not isinstance(shape, BlockShape):
-                raise ValueError(f"bad key shape {shape!r}")
-            bucket = _as_int(bucket, "bucket", ValueError)
-            if not 0 <= bucket <= SPARSITY_BUCKETS:
-                raise ValueError(f"bucket {bucket} out of range for {shape}")
-            if not 0.0 < _as_real(irf, "irf", ValueError) <= 1.0:
-                raise ValueError(f"irf {irf!r} for {shape} bucket {bucket} not in (0, 1]")
-            entries[shape, bucket] = float(irf)
-        # Python numbers only: write_irf prints them with repr.
+        entries = dict(_irf_entry(s, b, irf) for (s, b), irf in self.entries.items())
         object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def __reduce__(self):
@@ -82,14 +99,68 @@ class IrfTable:
         """irf for (shape, sparsity), falling back to the nearest bucket.
 
         Raises:
+            ConfigError: If ``shape`` is not a :class:`~hbs.core.BlockShape`.
             IrfLookupError: If the shape has no entries at all.
         """
+        _require(shape, BlockShape, "shape", ConfigError)
         want = sparsity_bucket(sparsity)
         buckets = [b for s, b in self.entries if s == shape]
         if not buckets:
             raise IrfLookupError(f"no irf entries for block shape {shape}")
         nearest = min(buckets, key=lambda b: (abs(b - want), b))
         return self.entries[(shape, nearest)]
+
+
+def write_irf(path, table: IrfTable) -> None:
+    """Write an IrfTable in canonical form: sorted, shortest float repr."""
+    lines = [f"{IRF_MAGIC} {IRF_VERSION} {table.provenance}"]
+    rows = sorted((s.bh, s.bw, b, irf) for (s, b), irf in table.entries.items())
+    lines += [f"{bh} {bw} {b / SPARSITY_BUCKETS!r} {irf!r}" for bh, bw, b, irf in rows]
+    Path(path).write_bytes("\n".join(lines).encode("ascii") + b"\n")
+
+
+def read_irf(path) -> IrfTable:
+    """Read an HBS-IRF text file.
+
+    Raises:
+        MagicError, VersionError, FormatError: On a malformed file.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="ascii", errors="replace").splitlines()
+    for lineno, line in enumerate(lines, 1):
+        if "\ufffd" in line:
+            raise FormatError(f"{path}:{lineno}: non-ASCII byte, {IRF_MAGIC} files are ASCII")
+    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
+    if not rows:
+        raise MagicError(f"{path}: empty file, expected an {IRF_MAGIC} header")
+    _, header = rows[0]
+    fields = header.split()
+    if fields[0] != IRF_MAGIC:
+        raise MagicError(f"{path}: not an {IRF_MAGIC} file (header starts {fields[0]!r})")
+    if len(fields) < 2 or fields[1] != IRF_VERSION:
+        got = fields[1] if len(fields) > 1 else "<missing>"
+        raise VersionError(f"{path}: unsupported version {got}, expected {IRF_VERSION}")
+    if len(fields) != 3 or fields[2] not in _PROVENANCES:
+        names = " or ".join(map(repr, _PROVENANCES))
+        raise FormatError(f"{path}: header must end with {names}, got {header!r}")
+    entries: dict[tuple[BlockShape, int], float] = {}
+    for lineno, line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 'bh bw sparsity irf', got {line!r}")
+        try:
+            bh, bw = int(parts[0]), int(parts[1])
+            sparsity, irf = float(parts[2]), float(parts[3])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: unparsable entry {line!r}") from None
+        try:
+            key, irf = _irf_entry(BlockShape(bh, bw), sparsity_bucket(sparsity), irf)
+        except ValueError as e:
+            raise FormatError(f"{path}:{lineno}: {e}") from None
+        if key in entries:
+            raise FormatError(f"{path}:{lineno}: duplicate entry for {key[0]} bucket {key[1]}")
+        entries[key] = irf
+    return IrfTable(entries, fields[2])
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,12 @@ CASES = [
         ValueError,
         "entries: expected Mapping, got list",
     ),
+    (
+        "IrfTable.lookup-shape",
+        lambda tmp: TABLE.lookup("2x1", 0.5),
+        ConfigError,
+        "shape: expected BlockShape, got str",
+    ),
     ("HBSMatrix-levels", lambda tmp: HBSMatrix(8, 8, None), ValueError, "levels: expected Iterable"),
     (
         "prune_hierarchical-config",

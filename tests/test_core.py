@@ -145,9 +145,9 @@ class TestAsMatrix:
         assert a.dtype == np.float32 and a.flags.c_contiguous
 
     def test_rejects_other_ranks(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^matrix must be 2-D, got 1 dimension\(s\)$"):
             as_matrix([1, 2, 3])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^matrix must be 2-D, got 3 dimension\(s\)$"):
             as_matrix(np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])

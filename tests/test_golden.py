@@ -8,7 +8,10 @@ build, on seeded inputs, and compares them with ``golden_digests.json``:
   (``make_random_case``, ``make_edge_case`` and the ``two``/``ladder``
   configs on Gaussian weights);
 * the validation report of each ``random_level_set`` case: ``validate``'s
-  for a valid set, the one its ``ValidationError`` carries otherwise.
+  for a valid set, the one its ``ValidationError`` carries otherwise;
+* ``.irf`` bytes: ``write_irf`` of seeded tables (both provenances,
+  buckets 0 and 64, numpy scalar entries), and ``write_irf`` of what
+  ``read_irf`` makes of a hand-written, unsorted, non-canonical file.
 
 ``hbs_matmul`` is left out: its last bits depend on the BLAS build. An
 output change that nobody meant fails here, naming the cases it touched.
@@ -33,6 +36,15 @@ CONFIGS = {
     "two": "32x1:0.75,8x1:0.875",
     "ladder": "32x1:0.75,16x1:0.875,8x1:0.9375,4x1:0.96875,1x1:0.96875",
 }
+# Unsorted, with blank lines, padding and non-shortest float text.
+HAND_IRF = (
+    "\n  HBS-IRF   v1 analytic\n\n"
+    "8 1 0.50 0.8125000\n"
+    "2 4 1 1.0\n"
+    "  1 1 0.0 1e-3  \n\n"
+    "8 1 .25 0.1\n"
+    "1 1 0.3 0.33333333333333331\n"
+)
 
 
 def _sha256(*parts: bytes) -> str:
@@ -56,6 +68,19 @@ def _pruning_cases():
         a = rng.standard_normal((rows, cols), dtype=np.float32)
         for name, text in CONFIGS.items():
             yield f"gauss{rows}x{cols}-{name}", a, hbs.HBSConfig.parse(text)
+
+
+def _irf_tables():
+    rng = np.random.default_rng(19)
+    shapes = [hbs.BlockShape(*s) for s in ((1, 1), (2, 1), (2, 4), (8, 1), (32, 1))]
+    for provenance in ("calibrated", "analytic"):
+        entries = {}
+        for shape in shapes:
+            buckets = {0, 64, *rng.choice(65, size=4, replace=False).tolist()}
+            for bucket in sorted(buckets):
+                entries[shape, np.int64(bucket)] = np.float64(rng.uniform(1e-3, 1.0))
+        entries[shapes[0], np.int64(32)] = np.float64(1.0)
+        yield f"irf-{provenance}", hbs.IrfTable(entries, provenance)
 
 
 def compute() -> dict[str, str]:
@@ -85,6 +110,14 @@ def compute() -> dict[str, str]:
         except hbs.ValidationError as exc:
             report = exc.report
         out[f"levels-{i:03d}"] = _sha256(report.render().encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        irf, hand = Path(tmp) / "t.irf", Path(tmp) / "hand.irf"
+        for name, table in _irf_tables():
+            hbs.write_irf(irf, table)
+            out[name] = _sha256(irf.read_bytes())
+        hand.write_text(HAND_IRF, encoding="ascii")
+        hbs.write_irf(irf, hbs.read_irf(hand))
+        out["irf-reread"] = _sha256(irf.read_bytes())
     return out
 
 

@@ -1,6 +1,6 @@
 """The runtime depends on numpy and the standard library only, the
-package's public surface is exactly what ``hbs/__init__.py`` imports, and
-no module imports a name it never uses."""
+package's public surface is exactly what ``hbs/__init__.py`` imports, the
+modules keep their layering, and no module imports a name it never uses."""
 
 import ast
 import sys
@@ -29,6 +29,32 @@ def test_imports_numpy_stdlib_or_relative(path):
             assert top == "numpy" or top in sys.stdlib_module_names, (
                 f"{path.name}:{node.lineno} imports {name}"
             )
+
+
+# The package modules each module imports, lowest layer first. The binary
+# formats sit below the cost model, which needs the kernels and the pruner.
+_LIBRARY = {"analysis", "core", "errors", "io", "kernels", "perf", "pruning"}
+LAYERS = {
+    "errors": set(),
+    "core": {"errors"},
+    "analysis": {"core", "errors"},
+    "kernels": {"core", "errors"},
+    "pruning": {"core", "errors"},
+    "io": {"core", "errors"},
+    "perf": {"core", "errors", "kernels", "pruning"},
+    "cli": _LIBRARY,
+    "__init__": _LIBRARY,
+}
+
+
+def test_module_layering():
+    got = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        got[path.stem] = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        }
+    assert got == LAYERS
 
 
 def unused_imports(source: str) -> list[str]:

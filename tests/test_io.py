@@ -530,7 +530,7 @@ class TestIrf:
             ("1 1 0.5", "expected 'bh bw sparsity irf'"),
             ("1 1 0.5 0.5 9", "expected 'bh bw sparsity irf'"),
             ("x 1 0.5 0.5", "unparsable"),
-            ("0 1 0.5 0.5", "non-positive block shape"),
+            ("0 1 0.5 0.5", "block bh must be >= 1"),
             ("1 1 1.5 0.5", "outside"),
             ("1 1 0.5 0.0", "outside"),
             ("1 1 0.5 2.0", "outside"),
@@ -554,3 +554,86 @@ class TestIrf:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_irf(tmp_path / "nope.irf")
+
+
+# Every message a damaged .irf file raises, verbatim; ``{p}`` is its path.
+IRF_HEADER = b"HBS-IRF v1 analytic\n"
+IRF_DAMAGED = [
+    ("empty", b"", MagicError, "{p}: empty file, expected an HBS-IRF header"),
+    ("blank", b"\n  \n", MagicError, "{p}: empty file, expected an HBS-IRF header"),
+    (
+        "non-ascii",
+        IRF_HEADER + "1 1 0.5 0.5\u00e9\n".encode(),
+        FormatError,
+        "{p}:2: non-ASCII byte, HBS-IRF files are ASCII",
+    ),
+    ("magic", b"IRF v1 analytic\n", MagicError, "{p}: not an HBS-IRF file (header starts 'IRF')"),
+    ("version", b"HBS-IRF v2 analytic\n", VersionError, "{p}: unsupported version v2, expected v1"),
+    (
+        "no-version",
+        b"HBS-IRF\n1 1 0.5 0.5\n",
+        VersionError,
+        "{p}: unsupported version <missing>, expected v1",
+    ),
+    (
+        "provenance",
+        b"HBS-IRF v1 guessed\n0 1 0.5 0.5\n",
+        FormatError,
+        "{p}: header must end with 'calibrated' or 'analytic', got 'HBS-IRF v1 guessed'",
+    ),
+    (
+        "header-fields",
+        b"HBS-IRF v1 analytic extra\n",
+        FormatError,
+        "{p}: header must end with 'calibrated' or 'analytic', got 'HBS-IRF v1 analytic extra'",
+    ),
+    (
+        "fields",
+        IRF_HEADER + b"1 1 0.5\n",
+        FormatError,
+        "{p}:2: expected 'bh bw sparsity irf', got '1 1 0.5'",
+    ),
+    (
+        "syntax",
+        IRF_HEADER + b"1 1.0 0.5 0.5\n",
+        FormatError,
+        "{p}:2: unparsable entry '1 1.0 0.5 0.5'",
+    ),
+    (
+        "block-shape",
+        IRF_HEADER + b"0 1 0.5 0.5\n",
+        FormatError,
+        "{p}:2: block bh must be >= 1, got 0",
+    ),
+    (
+        "sparsity",
+        IRF_HEADER + b"1 1 50 0.5\n",
+        FormatError,
+        "{p}:2: sparsity must be in [0, 1], 50.0 is outside "
+        "(sparsities are fractions in [0, 1], not percentages)",
+    ),
+    (
+        "irf",
+        IRF_HEADER + b"1 1 0.5 0.0\n",
+        FormatError,
+        "{p}:2: irf for 1x1 bucket 32 must be in (0, 1], 0.0 is outside",
+    ),
+    (
+        "duplicate",
+        IRF_HEADER + b"1 1 0.5 0.25\n\n1 1 0.501 0.5\n",
+        FormatError,
+        "{p}:4: duplicate entry for 1x1 bucket 32",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data,error,message", [d[1:] for d in IRF_DAMAGED], ids=[d[0] for d in IRF_DAMAGED]
+)
+def test_damaged_irf_messages_are_verbatim(tmp_path, data, error, message):
+    p = tmp_path / "damaged.irf"
+    p.write_bytes(data)
+    with pytest.raises(error) as exc:
+        read_irf(p)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(p=p)
