@@ -1,8 +1,8 @@
 """Command line surface for pruning, validating, multiplying and benchmarking.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage errors
-(unknown flags, unparsable level specs). All randomness is seeded through
-``--seed``, so every command is reproducible.
+(unknown flags, arguments that do not parse or are out of range). All
+randomness is seeded through ``--seed``, so every command is reproducible.
 """
 
 from __future__ import annotations
@@ -14,84 +14,68 @@ from functools import partial
 import numpy as np
 
 from .analysis import sparsity_summary, topk_retention
-from .core import BlockShape, HBSConfig, _as_fraction, reconstruct, validate
-from .errors import ConfigError, HbsError, ValidationError
+from .core import (
+    BlockShape, HBSConfig, _as_fraction, _as_int, _parse_number, reconstruct, validate
+)
+from .errors import HbsError, ValidationError
 from .io import read_dmat, read_hbsf, write_dmat, write_hbsf
 from .kernels import _execution, dense_matmul, flops_sparse_level, hbs_matmul, max_rel_error
 from .perf import BenchPlan, calibrate_irf, estimate_cost, read_irf, write_irf
 from .pruning import prune_hierarchical
 
 
-def _levels_arg(text: str) -> HBSConfig:
-    try:
-        return HBSConfig.parse(text)
-    except ConfigError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _usage(parse):
+    """``parse`` as an argparse type: a ``ValueError`` it raises becomes a
+    usage error (exit 2) that keeps the library's message."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return convert
 
 
-def _dims_arg(text: str) -> tuple[int, int, int]:
-    parts = text.strip().split("x")
-    try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError:
-        dims = ()
-    if len(dims) != 3 or min(dims) < 1:
-        raise argparse.ArgumentTypeError(
-            f"bad dims {text!r}, expected MxKxN with positive integers"
-        )
-    return dims
+def _integer(text: str, what: str, low: int) -> int:
+    return _as_int(_parse_number(text, int, what, ValueError), what, ValueError, low)
+
+
+def _int_arg(what: str, low: int):
+    return _usage(partial(_integer, what=what, low=low))
+
+
+def _dims(text: str) -> tuple[int, int, int]:
+    parts = text.split("x")
+    if len(parts) != 3:
+        raise ValueError(f"bad dims {text!r}, expected MxKxN")
+    return tuple(_integer(p, "dims entry", 1) for p in parts)
 
 
 def _comma_list(text: str, parse, what: str) -> tuple:
     """Apply ``parse`` to each non-blank token of a comma list; reject an empty list."""
-    out = tuple(parse(tok) for tok in text.split(",") if tok.strip())
+    out = tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
     if not out:
-        raise argparse.ArgumentTypeError(f"empty {what} list")
+        raise ValueError(f"empty {what} list")
     return out
 
 
 def _percentile(tok: str) -> float:
-    tok = tok.strip()
-    try:
-        v = float(tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad percentile {tok!r}") from None
+    v = _parse_number(tok, float, "percentile", ValueError)
     if not 0.0 < v <= 100.0:
-        raise argparse.ArgumentTypeError(
-            f"percentile {tok!r} outside (0, 100] (percentages, e.g. 10,20,50)"
-        )
+        raise ValueError(f"percentile {tok!r} outside (0, 100] (percentages, e.g. 10,20,50)")
     return v / 100.0
 
 
 def _sparsity(tok: str) -> float:
-    tok = tok.strip()
-    try:
-        v = float(tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad sparsity {tok!r}") from None
-    return _as_fraction(v, "sparsity", argparse.ArgumentTypeError)
+    return _as_fraction(_parse_number(tok, float, "sparsity", ValueError), "sparsity", ValueError)
 
 
-def _shape(tok: str) -> BlockShape:
-    try:
-        return BlockShape.parse(tok)
-    except ConfigError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-
-
-_percentiles_arg = partial(_comma_list, parse=_percentile, what="percentile")
-_shapes_arg = partial(_comma_list, parse=_shape, what="shape")
-_sparsities_arg = partial(_comma_list, parse=_sparsity, what="sparsity")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return v
+_levels_arg = _usage(HBSConfig.parse)
+_dims_arg = _usage(_dims)
+_percentiles_arg = _usage(partial(_comma_list, parse=_percentile, what="percentile"))
+_shapes_arg = _usage(partial(_comma_list, parse=BlockShape.parse, what="shape"))
+_sparsities_arg = _usage(partial(_comma_list, parse=_sparsity, what="sparsity"))
 
 
 def _cmd_prune(args) -> int:
@@ -236,15 +220,15 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--shapes", required=True, type=_shapes_arg, metavar="LIST")
     b.add_argument("--sparsities", required=True, type=_sparsities_arg, metavar="LIST")
     b.add_argument("--dims", required=True, type=_dims_arg, metavar="MxKxN")
-    b.add_argument("--reps", type=_positive_int, default=5, metavar="N")
-    b.add_argument("--seed", type=int, default=0, metavar="N")
+    b.add_argument("--reps", type=_int_arg("reps", 1), default=5, metavar="N")
+    b.add_argument("--seed", type=_int_arg("seed", 0), default=0, metavar="N")
     b.add_argument("--out", required=True, metavar="PATH", help="output .irf")
     b.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("gen", help="generate a seeded random dense matrix")
-    p.add_argument("--rows", required=True, type=_positive_int, metavar="R")
-    p.add_argument("--cols", required=True, type=_positive_int, metavar="C")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--rows", required=True, type=_int_arg("rows", 1), metavar="R")
+    p.add_argument("--cols", required=True, type=_int_arg("cols", 1), metavar="C")
+    p.add_argument("--seed", type=_int_arg("seed", 0), default=0, metavar="N")
     p.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
     p.add_argument("--out", required=True, metavar="PATH", help="output .dmat")
     p.set_defaults(func=_cmd_gen)

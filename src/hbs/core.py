@@ -106,12 +106,32 @@ def _require(value, kind: type, what: str, error: type[Exception] = ValueError):
     return value
 
 
-def _as_int(value, what: str, error: type[Exception]) -> int:
+def _as_int(value, what: str, error: type[Exception], low=None, high=None) -> int:
     """``value`` as a Python int; ``error`` unless it is an int or a numpy
-    integer. ``bool`` is refused, so ``True`` cannot pass for 1."""
+    integer, at least ``low`` and at most ``high`` where given. ``bool`` is
+    refused, so ``True`` cannot pass for 1."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    v = int(value)
+    if low is not None and v < low:
+        raise error(f"{what} must be >= {low}, got {v}")
+    if high is not None and v > high:
+        raise error(f"{what} must be <= {high}, got {v}")
+    return v
+
+
+def _parse_number(text: str, kind: type, what: str, error: type[Exception]):
+    """``kind(text)``, ``kind`` being int or float; ``error`` naming ``what``
+    unless ``text`` is ASCII number text. Python's ``int`` and ``float``
+    also read digit-group underscores (``1_6``) and non-ASCII digits; those
+    are refused. Blanks around the text, a sign, an exponent, ``inf`` and
+    ``nan`` parse as they do there, so range checks see them."""
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise error(f"bad {what} {text!r}")
 
 
 def _as_real(value, what: str, error: type[Exception]) -> float:
@@ -194,9 +214,7 @@ class BlockShape:
 
     def __post_init__(self):
         for name in ("bh", "bw"):
-            v = _as_int(getattr(self, name), f"block {name}", ConfigError)
-            if v < 1:
-                raise ConfigError(f"block {name} must be >= 1, got {v}")
+            v = _as_int(getattr(self, name), f"block {name}", ConfigError, low=1)
             object.__setattr__(self, name, v)
 
     @property
@@ -214,10 +232,8 @@ class BlockShape:
         parts = text.strip().split("x")
         if len(parts) != 2:
             raise ConfigError(f"bad block shape {text!r}, expected <bh>x<bw>")
-        try:
-            bh, bw = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ConfigError(f"bad block shape {text!r}, expected <bh>x<bw>") from None
+        bh = _parse_number(parts[0], int, "block bh", ConfigError)
+        bw = _parse_number(parts[1], int, "block bw", ConfigError)
         return cls(bh, bw)
 
     def __str__(self) -> str:
@@ -255,8 +271,7 @@ class LevelSpec:
     sparsity: float
 
     def __post_init__(self):
-        if not isinstance(self.shape, BlockShape):
-            raise ConfigError(f"level shape must be a BlockShape, got {self.shape!r}")
+        _require(self.shape, BlockShape, "shape", ConfigError)
         sp = _as_fraction(self.sparsity, "sparsity", ConfigError)
         object.__setattr__(self, "sparsity", sp)
 
@@ -265,7 +280,7 @@ class LevelSpec:
         return 1.0 - self.sparsity
 
     def __str__(self) -> str:
-        return f"{self.shape}:{self.sparsity:g}"
+        return f"{self.shape}:{self.sparsity!r}"
 
 
 @dataclass(frozen=True)
@@ -285,8 +300,7 @@ class HBSConfig:
         if not levels:
             raise ConfigError("config needs at least one level")
         for lv in levels:
-            if not isinstance(lv, LevelSpec):
-                raise ConfigError(f"expected LevelSpec, got {type(lv).__name__}")
+            _require(lv, LevelSpec, "levels entry", ConfigError)
         msg = hierarchy_violation([lv.shape for lv in levels])
         if msg is not None:
             raise ConfigError(msg)
@@ -334,11 +348,7 @@ class HBSConfig:
             if not sep:
                 raise ConfigError(f"bad level spec {entry!r}, expected <bh>x<bw>:<sparsity>")
             shape = BlockShape.parse(head)
-            try:
-                sparsity = float(tail)
-            except ValueError:
-                raise ConfigError(f"bad sparsity {tail!r} in level spec {entry!r}") from None
-            levels.append(LevelSpec(shape, sparsity))
+            levels.append(LevelSpec(shape, _parse_number(tail, float, "sparsity", ConfigError)))
         return cls(tuple(levels))
 
     def __str__(self) -> str:
@@ -386,8 +396,7 @@ class BlockSparseLevel:
     values: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.shape, BlockShape):
-            raise ValueError(f"level shape must be a BlockShape, got {self.shape!r}")
+        _require(self.shape, BlockShape, "shape")
         _set_dims(self, ("grid_rows", "grid_cols"), "grid")
         br = _as_coords(self.block_rows, "block_rows")
         bc = _as_coords(self.block_cols, "block_cols")
@@ -442,8 +451,7 @@ class HBSMatrix:
         _set_dims(self, ("rows", "cols"), "matrix")
         levels = tuple(_require(self.levels, Iterable, "levels"))
         for lv in levels:
-            if not isinstance(lv, BlockSparseLevel):
-                raise ValueError(f"levels must be BlockSparseLevels, got {lv!r}")
+            _require(lv, BlockSparseLevel, "levels entry")
         object.__setattr__(self, "levels", levels)
         # Failure details in _FAMILIES order; None where a check passed.
         shapes = [lv.shape for lv in levels]

@@ -257,9 +257,7 @@ def max_rel_error(got, want) -> float:
 
 def flops_dense(m_rows: int, k: int, n: int) -> int:
     """FLOPs of a dense (m x k) @ (k x n) product: 2*m*k*n."""
-    m_rows, k, n = (_as_int(d, "dimension", ValueError) for d in (m_rows, k, n))
-    if min(m_rows, k, n) < 0:
-        raise ValueError("dimensions must be non-negative")
+    m_rows, k, n = (_as_int(d, "dimension", ValueError, low=0) for d in (m_rows, k, n))
     return 2 * m_rows * k * n
 
 
@@ -271,9 +269,7 @@ def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
     ``hbs matmul --oracle`` prints both.
     """
     _require(level, BlockSparseLevel, "level")
-    n = _as_int(n, "n", ValueError)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _as_int(n, "n", ValueError, low=0)
     return 2 * level.n_blocks * level.shape.area * n
 
 

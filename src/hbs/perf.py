@@ -7,11 +7,20 @@ hand. Speedup is the dense-to-sparse cost ratio. irf values are measured with
 microbenchmarks (:func:`calibrate_irf`) or supplied, for example read from
 an ``.irf`` file; the table remembers which.
 
-HBS-IRF layout: ASCII lines. Header ``HBS-IRF v1 <calibrated|analytic>``,
-then one ``bh bw sparsity irf`` line per entry, sparsity written as the
-exact bucket fraction, lines sorted by (bh, bw, bucket), floats in shortest
-round-trip form, so canonical files are byte-stable. Each entry read from a
-file passes the one rule :class:`IrfTable` applies to every entry.
+HBS-IRF layout: ASCII lines of blank-separated fields; blank lines are
+skipped. Header ``HBS-IRF v1 <calibrated|analytic>``, then one
+``bh bw sparsity irf`` line per (block shape, sparsity bucket)::
+
+    bh, bw          [+-]digits                          integers >= 1
+    sparsity, irf   [+-]decimal[(e|E)[+-]digits]        in [0, 1] and (0, 1]
+    decimal         digits[.[digits]] | .digits
+
+``digits`` are ASCII ``0``-``9`` with no ``_`` groups; ``inf``, ``infinity``
+and ``nan``, in any case, parse and fail the ranges. The sparsity picks its
+bucket (:func:`sparsity_bucket`). Written files hold the exact bucket
+fraction, lines sorted by (bh, bw, bucket), floats in shortest round-trip
+form, so canonical files are byte-stable. Each entry read from a file passes
+the one rule :class:`IrfTable` applies to every entry.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import BlockShape, HBSConfig, _as_fraction, _as_int, _as_real, _require, grid_dims
+from .core import (
+    BlockShape, HBSConfig, _as_fraction, _as_int, _as_real, _parse_number, _require, grid_dims
+)
 from .errors import (
     CalibrationError, ConfigError, FormatError, IrfLookupError, MagicError, VersionError
 )
@@ -56,15 +67,15 @@ def sparsity_bucket(sparsity: float) -> int:
     return round_half_up(sparsity * SPARSITY_BUCKETS)
 
 
-def _irf_entry(shape, bucket, irf) -> tuple[tuple[BlockShape, int], float]:
+def _irf_entry(key, irf) -> tuple[tuple[BlockShape, int], float]:
     """``((shape, bucket), irf)`` in Python numbers, for write_irf's repr;
-    ``ValueError`` unless ``shape`` is a BlockShape, ``bucket`` an integer
-    in 0..SPARSITY_BUCKETS and ``irf`` a real number in (0, 1]."""
-    if not isinstance(shape, BlockShape):
-        raise ValueError(f"bad key shape {shape!r}")
-    bucket = _as_int(bucket, "bucket", ValueError)
-    if not 0 <= bucket <= SPARSITY_BUCKETS:
-        raise ValueError(f"bucket {bucket} out of range for {shape}")
+    ``ValueError`` unless ``key`` is a ``(shape, bucket)`` pair of a
+    BlockShape and an integer in 0..SPARSITY_BUCKETS, and ``irf`` a real
+    number in (0, 1]."""
+    if not isinstance(key, tuple) or len(key) != 2:
+        raise ValueError(f"key must be a (BlockShape, bucket) pair, got {key!r}")
+    shape = _require(key[0], BlockShape, "key shape")
+    bucket = _as_int(key[1], "bucket", ValueError, low=0, high=SPARSITY_BUCKETS)
     irf = _as_real(irf, "irf", ValueError)
     if not 0.0 < irf <= 1.0:
         raise ValueError(f"irf for {shape} bucket {bucket} must be in (0, 1], {irf!r} is outside")
@@ -88,7 +99,7 @@ class IrfTable:
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         _require(self.entries, Mapping, "entries")
-        entries = dict(_irf_entry(s, b, irf) for (s, b), irf in self.entries.items())
+        entries = dict(_irf_entry(key, irf) for key, irf in self.entries.items())
         object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def __reduce__(self):
@@ -149,12 +160,11 @@ def read_irf(path) -> IrfTable:
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 'bh bw sparsity irf', got {line!r}")
         try:
-            bh, bw = int(parts[0]), int(parts[1])
-            sparsity, irf = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: unparsable entry {line!r}") from None
-        try:
-            key, irf = _irf_entry(BlockShape(bh, bw), sparsity_bucket(sparsity), irf)
+            bh = _parse_number(parts[0], int, "block bh", ValueError)
+            bw = _parse_number(parts[1], int, "block bw", ValueError)
+            sparsity = _parse_number(parts[2], float, "sparsity", ValueError)
+            irf = _parse_number(parts[3], float, "irf", ValueError)
+            key, irf = _irf_entry((BlockShape(bh, bw), sparsity_bucket(sparsity)), irf)
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from None
         if key in entries:
@@ -200,14 +210,14 @@ class CostEstimate:
         return "\n".join(lines)
 
 
-def _mkn(dims, name: str) -> tuple[int, int, int]:
+def _mkn(dims, name: str, low: int) -> tuple[int, int, int]:
     """``dims`` as three Python ints ``(m, k, n)``; ``ValueError`` naming
-    ``name`` unless it is a sequence of three integers."""
+    ``name`` unless it is a sequence of three integers, each at least ``low``."""
     try:
         m, k, n = dims
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be (m, k, n), got {dims!r}") from None
-    return tuple(_as_int(d, f"{name} entry", ValueError) for d in (m, k, n))
+    return tuple(_as_int(d, f"{name} entry", ValueError, low) for d in (m, k, n))
 
 
 def estimate_cost(
@@ -225,7 +235,7 @@ def estimate_cost(
             or ``irf`` is not an :class:`IrfTable`.
         ConfigError: If ``config`` is not an :class:`~hbs.core.HBSConfig`.
     """
-    c_dense = flops_dense(*_mkn(layer_dims, "layer_dims"))
+    c_dense = flops_dense(*_mkn(layer_dims, "layer_dims", 0))
     _require(config, HBSConfig, "config", ConfigError)
     _require(irf, IrfTable, "irf")
     per_level = []
@@ -259,16 +269,9 @@ class BenchPlan:
     seed: int = 0
 
     def __post_init__(self):
-        dims = _mkn(self.dims, "dims")
-        if min(dims) < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
-        object.__setattr__(self, "dims", dims)
-        for name in ("reps", "warmup", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+        object.__setattr__(self, "dims", _mkn(self.dims, "dims", 1))
+        for name, low in (("reps", 1), ("warmup", 0), ("seed", 0)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError, low))
 
 
 def _median_seconds(calls: dict, plan: BenchPlan) -> list[float]:

@@ -189,7 +189,7 @@ def test_07_retention_ladder_monotone():
 def test_08_calibrated_speedup_prediction():
     with criterion(8, "calibrated-speedup-prediction"):
         t0 = time.perf_counter()
-        plan = BenchPlan((1024, 1024, 256))
+        plan = BenchPlan((1024, 1024, 256), reps=9)
         table = calibrate_irf(
             [BlockShape(32, 1), BlockShape(8, 1)], [0.75, 0.875], plan
         )

@@ -1,6 +1,8 @@
 """A wrong argument type is refused up front with a package error that
 names the argument, not by an AttributeError or TypeError from deep inside.
-A sparsity outside [0, 1] gets the same message at every boundary."""
+Each argument fact gets the same message at every boundary: a sparsity in
+[0, 1], a block shape, level spec or level of the right type, an integer
+at or above its bound, and number text in plain ASCII decimals."""
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hbs import (
     dense_matmul,
     density,
     estimate_cost,
+    flops_dense,
     flops_sparse,
     flops_sparse_level,
     grid_dims,
@@ -120,6 +123,18 @@ CASES = [
         "entries: expected Mapping, got list",
     ),
     (
+        "IrfTable-int-key",
+        lambda tmp: IrfTable({5: 0.5}, "calibrated"),
+        ValueError,
+        "key must be a (BlockShape, bucket) pair, got 5",
+    ),
+    (
+        "IrfTable-str-key",
+        lambda tmp: IrfTable({"x": 0.5}, "calibrated"),
+        ValueError,
+        "key must be a (BlockShape, bucket) pair, got 'x'",
+    ),
+    (
         "IrfTable.lookup-shape",
         lambda tmp: TABLE.lookup("2x1", 0.5),
         ConfigError,
@@ -172,6 +187,190 @@ def test_sparsity_range_has_one_message(tmp_path, capsys, site, value):
     message = _sparsity_refusal(site, value, tmp_path, capsys)
     assert f"sparsity must be in [0, 1], {value!r} is outside" in message
     assert ("not percentages" in message) == (value == 1.5)
+
+
+def _raised(error, call, *args) -> str:
+    """The message of the ``error`` that ``call(*args)`` raises."""
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert type(exc.value) is error
+    return str(exc.value)
+
+
+def _usage_refusal(capsys, *argv) -> str:
+    """The message ``hbs`` prints after the flag name when it refuses ``argv``
+    as a usage error."""
+    assert main([str(a) for a in argv]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    _, error, flag, message = last.split(": ", 3)
+    assert error == "error" and flag.startswith("argument --")
+    return message
+
+
+def _irf_refusal(tmp, line) -> str:
+    """The message with which ``read_irf`` refuses the entry ``line``, less
+    its ``path:line`` location."""
+    path = tmp / "t.irf"
+    path.write_text(f"HBS-IRF v1 analytic\n{line}\n")
+    location, message = _raised(FormatError, read_irf, path).split(": ", 1)
+    assert location == f"{path}:2"
+    return message
+
+
+def _bench_calibrate(tmp, **flags) -> list:
+    """``hbs bench calibrate`` argv: a valid run, but for ``flags``."""
+    argv = {"shapes": "4x1", "sparsities": "0.5", "dims": "8x8x8", "out": tmp / "t.irf"}
+    argv.update(flags)
+    return ["bench", "calibrate", *(x for k, v in argv.items() for x in (f"--{k}", v))]
+
+
+def _gen(tmp, **flags) -> list:
+    """``hbs gen`` argv: a valid run, but for ``flags``."""
+    argv = {"rows": 4, "cols": 4, "out": tmp / "g.dmat", **flags}
+    return ["gen", *(x for k, v in argv.items() for x in (f"--{k}", v))]
+
+
+# Where a block shape, level spec or level enters: (call on the value, the
+# error, the argument its refusal names, the type it expects).
+TYPED_INTAKES = {
+    "LevelSpec": (lambda v: LevelSpec(v, 0.5), ConfigError, "shape", "BlockShape"),
+    "BlockSparseLevel": (
+        lambda v: BlockSparseLevel(v, 2, 2, [], [], np.zeros((0, 1, 1))),
+        ValueError,
+        "shape",
+        "BlockShape",
+    ),
+    "grid_dims": (lambda v: grid_dims(8, 8, v), ConfigError, "shape", "BlockShape"),
+    "IrfTable.lookup": (lambda v: TABLE.lookup(v, 0.5), ConfigError, "shape", "BlockShape"),
+    "calibrate_irf": (
+        lambda v: calibrate_irf([v], [0.5], PLAN), ConfigError, "shapes entry", "BlockShape"
+    ),
+    "IrfTable-key": (
+        lambda v: IrfTable({(v, 32): 0.5}, "calibrated"), ValueError, "key shape", "BlockShape"
+    ),
+    "HBSConfig": (lambda v: HBSConfig((v,)), ConfigError, "levels entry", "LevelSpec"),
+    "HBSMatrix": (
+        lambda v: HBSMatrix(8, 8, (v,)), ValueError, "levels entry", "BlockSparseLevel"
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["2x1", (2, 1), None])
+@pytest.mark.parametrize("site", list(TYPED_INTAKES))
+def test_shape_type_has_one_message(site, value):
+    call, error, what, kind = TYPED_INTAKES[site]
+    message = _raised(error, call, value)
+    assert message == f"{what}: expected {kind}, got {type(value).__name__}"
+
+
+# Where a bounded integer enters: (message with which the site refuses the
+# value, given tmp_path and capsys; the name the message uses; the least
+# value the site takes).
+BOUNDED_INTS = {
+    "BlockShape": (lambda v, tmp, cap: _raised(ConfigError, BlockShape, v, 1), "block bh", 1),
+    "flops_dense": (lambda v, tmp, cap: _raised(ValueError, flops_dense, 2, v, 2), "dimension", 0),
+    "flops_sparse_level": (
+        lambda v, tmp, cap: _raised(ValueError, flops_sparse_level, M.levels[0], v), "n", 0
+    ),
+    "BenchPlan-dims": (
+        lambda v, tmp, cap: _raised(ValueError, BenchPlan, (8, v, 8)), "dims entry", 1
+    ),
+    "BenchPlan-reps": (
+        lambda v, tmp, cap: _raised(ValueError, BenchPlan, (8, 8, 8), v), "reps", 1
+    ),
+    "BenchPlan-warmup": (
+        lambda v, tmp, cap: _raised(ValueError, BenchPlan, (8, 8, 8), 1, v), "warmup", 0
+    ),
+    "BenchPlan-seed": (
+        lambda v, tmp, cap: _raised(ValueError, BenchPlan, (8, 8, 8), 1, 0, v), "seed", 0
+    ),
+    "IrfTable-bucket": (
+        lambda v, tmp, cap: _raised(ValueError, IrfTable, {(BlockShape(1, 1), v): 0.5}, "analytic"),
+        "bucket",
+        0,
+    ),
+    "--rows": (lambda v, tmp, cap: _usage_refusal(cap, *_gen(tmp, rows=v)), "rows", 1),
+    "gen --seed": (lambda v, tmp, cap: _usage_refusal(cap, *_gen(tmp, seed=v)), "seed", 0),
+    "--reps": (
+        lambda v, tmp, cap: _usage_refusal(cap, *_bench_calibrate(tmp, reps=v)), "reps", 1
+    ),
+    "calibrate --seed": (
+        lambda v, tmp, cap: _usage_refusal(cap, *_bench_calibrate(tmp, seed=v)), "seed", 0
+    ),
+    "--dims": (
+        lambda v, tmp, cap: _usage_refusal(cap, *_bench_calibrate(tmp, dims=f"8x{v}x8")),
+        "dims entry",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("below", [1, 7])
+@pytest.mark.parametrize("site", list(BOUNDED_INTS))
+def test_integer_bound_has_one_message(tmp_path, capsys, site, below):
+    refusal, what, low = BOUNDED_INTS[site]
+    assert refusal(low - below, tmp_path, capsys) == f"{what} must be >= {low}, got {low - below}"
+    assert not list(tmp_path.iterdir())
+
+
+# Where number text enters: (message with which the site refuses the text,
+# given tmp_path and capsys; the name the message uses).
+NUMBER_TEXTS = {
+    "BlockShape.parse": (
+        lambda t, tmp, cap: _raised(ConfigError, BlockShape.parse, f"{t}x1"), "block bh"
+    ),
+    "HBSConfig.parse-shape": (
+        lambda t, tmp, cap: _raised(ConfigError, HBSConfig.parse, f"1x{t}:0.5"), "block bw"
+    ),
+    "HBSConfig.parse-sparsity": (
+        lambda t, tmp, cap: _raised(ConfigError, HBSConfig.parse, f"1x1:{t}"), "sparsity"
+    ),
+    "read_irf-bh": (lambda t, tmp, cap: _irf_refusal(tmp, f"{t} 1 0.5 0.5"), "block bh"),
+    "read_irf-sparsity": (lambda t, tmp, cap: _irf_refusal(tmp, f"1 1 {t} 0.5"), "sparsity"),
+    "read_irf-irf": (lambda t, tmp, cap: _irf_refusal(tmp, f"1 1 0.5 {t}"), "irf"),
+    "--rows": (lambda t, tmp, cap: _usage_refusal(cap, *_gen(tmp, rows=t)), "rows"),
+    "--cols": (lambda t, tmp, cap: _usage_refusal(cap, *_gen(tmp, cols=t)), "cols"),
+    "gen --seed": (lambda t, tmp, cap: _usage_refusal(cap, *_gen(tmp, seed=t)), "seed"),
+    "--reps": (lambda t, tmp, cap: _usage_refusal(cap, *_bench_calibrate(tmp, reps=t)), "reps"),
+    "--dims": (
+        lambda t, tmp, cap: _usage_refusal(cap, *_bench_calibrate(tmp, dims=f"{t}x8x8")),
+        "dims entry",
+    ),
+    "--shapes": (
+        lambda t, tmp, cap: _usage_refusal(cap, *_bench_calibrate(tmp, shapes=f"4x1,{t}x1")),
+        "block bh",
+    ),
+    "--sparsities": (
+        lambda t, tmp, cap: _usage_refusal(cap, *_bench_calibrate(tmp, sparsities=t)), "sparsity"
+    ),
+    "--levels": (
+        lambda t, tmp, cap: _usage_refusal(
+            cap, "prune", "--in", tmp / "a.dmat", "--out", tmp / "m.hbsf", "--levels", f"1x1:{t}"
+        ),
+        "sparsity",
+    ),
+    "--percentiles": (
+        lambda t, tmp, cap: _usage_refusal(
+            cap, "topk", "--original", tmp / "a.dmat", "--pruned", tmp / "m.hbsf",
+            "--percentiles", f"10,{t}",
+        ),
+        "percentile",
+    ),
+}
+# Text that is no plain ASCII decimal, though Python's int() or float() read
+# all but the last. A .irf file is ASCII, so a non-ASCII digit fails its byte
+# check first.
+LOOSE_TEXTS = ["1_6", "0.5_0", "\u0663", "abc"]
+
+
+@pytest.mark.parametrize(
+    "site,text",
+    [(s, t) for s in NUMBER_TEXTS for t in LOOSE_TEXTS if t.isascii() or "read_irf" not in s],
+)
+def test_number_text_has_one_message(tmp_path, capsys, site, text):
+    refusal, what = NUMBER_TEXTS[site]
+    assert refusal(text, tmp_path, capsys) == f"bad {what} {text!r}"
+    assert [p.name for p in tmp_path.iterdir()] == (["t.irf"] if "read_irf" in site else [])
 
 
 # Where float values enter: (call on tmp_path and the input, input shape,

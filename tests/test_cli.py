@@ -194,8 +194,8 @@ class TestExitCodes:
             (("frobnicate",), "invalid choice"),
             (("gen", "--rows", 4), "required"),
             (("gen", "--rows", 4, "--cols", 4, "--out", out, "--bogus"), "unrecognized"),
-            (("gen", "--rows", 0, "--cols", 4, "--out", out), "positive integer"),
-            (("gen", "--rows", "four", "--cols", 4, "--out", out), "positive integer"),
+            (("gen", "--rows", 0, "--cols", 4, "--out", out), "rows must be >= 1, got 0"),
+            (("gen", "--rows", "four", "--cols", 4, "--out", out), "bad rows 'four'"),
             (("prune", "--in", "x", "--out", "y", "--levels", "2x2:1.5"), "[0, 1]"),
             (("prune", "--in", "x", "--out", "y", "--levels", "2x2:0.5,3x3:0.1"),
              "does not evenly divide"),

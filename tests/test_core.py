@@ -64,6 +64,16 @@ class TestConfig:
         assert len(cfg.levels) == 3
         assert cfg.cumulative_density == pytest.approx(0.40625)
 
+    def test_str_round_trips_every_sparsity(self):
+        rng = np.random.default_rng(33)
+        shapes = [(8, 2), (4, 2), (4, 1), (1, 1)]
+        for n in (1, 2, 3, 4):
+            # One level at sparsity 1/3; the others share a density of 1/3.
+            sparsities = [1 / 3, *(1 - rng.random(n - 1) / (3 * max(n - 1, 1)))]
+            rng.shuffle(sparsities)
+            cfg = HBSConfig.of(*((*s, sp) for s, sp in zip(shapes[-n:], sparsities)))
+            assert HBSConfig.parse(str(cfg)) == cfg, str(cfg)
+
     def test_sparsity_bounds(self):
         with pytest.raises(ConfigError):
             LevelSpec(BlockShape(1, 1), -0.1)
@@ -112,9 +122,9 @@ class TestConfig:
         assert cfg.cumulative_density == 1.0
 
     def test_level_shape_type_checked(self):
-        with pytest.raises(ConfigError, match="must be a BlockShape, got '1x1'"):
+        with pytest.raises(ConfigError, match="shape: expected BlockShape, got str"):
             HBSConfig.of(("1x1", 0.5))
-        with pytest.raises(ConfigError, match="must be a BlockShape, got '1x1'"):
+        with pytest.raises(ConfigError, match="shape: expected BlockShape, got str"):
             HBSConfig.of((BlockShape(2, 2), 0.5), ("1x1", 0.25))
 
     @pytest.mark.parametrize("bad", [(0.5,), (1, 1, 0.5, 9), 0.5])
@@ -213,7 +223,7 @@ class TestLevel:
             BlockSparseLevel(BlockShape(1, 1), *dims, [], [], none)
 
     def test_shape_type_checked(self):
-        with pytest.raises(ValueError, match="must be a BlockShape, got '1x1'"):
+        with pytest.raises(ValueError, match="shape: expected BlockShape, got str"):
             BlockSparseLevel("1x1", 2, 2, [], [], np.zeros((0, 1, 1), np.float32))
 
     def test_numpy_unsigned_grid_dims(self):
@@ -635,7 +645,7 @@ class TestMatrixType:
         assert (m.rows, m.cols) == (2, 4) and type(m.rows) is int
 
     def test_levels_type_checked(self):
-        with pytest.raises(ValueError, match="must be BlockSparseLevels, got 'x'"):
+        with pytest.raises(ValueError, match="levels entry: expected BlockSparseLevel, got str"):
             HBSMatrix(2, 2, ("x",))
 
     def test_compares_and_hashes_by_identity(self):

@@ -529,7 +529,7 @@ class TestIrf:
         [
             ("1 1 0.5", "expected 'bh bw sparsity irf'"),
             ("1 1 0.5 0.5 9", "expected 'bh bw sparsity irf'"),
-            ("x 1 0.5 0.5", "unparsable"),
+            ("x 1 0.5 0.5", "bad block bh"),
             ("0 1 0.5 0.5", "block bh must be >= 1"),
             ("1 1 1.5 0.5", "outside"),
             ("1 1 0.5 0.0", "outside"),
@@ -597,7 +597,19 @@ IRF_DAMAGED = [
         "syntax",
         IRF_HEADER + b"1 1.0 0.5 0.5\n",
         FormatError,
-        "{p}:2: unparsable entry '1 1.0 0.5 0.5'",
+        "{p}:2: bad block bw '1.0'",
+    ),
+    (
+        "int-underscore",
+        IRF_HEADER + b"1_6 1 0.5 0.5\n",
+        FormatError,
+        "{p}:2: bad block bh '1_6'",
+    ),
+    (
+        "float-underscore",
+        IRF_HEADER + b"+2 1 0.5_0 1e-0_0\n",
+        FormatError,
+        "{p}:2: bad sparsity '0.5_0'",
     ),
     (
         "block-shape",

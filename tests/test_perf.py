@@ -82,7 +82,7 @@ class TestIrfTable:
             IrfTable({(s, 65): 0.5}, "calibrated")
         with pytest.raises(ValueError):
             IrfTable({(s, 0): 0.5}, "measured")
-        with pytest.raises(ValueError, match="bad key shape"):
+        with pytest.raises(ValueError, match="key shape: expected BlockShape, got str"):
             IrfTable({("1x1", 0): 0.5}, "calibrated")
 
     @pytest.mark.parametrize(
