@@ -155,15 +155,11 @@ def _as_fraction(value, what: str, error: type[Exception]) -> float:
     return v
 
 
-def _set_dims(obj, names: tuple[str, str], what: str) -> None:
+def _set_dims(obj, names: tuple[str, str]) -> None:
     """Store ``obj``'s two dimension fields ``names`` as Python ints;
-    ``ValueError`` unless both are integers, positive and below 2^32."""
-    dims = [_as_int(getattr(obj, name), name, ValueError) for name in names]
-    if min(dims) < 1:
-        raise ValueError(f"{what} dimensions must be positive")
-    if max(dims) >= _DIM_LIMIT:
-        raise ValueError(f"{what} dimensions must be below 2^32")
-    for name, dim in zip(names, dims):
+    ``ValueError`` unless both are integers from 1 to 2^32 - 1."""
+    for name in names:
+        dim = _as_int(getattr(obj, name), name, ValueError, 1, _DIM_LIMIT - 1)
         object.__setattr__(obj, name, dim)
 
 
@@ -361,11 +357,11 @@ def grid_dims(rows: int, cols: int, shape: BlockShape) -> tuple[int, int]:
     Raises:
         ConfigError: If ``shape`` is not a :class:`BlockShape`.
         DimensionError: Naming the offending axis when a dimension is not
-            an integer or not divisible by the block dimension.
+            an integer, is below 1 or is not divisible by the block dimension.
     """
     _require(shape, BlockShape, "shape", ConfigError)
-    rows = _as_int(rows, "rows", DimensionError)
-    cols = _as_int(cols, "cols", DimensionError)
+    rows = _as_int(rows, "rows", DimensionError, low=1)
+    cols = _as_int(cols, "cols", DimensionError, low=1)
     if rows % shape.bh != 0:
         raise DimensionError(f"rows ({rows}) not divisible by block height {shape.bh}")
     if cols % shape.bw != 0:
@@ -397,7 +393,7 @@ class BlockSparseLevel:
 
     def __post_init__(self):
         _require(self.shape, BlockShape, "shape")
-        _set_dims(self, ("grid_rows", "grid_cols"), "grid")
+        _set_dims(self, ("grid_rows", "grid_cols"))
         br = _as_coords(self.block_rows, "block_rows")
         bc = _as_coords(self.block_cols, "block_cols")
         vals = _own(_as_floats(self.values, "values"), np.float32)
@@ -448,7 +444,7 @@ class HBSMatrix:
     levels: tuple[BlockSparseLevel, ...]
 
     def __post_init__(self):
-        _set_dims(self, ("rows", "cols"), "matrix")
+        _set_dims(self, ("rows", "cols"))
         levels = tuple(_require(self.levels, Iterable, "levels"))
         for lv in levels:
             _require(lv, BlockSparseLevel, "levels entry")

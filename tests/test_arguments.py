@@ -268,6 +268,10 @@ def test_shape_type_has_one_message(site, value):
 # value the site takes).
 BOUNDED_INTS = {
     "BlockShape": (lambda v, tmp, cap: _raised(ConfigError, BlockShape, v, 1), "block bh", 1),
+    "BlockShape-bw": (lambda v, tmp, cap: _raised(ConfigError, BlockShape, 1, v), "block bw", 1),
+    "grid_dims": (
+        lambda v, tmp, cap: _raised(DimensionError, grid_dims, v, 4, BlockShape(1, 1)), "rows", 1
+    ),
     "flops_dense": (lambda v, tmp, cap: _raised(ValueError, flops_dense, 2, v, 2), "dimension", 0),
     "flops_sparse_level": (
         lambda v, tmp, cap: _raised(ValueError, flops_sparse_level, M.levels[0], v), "n", 0

@@ -72,42 +72,6 @@ class TestDmat:
         with pytest.raises(DimensionError):
             write_dmat(tmp_path / "x.dmat", np.zeros((0, 3), np.float32))
 
-    def test_magic(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(dmat_bytes(1, 1, [[1.0]], magic=b"XMAT"))
-        with pytest.raises(MagicError, match="not a DMAT file"):
-            read_dmat(p)
-
-    def test_version(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(dmat_bytes(1, 1, [[1.0]], version=2))
-        with pytest.raises(VersionError, match="unsupported version 2"):
-            read_dmat(p)
-
-    def test_truncated_header(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(GOLDEN_DMAT_1X1_7[:10])
-        with pytest.raises(TruncatedError, match="dimensions"):
-            read_dmat(p)
-
-    def test_truncated_values(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(dmat_bytes(2, 2, np.ones((2, 2)))[:-3])
-        with pytest.raises(TruncatedError, match="need 16 bytes"):
-            read_dmat(p)
-
-    def test_trailing_bytes(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(GOLDEN_DMAT_1X1_7 + b"\x00")
-        with pytest.raises(FormatError, match="trailing byte"):
-            read_dmat(p)
-
-    def test_zero_dimension(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(dmat_bytes(0, 3, np.zeros((0, 3))))
-        with pytest.raises(FormatError, match="non-positive dimensions"):
-            read_dmat(p)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_dmat(tmp_path / "nope.dmat")
@@ -185,44 +149,6 @@ class TestHbsf:
         write_hbsf(again, read_hbsf(p))
         assert again.read_bytes() == data
 
-    def test_write_refuses_invalid(self, tmp_path):
-        dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
-        p = tmp_path / "bad.hbsf"
-        with pytest.raises(ValidationError):
-            write_hbsf(p, HBSMatrix(2, 2, (dup, dup)))
-        assert not p.exists()
-
-    def test_magic(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(2, 2, [], magic=b"HBSX"))
-        with pytest.raises(MagicError, match="not a HBSF file"):
-            read_hbsf(p)
-
-    def test_version(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(2, 2, [], version=9))
-        with pytest.raises(VersionError):
-            read_hbsf(p)
-
-    def test_zero_rows(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(0, 2, []))
-        with pytest.raises(FormatError, match="non-positive dimensions"):
-            read_hbsf(p)
-
-    def test_zero_block_side(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(4, 4, [(0, 2, [])]))
-        with pytest.raises(FormatError, match="non-positive block shape"):
-            read_hbsf(p)
-
-    def test_non_tiling_block(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(4, 4, [(3, 1, [])]))
-        with pytest.raises(ValidationError) as exc:
-            read_hbsf(p)
-        assert "do not tile" in exc.value.report.render()
-
     def test_level_taller_than_matrix(self, tmp_path):
         p = tmp_path / "x.hbsf"
         p.write_bytes(hbsf_bytes(2, 4, [(4, 1, [(0, 3, [[1.0], [2.0], [3.0], [4.0]])])]))
@@ -231,6 +157,49 @@ class TestHbsf:
         tiling = exc.value.report.checks[0]
         assert tiling.name == "tiling" and not tiling.passed
         assert tiling.detail == "level 1: 4x1 blocks do not tile 2x4 (a 1x4 grid covers 4x4)"
+
+    # Invalid matrices in well-formed files, each with the first failure its
+    # ValidationError names.
+    INVALID = {
+        "non-tiling-rows": (
+            hbsf_bytes(4, 4, [(3, 1, [])]),
+            "tiling check failed: level 1: 3x1 blocks do not tile 4x4 (a 2x4 grid covers 6x4)",
+        ),
+        "non-tiling-cols": (
+            hbsf_bytes(4, 4, [(1, 3, [])]),
+            "tiling check failed: level 1: 1x3 blocks do not tile 4x4 (a 4x2 grid covers 4x6)",
+        ),
+        "hierarchy": (
+            hbsf_bytes(6, 6, [(2, 2, []), (3, 3, [])]),
+            "divisibility check failed: level 2 block 3x3 does not evenly divide "
+            "level 1 block 2x2 (2 % 3 != 0 on rows)",
+        ),
+        "out-of-range": (
+            hbsf_bytes(2, 2, [(1, 1, [(0, 5, [[1.0]])])]),
+            "blocks check failed: level 1: block (0,5) outside 2x2 grid",
+        ),
+        "unsorted": (
+            hbsf_bytes(2, 2, [(1, 1, [(1, 1, [[1.0]]), (0, 0, [[2.0]])])]),
+            "blocks check failed: level 1: blocks unsorted or duplicated at (0,0)",
+        ),
+        "duplicate": (
+            hbsf_bytes(2, 2, [(1, 1, [(0, 0, [[1.0]]), (0, 0, [[2.0]])])]),
+            "blocks check failed: level 1: blocks unsorted or duplicated at (0,0)",
+        ),
+        "overlap": (
+            hbsf_bytes(2, 2, [(2, 2, [(0, 0, np.ones((2, 2)))]), (1, 1, [(0, 0, [[3.0]])])]),
+            "disjointness check failed: cell (0,0) covered by levels 1, 2",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(INVALID))
+    def test_invalid_matrix_names_first_failure(self, tmp_path, case):
+        data, message = self.INVALID[case]
+        p = tmp_path / "x.hbsf"
+        p.write_bytes(data)
+        with pytest.raises(ValidationError) as exc:
+            read_hbsf(p)
+        assert str(exc.value) == message
 
     def test_huge_kept_count_is_truncation(self, tmp_path):
         head = b"HBSF" + struct.pack("<IIII", 1, 4, 4, 1)
@@ -282,7 +251,7 @@ class TestHbsf:
         # The header holds rows and cols as uint32, so no such matrix may
         # exist to be written.
         p = tmp_path / "x.hbsf"
-        with pytest.raises(ValueError, match=r"matrix dimensions must be below 2\^32"):
+        with pytest.raises(ValueError, match="rows must be <= 4294967295, got 4294967296"):
             write_hbsf(p, HBSMatrix(2**32, 1, ()))
         assert not p.exists()
 
@@ -318,61 +287,6 @@ class TestHbsf:
         p.write_bytes(hbsf_bytes(2**29 - 3, 1, [(2**29 - 3, 1, [])]))
         assert read_hbsf(p).levels[0].n_blocks == 0
 
-    def test_unsorted_blocks(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        blocks = [(1, 1, [[1.0]]), (0, 0, [[2.0]])]
-        p.write_bytes(hbsf_bytes(2, 2, [(1, 1, blocks)]))
-        with pytest.raises(ValidationError):
-            read_hbsf(p)
-
-    def test_duplicate_block(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        blocks = [(0, 0, [[1.0]]), (0, 0, [[2.0]])]
-        p.write_bytes(hbsf_bytes(2, 2, [(1, 1, blocks)]))
-        with pytest.raises(ValidationError):
-            read_hbsf(p)
-
-    def test_block_index_out_of_range(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(2, 2, [(1, 1, [(0, 5, [[1.0]])])]))
-        with pytest.raises(ValidationError):
-            read_hbsf(p)
-
-    def test_cross_level_overlap(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        data = hbsf_bytes(
-            2,
-            2,
-            [
-                (2, 2, [(0, 0, np.ones((2, 2)))]),
-                (1, 1, [(0, 0, [[3.0]])]),
-            ],
-        )
-        p.write_bytes(data)
-        with pytest.raises(ValidationError) as exc:
-            read_hbsf(p)
-        assert "disjoint" in exc.value.report.render()
-
-    def test_hierarchy_violation(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(6, 6, [(2, 2, []), (3, 3, [])]))
-        with pytest.raises(ValidationError) as exc:
-            read_hbsf(p)
-        assert "does not evenly divide" in exc.value.report.render()
-
-    def test_truncated_records(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        full = hbsf_bytes(2, 2, [(1, 1, [(0, 0, [[1.0]])])])
-        p.write_bytes(full[:-2])
-        with pytest.raises(TruncatedError):
-            read_hbsf(p)
-
-    def test_trailing_bytes(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(2, 2, []) + b"!")
-        with pytest.raises(FormatError, match="trailing"):
-            read_hbsf(p)
-
 
 # Every message a damaged binary file raises, verbatim; ``{p}`` is its path.
 DAMAGED = [
@@ -382,6 +296,20 @@ DAMAGED = [
         read_dmat,
         MagicError,
         "{p}: not a DMAT file (magic b'XMAT', expected b'DMAT')",
+    ),
+    (
+        "dmat-version",
+        dmat_bytes(1, 1, [[1.0]], version=2),
+        read_dmat,
+        VersionError,
+        "{p}: unsupported version 2, expected 1",
+    ),
+    (
+        "dmat-zero-rows",
+        dmat_bytes(0, 3, np.zeros((0, 3))),
+        read_dmat,
+        FormatError,
+        "{p}: non-positive dimensions 0x3",
     ),
     (
         "dmat-header",
@@ -417,6 +345,27 @@ DAMAGED = [
         read_hbsf,
         MagicError,
         "{p}: not a HBSF file (magic b'HBSX', expected b'HBSF')",
+    ),
+    (
+        "hbsf-version",
+        hbsf_bytes(2, 2, [], version=9),
+        read_hbsf,
+        VersionError,
+        "{p}: unsupported version 9, expected 1",
+    ),
+    (
+        "hbsf-zero-rows",
+        hbsf_bytes(0, 2, []),
+        read_hbsf,
+        FormatError,
+        "{p}: non-positive dimensions 0x2",
+    ),
+    (
+        "hbsf-zero-block-height",
+        hbsf_bytes(4, 4, [(0, 2, [])]),
+        read_hbsf,
+        FormatError,
+        "{p}: level 1 has non-positive block shape 0x2",
     ),
     (
         "hbsf-level-header",
@@ -500,57 +449,6 @@ class TestIrf:
         p.write_text("HBS-IRF v1 analytic\n\n1 1 0.5 0.25\n\n")
         assert read_irf(p).entries == {(BlockShape(1, 1), 32): 0.25}
 
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("")
-        with pytest.raises(MagicError, match="empty file"):
-            read_irf(p)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("IRF v1 analytic\n")
-        with pytest.raises(MagicError):
-            read_irf(p)
-
-    def test_bad_version(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("HBS-IRF v2 analytic\n")
-        with pytest.raises(VersionError, match="v2"):
-            read_irf(p)
-
-    def test_bad_provenance(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("HBS-IRF v1 guessed\n")
-        with pytest.raises(FormatError, match="calibrated"):
-            read_irf(p)
-
-    @pytest.mark.parametrize(
-        "line,hint",
-        [
-            ("1 1 0.5", "expected 'bh bw sparsity irf'"),
-            ("1 1 0.5 0.5 9", "expected 'bh bw sparsity irf'"),
-            ("x 1 0.5 0.5", "bad block bh"),
-            ("0 1 0.5 0.5", "block bh must be >= 1"),
-            ("1 1 1.5 0.5", "outside"),
-            ("1 1 0.5 0.0", "outside"),
-            ("1 1 0.5 2.0", "outside"),
-            ("1 1 0.5 0.5\u00e9", "non-ASCII"),
-        ],
-    )
-    def test_bad_entry_lines(self, tmp_path, line, hint):
-        p = tmp_path / "t.irf"
-        p.write_text(f"HBS-IRF v1 analytic\n{line}\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=hint) as exc:
-            read_irf(p)
-        assert f"{p}:2" in str(exc.value)
-
-    def test_duplicate_entry(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("HBS-IRF v1 analytic\n1 1 0.5 0.25\n1 1 0.5 0.5\n")
-        with pytest.raises(FormatError, match="duplicate") as exc:
-            read_irf(p)
-        assert ":3:" in str(exc.value)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_irf(tmp_path / "nope.irf")
@@ -594,6 +492,12 @@ IRF_DAMAGED = [
         "{p}:2: expected 'bh bw sparsity irf', got '1 1 0.5'",
     ),
     (
+        "extra-field",
+        IRF_HEADER + b"1 1 0.5 0.5 9\n",
+        FormatError,
+        "{p}:2: expected 'bh bw sparsity irf', got '1 1 0.5 0.5 9'",
+    ),
+    (
         "syntax",
         IRF_HEADER + b"1 1.0 0.5 0.5\n",
         FormatError,
@@ -629,6 +533,12 @@ IRF_DAMAGED = [
         IRF_HEADER + b"1 1 0.5 0.0\n",
         FormatError,
         "{p}:2: irf for 1x1 bucket 32 must be in (0, 1], 0.0 is outside",
+    ),
+    (
+        "irf-above-one",
+        IRF_HEADER + b"1 1 0.5 2.0\n",
+        FormatError,
+        "{p}:2: irf for 1x1 bucket 32 must be in (0, 1], 2.0 is outside",
     ),
     (
         "duplicate",
