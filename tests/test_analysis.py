@@ -8,6 +8,7 @@ from hbs import (
     HBSConfig,
     HBSMatrix,
     RetentionReport,
+    ValidationError,
     prune_hierarchical,
     sparsity_summary,
     support_mask,
@@ -128,6 +129,11 @@ class TestTopkRetention:
         with pytest.raises(DimensionError):
             topk_retention(np.zeros((4, 8), np.float32), m, [0.5])
 
+    def test_rejects_invalid_matrix(self):
+        dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
+        with pytest.raises(ValidationError):
+            topk_retention(np.zeros((2, 2), np.float32), HBSMatrix(2, 2, (dup, dup)), [0.5])
+
     def test_report_render_and_machine_lines(self):
         rep = topk_retention(FOUR, pruned(FOUR, (2, 2, 0.75)), [0.25, 0.5])
         text = rep.render()
@@ -168,3 +174,8 @@ class TestSparsitySummary:
         assert "level 1" in text and "level 2" in text
         assert "kept 1/4 blocks" in text
         assert "cumulative density 0.375" in text
+
+    def test_rejects_invalid_matrix(self):
+        lv = level_of(BlockShape(3, 3), 2, 2, [(0, 0, np.ones((3, 3)))])
+        with pytest.raises(ValidationError):
+            sparsity_summary(HBSMatrix(5, 6, (lv,)))

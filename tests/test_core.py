@@ -44,6 +44,11 @@ class TestBlockShape:
         with pytest.raises(ConfigError):
             BlockShape.parse(text)
 
+    @pytest.mark.parametrize("bh,bw", [(0, 1), (1, 0), (-2, 1)])
+    def test_positive(self, bh, bw):
+        with pytest.raises(ConfigError):
+            BlockShape(bh, bw)
+
     def test_integer_only(self):
         with pytest.raises(ConfigError):
             BlockShape(2.0, 1)
@@ -68,6 +73,12 @@ class TestConfig:
             rng.shuffle(sparsities)
             cfg = HBSConfig.of(*((*s, sp) for s, sp in zip(shapes[-n:], sparsities)))
             assert HBSConfig.parse(str(cfg)) == cfg, str(cfg)
+
+    def test_sparsity_bounds(self):
+        with pytest.raises(ConfigError):
+            LevelSpec(BlockShape(1, 1), -0.1)
+        with pytest.raises(ConfigError, match="not percentages"):
+            LevelSpec(BlockShape(1, 1), 75)
 
     @pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", "abc", None])
     def test_sparsity_real_only(self, bad):
@@ -109,6 +120,12 @@ class TestConfig:
         # exactly 1.0 is allowed
         cfg = HBSConfig.of((2, 2, 0.5), (1, 1, 0.5))
         assert cfg.cumulative_density == 1.0
+
+    def test_level_shape_type_checked(self):
+        with pytest.raises(ConfigError, match="shape: expected BlockShape, got str"):
+            HBSConfig.of(("1x1", 0.5))
+        with pytest.raises(ConfigError, match="shape: expected BlockShape, got str"):
+            HBSConfig.of((BlockShape(2, 2), 0.5), ("1x1", 0.25))
 
     @pytest.mark.parametrize("bad", [(0.5,), (1, 1, 0.5, 9), 0.5])
     def test_of_refuses_wrong_arity(self, bad):
@@ -204,6 +221,10 @@ class TestLevel:
         none = np.zeros((0, 1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="must be an integer"):
             BlockSparseLevel(BlockShape(1, 1), *dims, [], [], none)
+
+    def test_shape_type_checked(self):
+        with pytest.raises(ValueError, match="shape: expected BlockShape, got str"):
+            BlockSparseLevel("1x1", 2, 2, [], [], np.zeros((0, 1, 1), np.float32))
 
     def test_numpy_unsigned_grid_dims(self):
         lv = level_of(BlockShape(1, 1), np.uint32(2), np.uint64(3), [])
@@ -348,6 +369,39 @@ class TestValidate:
 
     def test_zero_levels_pass(self):
         assert validate(HBSMatrix(2, 2, ())).ok
+
+    def test_tiling_failure(self):
+        lv = level_of(BlockShape(2, 2), 1, 1, [(0, 0, [[1, 2], [3, 4]])])
+        report = report_of(4, 4, (lv,))
+        first = report.first_failure
+        assert first.name == "tiling" and "2x2" in first.detail
+        assert not report.ok
+
+    def test_divisibility_failure(self):
+        l1 = level_of(BlockShape(3, 1), 2, 6, [])
+        l2 = level_of(BlockShape(2, 1), 3, 6, [])
+        report = report_of(6, 6, (l1, l2))
+        assert report.first_failure.name == "divisibility"
+        assert "3 % 2 != 0" in report.first_failure.detail
+
+    def test_block_out_of_bounds(self):
+        lv = level_of(BlockShape(2, 2), 2, 2, [(0, 2, [[1, 2], [3, 4]])])
+        report = report_of(4, 4, (lv,))
+        assert report.first_failure.name == "blocks"
+        assert "(0,2)" in report.first_failure.detail
+
+    def test_unsorted_blocks(self):
+        lv = level_of(
+            BlockShape(1, 1), 2, 2, [(1, 1, [[1.0]]), (0, 0, [[2.0]])]
+        )
+        report = report_of(2, 2, (lv,))
+        assert report.first_failure.name == "blocks"
+
+    def test_duplicate_blocks(self):
+        lv = level_of(
+            BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]]), (0, 0, [[2.0]])]
+        )
+        assert report_of(2, 2, (lv,)).first_failure.name == "blocks"
 
     @pytest.mark.parametrize("n", [3, 2**32 - 1], ids=["small", "2^32-1"])
     @pytest.mark.parametrize(
@@ -592,6 +646,10 @@ class TestMatrixType:
         m = HBSMatrix(np.uint32(2), np.uint64(4), ())
         assert (m.rows, m.cols) == (2, 4) and type(m.rows) is int
 
+    def test_levels_type_checked(self):
+        with pytest.raises(ValueError, match="levels entry: expected BlockSparseLevel, got str"):
+            HBSMatrix(2, 2, ("x",))
+
     def test_compares_and_hashes_by_identity(self):
         a = np.arange(16, dtype=np.float32).reshape(4, 4)
         cfg = HBSConfig.of((2, 2, 0.5), (1, 1, 0.75))
@@ -640,8 +698,9 @@ class TestMatrixType:
         ("2", "{name} must be an integer, got '2'"),
         (0, "{name} must be >= 1, got 0"),
         (-3, "{name} must be >= 1, got -3"),
-        (2**32, "{name} must be <= 4294967295, got 4294967296"),
-        (2**64, "{name} must be <= 4294967295, got 18446744073709551616"),
+        # Short ids: the messages are long.
+        pytest.param(2**32, "{name} must be <= 4294967295, got 4294967296", id="2^32"),
+        pytest.param(2**64, "{name} must be <= 4294967295, got 18446744073709551616", id="2^64"),
     ],
 )
 @pytest.mark.parametrize(

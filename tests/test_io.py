@@ -72,6 +72,30 @@ class TestDmat:
         with pytest.raises(DimensionError):
             write_dmat(tmp_path / "x.dmat", np.zeros((0, 3), np.float32))
 
+    def test_magic(self, tmp_path):
+        p = tmp_path / "x.dmat"
+        p.write_bytes(dmat_bytes(1, 1, [[1.0]], magic=b"XMAT"))
+        with pytest.raises(MagicError, match="not a DMAT file"):
+            read_dmat(p)
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "x.dmat"
+        p.write_bytes(GOLDEN_DMAT_1X1_7[:10])
+        with pytest.raises(TruncatedError, match="dimensions"):
+            read_dmat(p)
+
+    def test_truncated_values(self, tmp_path):
+        p = tmp_path / "x.dmat"
+        p.write_bytes(dmat_bytes(2, 2, np.ones((2, 2)))[:-3])
+        with pytest.raises(TruncatedError, match="need 16 bytes"):
+            read_dmat(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "x.dmat"
+        p.write_bytes(GOLDEN_DMAT_1X1_7 + b"\x00")
+        with pytest.raises(FormatError, match="trailing byte"):
+            read_dmat(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_dmat(tmp_path / "nope.dmat")
@@ -148,6 +172,19 @@ class TestHbsf:
         p.write_bytes(data)
         write_hbsf(again, read_hbsf(p))
         assert again.read_bytes() == data
+
+    def test_write_refuses_invalid(self, tmp_path):
+        dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
+        p = tmp_path / "bad.hbsf"
+        with pytest.raises(ValidationError):
+            write_hbsf(p, HBSMatrix(2, 2, (dup, dup)))
+        assert not p.exists()
+
+    def test_magic(self, tmp_path):
+        p = tmp_path / "x.hbsf"
+        p.write_bytes(hbsf_bytes(2, 2, [], magic=b"HBSX"))
+        with pytest.raises(MagicError, match="not a HBSF file"):
+            read_hbsf(p)
 
     def test_level_taller_than_matrix(self, tmp_path):
         p = tmp_path / "x.hbsf"
@@ -286,6 +323,19 @@ class TestHbsf:
         p = tmp_path / "x.hbsf"
         p.write_bytes(hbsf_bytes(2**29 - 3, 1, [(2**29 - 3, 1, [])]))
         assert read_hbsf(p).levels[0].n_blocks == 0
+
+    def test_truncated_records(self, tmp_path):
+        p = tmp_path / "x.hbsf"
+        full = hbsf_bytes(2, 2, [(1, 1, [(0, 0, [[1.0]])])])
+        p.write_bytes(full[:-2])
+        with pytest.raises(TruncatedError):
+            read_hbsf(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "x.hbsf"
+        p.write_bytes(hbsf_bytes(2, 2, []) + b"!")
+        with pytest.raises(FormatError, match="trailing"):
+            read_hbsf(p)
 
 
 # Every message a damaged binary file raises, verbatim; ``{p}`` is its path.
@@ -448,6 +498,55 @@ class TestIrf:
         p = tmp_path / "t.irf"
         p.write_text("HBS-IRF v1 analytic\n\n1 1 0.5 0.25\n\n")
         assert read_irf(p).entries == {(BlockShape(1, 1), 32): 0.25}
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "t.irf"
+        p.write_text("")
+        with pytest.raises(MagicError, match="empty file"):
+            read_irf(p)
+
+    def test_bad_magic(self, tmp_path):
+        p = tmp_path / "t.irf"
+        p.write_text("IRF v1 analytic\n")
+        with pytest.raises(MagicError):
+            read_irf(p)
+
+    def test_bad_version(self, tmp_path):
+        p = tmp_path / "t.irf"
+        p.write_text("HBS-IRF v2 analytic\n")
+        with pytest.raises(VersionError, match="v2"):
+            read_irf(p)
+
+    def test_bad_provenance(self, tmp_path):
+        p = tmp_path / "t.irf"
+        p.write_text("HBS-IRF v1 guessed\n")
+        with pytest.raises(FormatError, match="calibrated"):
+            read_irf(p)
+
+    @pytest.mark.parametrize(
+        "line,hint",
+        [
+            ("1 1 0.5", "expected 'bh bw sparsity irf'"),
+            ("x 1 0.5 0.5", "bad block bh"),
+            ("0 1 0.5 0.5", "block bh must be >= 1"),
+            ("1 1 1.5 0.5", "outside"),
+            ("1 1 0.5 0.0", "outside"),
+            ("1 1 0.5 0.5\u00e9", "non-ASCII"),
+        ],
+    )
+    def test_bad_entry_lines(self, tmp_path, line, hint):
+        p = tmp_path / "t.irf"
+        p.write_text(f"HBS-IRF v1 analytic\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=hint) as exc:
+            read_irf(p)
+        assert f"{p}:2" in str(exc.value)
+
+    def test_duplicate_entry(self, tmp_path):
+        p = tmp_path / "t.irf"
+        p.write_text("HBS-IRF v1 analytic\n1 1 0.5 0.25\n1 1 0.5 0.5\n")
+        with pytest.raises(FormatError, match="duplicate") as exc:
+            read_irf(p)
+        assert ":3:" in str(exc.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

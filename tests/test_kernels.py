@@ -15,6 +15,7 @@ from hbs import (
     DimensionError,
     HBSConfig,
     HBSMatrix,
+    ValidationError,
     dense_matmul,
     flops_dense,
     flops_sparse,
@@ -121,6 +122,11 @@ class TestHbsMatmul:
         m, _ = prune_hierarchical(a, cfg)
         b = rng.standard_normal((16, 4), dtype=np.float32)
         assert max_rel_error(hbs_matmul(m, b), dense_matmul(reconstruct(m), b)) <= 1e-5
+
+    def test_rejects_invalid(self):
+        lv = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]]), (0, 0, [[1.0]])])
+        with pytest.raises(ValidationError):
+            hbs_matmul(HBSMatrix(2, 2, (lv,)), np.ones((2, 1), np.float32))
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(DimensionError):
@@ -671,6 +677,10 @@ class TestFlops:
         assert flops_dense(1, 1, 1) == 2
         assert flops_dense(64, 64, 64) == 524288
         assert flops_dense(5, 7, 0) == 0
+
+    def test_dense_rejects_negative(self):
+        with pytest.raises(ValueError):
+            flops_dense(-1, 2, 2)
 
     @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2, True, 2), (2, 2, "2")])
     def test_dense_integers_only(self, dims):

@@ -37,6 +37,10 @@ class TestSparsityBucket:
         assert sparsity_bucket(np.float32(0.75)) == 48
         assert sparsity_bucket(np.int64(1)) == 64
 
+    def test_range(self):
+        with pytest.raises(ValueError):
+            sparsity_bucket(1.5)
+
     @pytest.mark.parametrize("bad", [True, "0.5", None])
     def test_real_only(self, bad):
         with pytest.raises(ValueError, match="sparsity must be a real number"):
@@ -174,6 +178,14 @@ class TestBenchPlan:
     def test_defaults(self):
         plan = BenchPlan((64, 64, 16))
         assert (plan.reps, plan.warmup, plan.seed) == (5, 2, 0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            BenchPlan((0, 4, 4))
+        with pytest.raises(ValueError):
+            BenchPlan((4, 4, 4), reps=0)
+        with pytest.raises(ValueError):
+            BenchPlan((4, 4, 4), warmup=-1)
 
     @pytest.mark.parametrize(
         "dims,kw,match",
