@@ -21,6 +21,12 @@ def level_of(shape, grid_rows, grid_cols, blocks):
     return hbs.BlockSparseLevel(shape, grid_rows, grid_cols, gr, gc, vals)
 
 
+
+def ones_table(*shapes):
+    """An analytic irf table holding 1.0 for every bucket of each shape."""
+    return hbs.IrfTable({(s, b): 1.0 for s in shapes for b in range(65)}, "analytic")
+
+
 # The ways an object can be duplicated without its constructor being named.
 COPIES = {
     "copy": copy.copy,

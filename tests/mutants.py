@@ -1,10 +1,11 @@
 """Mutation catalogue: small faults planted in ``src/hbs`` that the test
 suite must catch.
 
-Run from the repository root::
+Run from the repository root, with no arguments::
 
-    python tests/mutants.py               # baseline, then every mutant, 2 at a time
-    python tests/mutants.py --jobs 1 --only 1,7
+    python tests/mutants.py
+
+It runs the baseline, then every entry, ``JOBS`` at a time.
 
 Each entry of ``MUTANTS`` is ``(file, old, new, why)``: replace ``old`` by
 ``new`` in ``src/hbs/<file>``, which breaks what ``why`` says. ``old`` must
@@ -33,7 +34,6 @@ baseline fails or an ``old`` string does not match exactly once).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -51,6 +51,7 @@ PYTEST = [
     "--deselect", TIMING_TEST,
 ]
 TIMEOUT_S = 600
+JOBS = min(2, os.cpu_count() or 1)
 
 MUTANTS = [
     # kernels.py: the block-ELL product and the dense oracle.
@@ -564,28 +565,13 @@ def verdict(code: int, output: str) -> tuple[str, str]:
     return "not killed", f"pytest exited {code}: {last[0]}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once (default 2)")
-    parser.add_argument(
-        "--only", help="comma list of catalogue numbers to run, as printed (E1.. for equivalents)"
-    )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-
+def main() -> int:
     entries = [(str(i), m, False) for i, m in enumerate(MUTANTS, 1)]
     entries += [(f"E{i}", m, True) for i, m in enumerate(EQUIVALENT, 1)]
     bad = mismatches(entries)
     if bad:
         print("replacements that do not match exactly once:", *bad, sep="\n  ")
         return 2
-    if args.only:
-        wanted = set(args.only.split(","))
-        unknown = wanted - {label for label, _, _ in entries}
-        if unknown:
-            parser.error(f"unknown catalogue numbers: {', '.join(sorted(unknown))}")
-        entries = [e for e in entries if e[0] in wanted]
 
     t0 = time.perf_counter()
     code, output, seconds = run()
@@ -600,7 +586,7 @@ def main(argv=None) -> int:
         return (*verdict(code, output), seconds)
 
     survivors, killed = [], 0
-    with ThreadPoolExecutor(args.jobs) as pool:
+    with ThreadPoolExecutor(JOBS) as pool:
         for (label, mutant, equivalent), (outcome, detail, seconds) in zip(
             entries, pool.map(judge, entries)
         ):

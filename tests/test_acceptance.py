@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_random_case
+from conftest import make_random_case, ones_table
 from test_io import hbsf_bytes
 from hbs import (
     BenchPlan,
@@ -55,14 +55,6 @@ def criterion(num, name):
         print(f"ACCEPTANCE {num} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {num} {name}: PASS")
-
-
-def ones_table(*shapes):
-    entries = {}
-    for s in shapes:
-        for bucket in range(65):
-            entries[(s, bucket)] = 1.0
-    return IrfTable(entries, "analytic")
 
 
 def test_01_ideal_cost_speedups():

@@ -29,6 +29,7 @@ from hbs import (
 )
 
 GOLDEN_DMAT_1X1_7 = bytes.fromhex("444d41540100000001000000010000000000e040")
+IRF_HEADER = b"HBS-IRF v1 analytic\n"
 
 
 def dmat_bytes(rows, cols, values, *, magic=b"DMAT", version=1):
@@ -46,6 +47,15 @@ def hbsf_bytes(rows, cols, levels, *, magic=b"HBSF", version=1, level_count=None
             parts.append(struct.pack("<II", gr, gc))
             parts.append(np.asarray(tile, "<f4").tobytes())
     return b"".join(parts)
+
+
+def refused(tmp_path, data, read, error, match=None):
+    """The ``error`` that ``read`` raises on ``tmp_path / "damaged"`` holding ``data``."""
+    p = tmp_path / "damaged"
+    p.write_bytes(data)
+    with pytest.raises(error, match=match) as exc:
+        read(p)
+    return exc.value
 
 
 class TestDmat:
@@ -73,28 +83,18 @@ class TestDmat:
             write_dmat(tmp_path / "x.dmat", np.zeros((0, 3), np.float32))
 
     def test_magic(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(dmat_bytes(1, 1, [[1.0]], magic=b"XMAT"))
-        with pytest.raises(MagicError, match="not a DMAT file"):
-            read_dmat(p)
+        data = dmat_bytes(1, 1, [[1.0]], magic=b"XMAT")
+        refused(tmp_path, data, read_dmat, MagicError, "not a DMAT file")
 
     def test_truncated_header(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(GOLDEN_DMAT_1X1_7[:10])
-        with pytest.raises(TruncatedError, match="dimensions"):
-            read_dmat(p)
+        refused(tmp_path, GOLDEN_DMAT_1X1_7[:10], read_dmat, TruncatedError, "dimensions")
 
     def test_truncated_values(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(dmat_bytes(2, 2, np.ones((2, 2)))[:-3])
-        with pytest.raises(TruncatedError, match="need 16 bytes"):
-            read_dmat(p)
+        data = dmat_bytes(2, 2, np.ones((2, 2)))[:-3]
+        refused(tmp_path, data, read_dmat, TruncatedError, "need 16 bytes")
 
     def test_trailing_bytes(self, tmp_path):
-        p = tmp_path / "x.dmat"
-        p.write_bytes(GOLDEN_DMAT_1X1_7 + b"\x00")
-        with pytest.raises(FormatError, match="trailing byte"):
-            read_dmat(p)
+        refused(tmp_path, GOLDEN_DMAT_1X1_7 + b"\x00", read_dmat, FormatError, "trailing byte")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -181,17 +181,12 @@ class TestHbsf:
         assert not p.exists()
 
     def test_magic(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(2, 2, [], magic=b"HBSX"))
-        with pytest.raises(MagicError, match="not a HBSF file"):
-            read_hbsf(p)
+        data = hbsf_bytes(2, 2, [], magic=b"HBSX")
+        refused(tmp_path, data, read_hbsf, MagicError, "not a HBSF file")
 
     def test_level_taller_than_matrix(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(2, 4, [(4, 1, [(0, 3, [[1.0], [2.0], [3.0], [4.0]])])]))
-        with pytest.raises(ValidationError) as exc:
-            read_hbsf(p)
-        tiling = exc.value.report.checks[0]
+        data = hbsf_bytes(2, 4, [(4, 1, [(0, 3, [[1.0], [2.0], [3.0], [4.0]])])])
+        tiling = refused(tmp_path, data, read_hbsf, ValidationError).report.checks[0]
         assert tiling.name == "tiling" and not tiling.passed
         assert tiling.detail == "level 1: 4x1 blocks do not tile 2x4 (a 1x4 grid covers 4x4)"
 
@@ -232,19 +227,12 @@ class TestHbsf:
     @pytest.mark.parametrize("case", list(INVALID))
     def test_invalid_matrix_names_first_failure(self, tmp_path, case):
         data, message = self.INVALID[case]
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(data)
-        with pytest.raises(ValidationError) as exc:
-            read_hbsf(p)
-        assert str(exc.value) == message
+        assert str(refused(tmp_path, data, read_hbsf, ValidationError)) == message
 
     def test_huge_kept_count_is_truncation(self, tmp_path):
         head = b"HBSF" + struct.pack("<IIII", 1, 4, 4, 1)
         head += struct.pack("<III", 2, 2, 0xFFFFFFFF)
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(head)
-        with pytest.raises(TruncatedError, match="block records"):
-            read_hbsf(p)
+        refused(tmp_path, head, read_hbsf, TruncatedError, "block records")
 
     def test_huge_matrix_without_levels(self, tmp_path):
         # 20 bytes declaring a 2^31 x 2^31 matrix: validation must not
@@ -266,12 +254,9 @@ class TestHbsf:
 
     def test_huge_matrix_with_overlapping_levels(self, tmp_path):
         last = 2**31 - 1
-        p = tmp_path / "x.hbsf"
         levels = [(1, 1, [(last, last, [[1.0]])]), (1, 1, [(last, last, [[2.0]])])]
-        p.write_bytes(hbsf_bytes(2**31, 2**31, levels))
-        with pytest.raises(ValidationError) as exc:
-            read_hbsf(p)
-        assert f"cell ({last},{last}) covered by levels 1, 2" in str(exc.value)
+        err = refused(tmp_path, hbsf_bytes(2**31, 2**31, levels), read_hbsf, ValidationError)
+        assert f"cell ({last},{last}) covered by levels 1, 2" in str(err)
 
     def test_largest_grid_block_order(self, tmp_path):
         # On a (2^32-1)^2 grid the second block's row-major index passes
@@ -314,10 +299,8 @@ class TestHbsf:
 
     @pytest.mark.parametrize("bh,bw", [(2**31, 2**31), (2**29 - 2, 1)])
     def test_huge_block_shape(self, tmp_path, bh, bw):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(bh, bw, [(bh, bw, [])]))
-        with pytest.raises(FormatError, match=f"level 1 block shape {bh}x{bw} is too large"):
-            read_hbsf(p)
+        message = f"level 1 block shape {bh}x{bw} is too large"
+        refused(tmp_path, hbsf_bytes(bh, bw, [(bh, bw, [])]), read_hbsf, FormatError, message)
 
     def test_largest_block_shape(self, tmp_path):
         p = tmp_path / "x.hbsf"
@@ -325,17 +308,11 @@ class TestHbsf:
         assert read_hbsf(p).levels[0].n_blocks == 0
 
     def test_truncated_records(self, tmp_path):
-        p = tmp_path / "x.hbsf"
         full = hbsf_bytes(2, 2, [(1, 1, [(0, 0, [[1.0]])])])
-        p.write_bytes(full[:-2])
-        with pytest.raises(TruncatedError):
-            read_hbsf(p)
+        refused(tmp_path, full[:-2], read_hbsf, TruncatedError)
 
     def test_trailing_bytes(self, tmp_path):
-        p = tmp_path / "x.hbsf"
-        p.write_bytes(hbsf_bytes(2, 2, []) + b"!")
-        with pytest.raises(FormatError, match="trailing"):
-            read_hbsf(p)
+        refused(tmp_path, hbsf_bytes(2, 2, []) + b"!", read_hbsf, FormatError, "trailing")
 
 
 # Every message a damaged binary file raises, verbatim; ``{p}`` is its path.
@@ -445,12 +422,8 @@ DAMAGED = [
     "data,read,error,message", [d[1:] for d in DAMAGED], ids=[d[0] for d in DAMAGED]
 )
 def test_damaged_file_messages_are_verbatim(tmp_path, data, read, error, message):
-    p = tmp_path / "damaged"
-    p.write_bytes(data)
-    with pytest.raises(error) as exc:
-        read(p)
-    assert type(exc.value) is error
-    assert str(exc.value) == message.format(p=p)
+    err = refused(tmp_path, data, read, error)
+    assert type(err) is error and str(err) == message.format(p=tmp_path / "damaged")
 
 
 class TestIrf:
@@ -500,28 +473,16 @@ class TestIrf:
         assert read_irf(p).entries == {(BlockShape(1, 1), 32): 0.25}
 
     def test_empty_file(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("")
-        with pytest.raises(MagicError, match="empty file"):
-            read_irf(p)
+        refused(tmp_path, b"", read_irf, MagicError, "empty file")
 
     def test_bad_magic(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("IRF v1 analytic\n")
-        with pytest.raises(MagicError):
-            read_irf(p)
+        refused(tmp_path, b"IRF v1 analytic\n", read_irf, MagicError)
 
     def test_bad_version(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("HBS-IRF v2 analytic\n")
-        with pytest.raises(VersionError, match="v2"):
-            read_irf(p)
+        refused(tmp_path, b"HBS-IRF v2 analytic\n", read_irf, VersionError, "v2")
 
     def test_bad_provenance(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("HBS-IRF v1 guessed\n")
-        with pytest.raises(FormatError, match="calibrated"):
-            read_irf(p)
+        refused(tmp_path, b"HBS-IRF v1 guessed\n", read_irf, FormatError, "calibrated")
 
     @pytest.mark.parametrize(
         "line,hint",
@@ -535,18 +496,12 @@ class TestIrf:
         ],
     )
     def test_bad_entry_lines(self, tmp_path, line, hint):
-        p = tmp_path / "t.irf"
-        p.write_text(f"HBS-IRF v1 analytic\n{line}\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=hint) as exc:
-            read_irf(p)
-        assert f"{p}:2" in str(exc.value)
+        err = refused(tmp_path, IRF_HEADER + f"{line}\n".encode(), read_irf, FormatError, hint)
+        assert f"{tmp_path / 'damaged'}:2" in str(err)
 
     def test_duplicate_entry(self, tmp_path):
-        p = tmp_path / "t.irf"
-        p.write_text("HBS-IRF v1 analytic\n1 1 0.5 0.25\n1 1 0.5 0.5\n")
-        with pytest.raises(FormatError, match="duplicate") as exc:
-            read_irf(p)
-        assert ":3:" in str(exc.value)
+        data = IRF_HEADER + b"1 1 0.5 0.25\n1 1 0.5 0.5\n"
+        assert ":3:" in str(refused(tmp_path, data, read_irf, FormatError, "duplicate"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -554,7 +509,6 @@ class TestIrf:
 
 
 # Every message a damaged .irf file raises, verbatim; ``{p}`` is its path.
-IRF_HEADER = b"HBS-IRF v1 analytic\n"
 IRF_DAMAGED = [
     ("empty", b"", MagicError, "{p}: empty file, expected an HBS-IRF header"),
     ("blank", b"\n  \n", MagicError, "{p}: empty file, expected an HBS-IRF header"),
@@ -652,9 +606,5 @@ IRF_DAMAGED = [
     "data,error,message", [d[1:] for d in IRF_DAMAGED], ids=[d[0] for d in IRF_DAMAGED]
 )
 def test_damaged_irf_messages_are_verbatim(tmp_path, data, error, message):
-    p = tmp_path / "damaged.irf"
-    p.write_bytes(data)
-    with pytest.raises(error) as exc:
-        read_irf(p)
-    assert type(exc.value) is error
-    assert str(exc.value) == message.format(p=p)
+    err = refused(tmp_path, data, read_irf, error)
+    assert type(err) is error and str(err) == message.format(p=tmp_path / "damaged")

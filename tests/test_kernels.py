@@ -43,35 +43,36 @@ def blockwise_product(m, b):
     return out
 
 
-def _edge_matrices():
-    rng = np.random.default_rng(21)
+def _pruned(seed, shape, spec):
+    a = np.random.default_rng(seed).standard_normal(shape, dtype=np.float32)
+    return prune_hierarchical(a, HBSConfig.parse(spec))[0]
 
-    def tile(bh, bw):
-        return rng.standard_normal((bh, bw)).astype(np.float32)
 
-    wide = rng.standard_normal((16, 12), dtype=np.float32)
-    short = rng.standard_normal((12, 18), dtype=np.float32)
+def _gappy_rows():
     # Block rows 1 and 3 hold nothing, block row 0 holds a single block.
-    gappy = level_of(
-        BlockShape(2, 2), 4, 4, [(0, 1, tile(2, 2)), (2, 0, tile(2, 2)), (2, 3, tile(2, 2))]
-    )
-    coarse = level_of(BlockShape(4, 4), 2, 2, [(0, 0, tile(4, 4)), (1, 1, tile(4, 4))])
-    fine = level_of(
-        BlockShape(1, 1), 8, 8, [(0, 5, tile(1, 1)), (4, 1, tile(1, 1)), (7, 0, tile(1, 1))]
-    )
-    return {
-        "4x2": prune_hierarchical(wide, HBSConfig.parse("4x2:0.5,2x1:0.75"))[0],
-        "2x3": prune_hierarchical(short, HBSConfig.parse("2x3:0.6,1x3:0.8"))[0],
-        "gappy-rows": HBSMatrix(8, 8, (gappy,)),
-        "empty-middle": HBSMatrix(
-            8, 8, (coarse, level_of(BlockShape(2, 2), 4, 4, []), fine)
-        ),
-    }
+    t = np.random.default_rng(23).standard_normal((3, 2, 2)).astype(np.float32)
+    lv = level_of(BlockShape(2, 2), 4, 4, [(0, 1, t[0]), (2, 0, t[1]), (2, 3, t[2])])
+    return HBSMatrix(8, 8, (lv,))
 
 
-# The keys of _edge_matrices(). Tests build the matrices when they run, so a
-# library fault fails those tests instead of this module's collection.
-EDGE_NAMES = ("2x3", "4x2", "empty-middle", "gappy-rows")
+def _empty_middle():
+    rng = np.random.default_rng(24)
+    big = rng.standard_normal((2, 4, 4)).astype(np.float32)
+    small = rng.standard_normal((3, 1, 1)).astype(np.float32)
+    coarse = level_of(BlockShape(4, 4), 2, 2, [(0, 0, big[0]), (1, 1, big[1])])
+    fine = level_of(BlockShape(1, 1), 8, 8, [(0, 5, small[0]), (4, 1, small[1]), (7, 0, small[2])])
+    return HBSMatrix(8, 8, (coarse, level_of(BlockShape(2, 2), 4, 4, []), fine))
+
+
+# Edge matrices by name, each a builder of a fresh copy. Tests build the ones
+# they use when they run, so a library fault fails those tests instead of this
+# module's collection.
+EDGE_MATRICES = {
+    "2x3": lambda: _pruned(22, (12, 18), "2x3:0.6,1x3:0.8"),
+    "4x2": lambda: _pruned(21, (16, 12), "4x2:0.5,2x1:0.75"),
+    "empty-middle": _empty_middle,
+    "gappy-rows": _gappy_rows,
+}
 
 
 class TestDenseMatmul:
@@ -143,11 +144,11 @@ class TestHbsMatmul:
 
 
 class TestPanelKernel:
-    @pytest.mark.parametrize("name", EDGE_NAMES)
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
     @pytest.mark.parametrize("n", [0, 1, 5])
     @pytest.mark.parametrize("layout", ["float32", "float64-strided"])
     def test_matches_blockwise_product(self, name, n, layout):
-        m = _edge_matrices()[name]
+        m = EDGE_MATRICES[name]()
         rng = np.random.default_rng(n)
         if layout == "float32":
             b = rng.standard_normal((m.cols, n), dtype=np.float32)
@@ -173,7 +174,7 @@ class TestPanelKernel:
             assert (lv.values.view(np.uint32) == vals.view(np.uint32)).all()
 
     def test_uncovered_rows_are_zero(self):
-        m = _edge_matrices()["gappy-rows"]
+        m = EDGE_MATRICES["gappy-rows"]()
         out = hbs_matmul(m, np.ones((8, 3), np.float32))
         assert not out[2:4].any() and not out[6:8].any()
         assert out[0:2].any() and out[4:6].any()
@@ -191,10 +192,10 @@ def _packed(lv):
 class TestPackedLevels:
     """A level is packed by its first product and keeps the packing."""
 
-    @pytest.mark.parametrize("name", EDGE_NAMES)
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
     @pytest.mark.parametrize("n", [0, 1, 4, 256])
     def test_first_second_and_fresh_calls_agree(self, name, n):
-        m, fresh = _edge_matrices()[name], _edge_matrices()[name]
+        m, fresh = EDGE_MATRICES[name](), EDGE_MATRICES[name]()
         assert all(_packed(lv) is None for lv in m.levels + fresh.levels)
         b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
 
@@ -208,7 +209,7 @@ class TestPackedLevels:
 
     def test_packing_is_read_only(self):
         # Both a padded execution shape ("4x2") and the stored one ("2x3").
-        for m in _edge_matrices().values():
+        for m in (build() for build in EDGE_MATRICES.values()):
             hbs_matmul(m, np.ones((m.cols, 2), np.float32))
             for lv in m.levels:
                 packed = _packed(lv)
@@ -236,14 +237,14 @@ class TestPackedLevels:
                         slab.tiles[...] = 0.0
 
     def test_nothing_packed_when_built_or_read(self, tmp_path):
-        m = _edge_matrices()["4x2"]
+        m = EDGE_MATRICES["4x2"]()
         hbs.write_hbsf(tmp_path / "m.hbsf", m)
         back = hbs.read_hbsf(tmp_path / "m.hbsf")
-        fresh = _edge_matrices()["4x2"]
+        fresh = EDGE_MATRICES["4x2"]()
         assert all(_packed(lv) is None for lv in back.levels + fresh.levels)
 
     def test_identity_repr_and_bytes_unchanged(self, tmp_path):
-        m, twin = _edge_matrices()["2x3"], _edge_matrices()["2x3"]
+        m, twin = EDGE_MATRICES["2x3"](), EDGE_MATRICES["2x3"]()
         before = (repr(m), hash(m), [hash(lv) for lv in m.levels])
         hbs.write_hbsf(tmp_path / "before.hbsf", m)
 
@@ -256,10 +257,10 @@ class TestPackedLevels:
         assert (tmp_path / "after.hbsf").read_bytes() == (tmp_path / "before.hbsf").read_bytes()
 
     def test_matrices_sharing_a_level_share_its_packing(self):
-        full = _edge_matrices()["4x2"]
+        full = EDGE_MATRICES["4x2"]()
         b = np.random.default_rng(3).standard_normal((full.cols, 4), dtype=np.float32)
         hbs_matmul(full, b)
-        for lv, twin in zip(full.levels, _edge_matrices()["4x2"].levels):
+        for lv, twin in zip(full.levels, EDGE_MATRICES["4x2"]().levels):
             packed = _packed(lv)
             one = HBSMatrix(full.rows, full.cols, (lv,))
             also = HBSMatrix(full.rows, full.cols, (lv,))
@@ -294,9 +295,9 @@ class TestPackedLevels:
         assert len(pickle.dumps(m)) == size
 
     def test_threads_racing_to_pack_agree(self):
-        m = _edge_matrices()["empty-middle"]
+        m = EDGE_MATRICES["empty-middle"]()
         b = np.random.default_rng(8).standard_normal((m.cols, 5), dtype=np.float32)
-        want = _bits(hbs_matmul(_edge_matrices()["empty-middle"], b))
+        want = _bits(hbs_matmul(EDGE_MATRICES["empty-middle"](), b))
         got = []
 
         def run():
@@ -393,7 +394,7 @@ class TestExecutionShape:
         stored = flops_sparse_level(lv, 5)
         assert stored <= ex.flops <= run_bh // bh * stored
 
-    @pytest.mark.parametrize("name", list(EDGE_NAMES) + ["ladder", "signed-zeros"])
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES) + ["ladder", "signed-zeros"])
     def test_unpadding_gives_stored_tiles(self, name):
         if name == "ladder":
             m = _ladder()
@@ -401,7 +402,7 @@ class TestExecutionShape:
             tiles = [(0, 1, [[-0.0], [1.0]]), (3, 0, [[2.0], [-0.0]]), (3, 2, [[-0.0], [-0.0]])]
             m = HBSMatrix(16, 3, (level_of(BlockShape(2, 1), 8, 3, tiles),))
         else:
-            m = _edge_matrices()[name]
+            m = EDGE_MATRICES[name]()
         for lv in m.levels:
             packed = kernels._pack(lv)
             # Each panel cell lands on its own cell, so comparing bits also
@@ -737,7 +738,7 @@ class TestMaxRelError:
         assert max_rel_error(z, z) == 0.0
 
     def test_matches_empty_product(self):
-        m = _edge_matrices()["4x2"]
+        m = EDGE_MATRICES["4x2"]()
         b = np.zeros((m.cols, 0), np.float32)
         assert max_rel_error(hbs_matmul(m, b), dense_matmul(reconstruct(m), b)) == 0.0
 

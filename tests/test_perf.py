@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ones_table
 import hbs.perf as perf
 from hbs import (
     BenchPlan,
@@ -17,14 +18,6 @@ from hbs import (
     estimate_cost,
     sparsity_bucket,
 )
-
-
-def ones_table(*shapes):
-    entries = {}
-    for shape in shapes:
-        for bucket in range(65):
-            entries[(shape, bucket)] = 1.0
-    return IrfTable(entries, "analytic")
 
 
 class TestSparsityBucket:
