@@ -2,11 +2,12 @@
 
 Single-level pruning ranks grid blocks by the absolute sum of their cells
 and prunes the weakest fraction. The hierarchical pipeline runs one such
-pass per configured level, coarse to fine, over a single magnitude array
-of the input: once a level keeps a block, its cells drop out of that
+pass per configured level, coarse to fine, over a single float32 magnitude
+array of the input: once a level keeps a block, its cells drop out of that
 array, so later (finer) levels compete only for what earlier levels left
 behind. The resulting level supports are disjoint and the surviving values
-are carried over bit for bit.
+are carried over bit for bit. Multi-cell blocks score as float64 sums; a
+single-cell level ranks the magnitudes themselves, with no score copy.
 """
 
 from __future__ import annotations
@@ -80,18 +81,19 @@ def round_half_up(x: float) -> int:
 
 
 def _block_sums(mag: np.ndarray, shape: BlockShape) -> np.ndarray:
-    """Sum a float64 rows x cols array over each ``shape`` grid block.
+    """Float64 sums of a rows x cols array over each ``shape`` grid block.
 
-    A block's cells are added one by one in row-major order, on a view of
-    ``mag``, so scores do not depend on how numpy would vectorize a
-    reduction and nothing is copied.
+    A block's first cell is widened to float64 and its other cells are
+    added one by one in row-major order, on views of ``mag``, so scores do
+    not depend on how numpy would vectorize a reduction, and a float32
+    ``mag`` sums bit for bit as its float64 copy would, without the copy.
     """
     gr, gc = grid_dims(mag.shape[0], mag.shape[1], shape)
     cells = mag.reshape(gr, shape.bh, gc, shape.bw)
-    # Starting from a copy of the first cell is exact (0.0 + x == x for
-    # x >= 0 and -inf) and saves a pass over the scores.
+    # Starting from the first cell is exact (0.0 + x == x for x >= 0 and
+    # -inf) and saves a pass over the scores.
     first, *rest = itertools.product(range(shape.bh), range(shape.bw))
-    scores = cells[:, first[0], :, first[1]].copy()
+    scores = cells[:, first[0], :, first[1]].astype(np.float64)
     for i, j in rest:
         scores += cells[:, i, :, j]
     return scores
@@ -104,13 +106,19 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     of its grid blocks, with grid fractions always relative to the full
     matrix. A block's score is the absolute sum of its input cells, added
     one by one in row-major order within the block in float64, so scores
-    are reproducible. Ranking: score descending, ties broken by ascending
+    are reproducible; a single cell's score is its float32 magnitude, the
+    same value. Ranking: score descending, ties broken by ascending
     row-major grid index; blocks owned by an earlier level are never kept,
     and the keep count is capped at the blocks still free. The kept blocks
-    are found by selection (one ``np.partition`` on the scores' int64 bit
-    patterns, which order like the non-negative scores), in time linear in
-    the blocks, and are exactly those a stable descending sort would put
-    first.
+    are found by selection (one ``np.partition`` on the scores' bit
+    patterns, int64 for float64 sums and int32 for float32 magnitudes,
+    which order like the non-negative scores), in time linear in the
+    blocks, and are exactly those a stable descending sort would put
+    first. Besides the kept blocks, pruning holds the float32 magnitudes
+    (4 bytes per cell) and one level's scores, the selection's copy of
+    their keys and a keep mask: 17 bytes per block of a multi-cell level,
+    5 per cell of a single-cell level, whose scores are the magnitudes.
+    A 512x512 Gaussian matrix peaks at about 11 traced bytes per cell.
     The result is valid by construction: building its :class:`HBSMatrix`
     ran every :func:`hbs.core.validate` check, and they passed. Every
     nonzero cell of its reconstruction equals the corresponding input cell
@@ -122,7 +130,7 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     _require(config, HBSConfig, "config", ConfigError)
     m = as_matrix(m)
     rows, cols = m.shape
-    mag = np.abs(m, dtype=np.float64)
+    mag = np.abs(m)
     levels: list[BlockSparseLevel] = []
     traces: list[LevelTrace] = []
     for spec in config.levels:
@@ -136,14 +144,21 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         # the earlier levels, so a block lies either wholly inside a kept
         # block (score -inf) or wholly outside all of them (score exactly
         # as on the input with the kept cells zeroed). Scores rank on their
-        # int64 bits: a free block's finite non-negative score orders like
-        # its bits, and -inf is a negative key below every free block, so
-        # capping the keep count at the free supply, counted from the
-        # earlier levels' blocks, leaves the owned blocks out.
-        scores = _block_sums(mag, shape).reshape(-1)
+        # bits as signed integers of their width: a free block's finite
+        # non-negative score orders like its bits, and -inf is a negative
+        # key below every free block, so capping the keep count at the free
+        # supply, counted from the earlier levels' blocks, leaves the owned
+        # blocks out. A single cell scores its magnitude, read in place:
+        # ``kept_scores`` is taken before the next level writes ``mag``.
+        if shape.area == 1:
+            scores = mag.reshape(-1)
+            keys = scores.view(np.int32)
+        else:
+            scores = _block_sums(mag, shape).reshape(-1)
+            keys = scores.view(np.int64)
         free = total - sum(lv.n_blocks * (lv.shape.area // shape.area) for lv in levels)
         want = total - round_half_up(spec.sparsity * total)
-        kept = _top_k(scores.view(np.int64), min(want, free))
+        kept = _top_k(keys, min(want, free))
         block_rows = kept // gc
         block_cols = kept % gc
         tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)

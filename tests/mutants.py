@@ -12,11 +12,7 @@ Each entry of ``MUTANTS`` is ``(file, old, new, why)``: replace ``old`` by
 match its file exactly once, so the catalogue fails loudly when code moves.
 Every mutant runs in its own temporary copy of ``src/``, ``tests/``,
 ``pyproject.toml`` and ``README.md`` (``tests/test_readme.py`` reads the
-README), with ``python -m pytest -x -q -p no:cacheprovider``. The run also
-passes ``-p no:hypothesispytest``: when a ``@given`` test fails, that plugin
-imports its patch writer, whose import warns, and under this suite's
-``filterwarnings = error`` the warning ends the run in an internal error
-(exit 3) that names no test. The ``@given`` tests run the same without it.
+README), with ``python -m pytest -x -q -p no:cacheprovider``.
 
 The unmutated copy must pass first. A mutant counts as killed only when
 pytest exits 1 and names a failing test; a collection or usage error is not
@@ -47,8 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIMING_TEST = "tests/test_acceptance.py::test_08_calibrated_speedup_prediction"
 PYTEST = [
-    "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
-    "--deselect", TIMING_TEST,
+    "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", TIMING_TEST,
 ]
 TIMEOUT_S = 600
 JOBS = min(2, os.cpu_count() or 1)
@@ -265,15 +260,27 @@ MUTANTS = [
     # pruning.py: ranking and the hierarchy.
     (
         "pruning.py",
-        "kept = _top_k(scores.view(np.int64), min(want, free))",
-        "kept = _top_k(scores.view(np.int64), want)",
+        "kept = _top_k(keys, min(want, free))",
+        "kept = _top_k(keys, want)",
         "without the supply cap a level keeps blocks an earlier level owns",
     ),
     (
         "pruning.py",
-        "kept = _top_k(scores.view(np.int64), min(want, free))",
-        "kept = _top_k(scores.view(np.uint64), min(want, free))",
+        "keys = scores.view(np.int64)",
+        "keys = scores.view(np.uint64)",
         "scores rank as uint64, so an owned block's -inf ranks first",
+    ),
+    (
+        "pruning.py",
+        "keys = scores.view(np.int32)",
+        "keys = scores.view(np.uint32)",
+        "single-cell keys rank as uint32, so an owned cell's -inf ranks first",
+    ),
+    (
+        "pruning.py",
+        "scores = cells[:, first[0], :, first[1]].astype(np.float64)",
+        "scores = cells[:, first[0], :, first[1]].copy()",
+        "block sums accumulate in float32: scores round and no longer fill int64 keys",
     ),
     (
         "pruning.py",

@@ -211,8 +211,6 @@ class TestLevel:
                 np.zeros((1, 1, 1), dtype=np.float32),
             )
         one = np.ones((1, 1, 1), dtype=np.float32)
-        with pytest.raises(ValueError, match="grid_rows must be >= 1, got 0"):
-            BlockSparseLevel(BlockShape(1, 1), 0, 2, [0], [0], one)
         with pytest.raises(ValueError, match="equal length"):
             BlockSparseLevel(BlockShape(1, 1), 2, 2, [0, 1], [0], one)
 
@@ -633,10 +631,6 @@ class TestDensity:
 
 
 class TestMatrixType:
-    def test_positive_dims(self):
-        with pytest.raises(ValueError):
-            HBSMatrix(0, 4, ())
-
     @pytest.mark.parametrize("dims", [(2.7, 2), (2, 2.0), (True, 2), (2, np.bool_(True))])
     def test_integer_dims_only(self, dims):
         with pytest.raises(ValueError, match="must be an integer"):

@@ -703,8 +703,6 @@ class TestFlops:
             BlockShape(2, 2), 2, 2, [(0, 0, np.ones((2, 2))), (1, 1, np.ones((2, 2)))]
         )
         assert flops_sparse_level(lv, 3) == 48
-        with pytest.raises(ValueError):
-            flops_sparse_level(lv, -1)
 
     def test_density_relationship(self):
         rng = np.random.default_rng(9)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hbs
-from conftest import make_edge_case
+from conftest import EDGE_VALUES, make_edge_case
 from hbs import (
     BlockShape,
     ConfigError,
@@ -15,6 +17,8 @@ from hbs import (
     support_mask,
 )
 from hbs.pruning import _block_sums, round_half_up
+
+LADDER = "32x1:0.75,16x1:0.875,8x1:0.9375,4x1:0.96875,1x1:0.96875"
 
 # Shared worked example: 2x2 grid scores are 10, 0, 0, 26.
 FOUR = np.array(
@@ -32,8 +36,9 @@ class TestRoundHalfUp:
 
 
 def block_abs_sum(m, shape):
-    """Block scores as prune_hierarchical computes them: sums of float64 |m|."""
-    return _block_sums(np.abs(np.asarray(m, dtype=np.float64)), shape)
+    """Block scores as prune_hierarchical computes them: float64 sums of
+    float32 |m|."""
+    return _block_sums(np.abs(np.asarray(m, dtype=np.float32)), shape)
 
 
 class TestBlockAbsSum:
@@ -65,6 +70,19 @@ class TestBlockAbsSum:
                 tile = m[gr * 3 : gr * 3 + 3, gc * 2 : gc * 2 + 2]
                 want = float(np.abs(tile.astype(np.float64)).sum())
                 assert scores[gr, gc] == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [BlockShape(2, 2), BlockShape(4, 1), BlockShape(3, 4)])
+    def test_float32_magnitudes_sum_as_float64_input(self, shape):
+        # Widening each block's first cell makes the float32 magnitudes
+        # sum bit for bit as their float64 copy does, owned -inf cells too.
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((12, 8), dtype=np.float32) * 1e3
+        m[:4] = rng.choice(EDGE_VALUES, (4, 8))
+        m[rng.random(m.shape) < 0.2] = -np.inf
+        scores = block_abs_sum(m, shape)
+        wide = _block_sums(np.abs(m.astype(np.float64)), shape)
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == wide.tobytes()
 
 
 def brute_force_kept(m, shape, sparsity):
@@ -244,12 +262,18 @@ class TestPruneHierarchical:
                     assert tile.tobytes() == cell.tobytes()
 
     def test_edge_values_match_brute_force(self):
-        # Scores rank on their int64 bits and owned blocks on -inf's bits:
+        # Multi-cell scores rank on their int64 bits, single cells' float32
+        # magnitudes on their int32 bits, and owned blocks on -inf's bits:
         # signed zeros, subnormals, float32's extremes, both signs of one
-        # magnitude and all-equal matrices must rank as the floats do.
+        # magnitude and all-equal matrices must rank as the floats do, also
+        # on a single-cell level after coarser levels.
         rng = np.random.default_rng(43)
-        for _ in range(200):
-            a, config = make_edge_case(rng)
+        cases = [make_edge_case(rng) for _ in range(200)]
+        for levels in ("4x4:0.75,2x2:0.75,1x1:0.5", "2x1:0.5,1x1:0.5", "4x2:0.875,1x1:0.9"):
+            a = rng.choice(EDGE_VALUES, (8, 8))
+            a[0, :4] = [0.0, -0.0, EDGE_VALUES[2], -EDGE_VALUES[-1]]
+            cases.append((a, HBSConfig.parse(levels)))
+        for a, config in cases:
             m, trace = prune_hierarchical(a, config)
             want = brute_force_hierarchy(a, config)
             for lv, lt, (kept, scores) in zip(m.levels, trace.levels, want, strict=True):
@@ -258,6 +282,21 @@ class TestPruneHierarchical:
                 assert lt.kept_blocks == len(kept)
                 assert lt.zero_score_kept == scores.count(0.0)
                 assert lt.cutoff_score == (min(scores) if scores else None)
+
+    @pytest.mark.parametrize("levels", [pytest.param(LADDER, id="ladder"), "1x1:0.9"])
+    def test_transient_memory_per_cell(self, levels):
+        # Float32 magnitudes (4 bytes per cell), float64 scores only per
+        # multi-cell block and int32 keys for single cells peak near 11
+        # bytes per cell.
+        m = np.random.default_rng(0).standard_normal((512, 512), dtype=np.float32)
+        config = HBSConfig.parse(levels)
+        tracemalloc.start()
+        try:
+            prune_hierarchical(m, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / m.size <= 12
 
     def test_zero_matrix_still_valid(self):
         m, trace = prune_hierarchical(
