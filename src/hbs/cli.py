@@ -111,11 +111,15 @@ def _cmd_matmul(args) -> int:
     write_dmat(args.out, c)
     if args.oracle:
         n = b.shape[1]
-        for i, lv in enumerate(m.levels, 1):
-            ex = _execution(lv, n)
+        for i, ex in enumerate(_execution(m, n), 1):
+            first, last = ex.levels[0] + 1, ex.levels[-1] + 1
+            covered = f"level {first}" if first == last else f"levels {first}-{last}"
+            levels = [m.levels[j] for j in ex.levels]
             print(
-                f"level {i}: stored {lv.shape}, runs as {ex.shape}; "
-                f"{flops_sparse_level(lv, n)} flops stored, {ex.flops} executed at {n} columns; "
+                f"part {i}: {covered} stored {','.join(str(lv.shape) for lv in levels)}, "
+                f"runs as {ex.shape}; "
+                f"{sum(flops_sparse_level(lv, n) for lv in levels)} flops stored, "
+                f"{ex.flops} executed at {n} columns; "
                 f"packed {ex.nbytes} bytes in {ex.slabs} slabs, padding share {ex.padding:.3f}"
             )
         d = dense_matmul(reconstruct(m), b)
@@ -191,8 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="also print each level's stored and execution shapes, FLOPs and packing "
-        "size, run the dense reference product and print the max relative error",
+        help="also print each execution plan part's levels, stored and execution shapes, "
+        "FLOPs and packing size, run the dense reference product and print the max "
+        "relative error",
     )
     p.set_defaults(func=_cmd_matmul)
 

@@ -3,39 +3,46 @@
 :func:`dense_matmul` is the correctness oracle for :func:`hbs_matmul`, and
 :func:`max_rel_error` compares the two. Both kernels share one accumulation
 contract: float32 inputs are widened to float64, every product runs in
-float64 BLAS (one call for dense; for HBS, a few stacked GEMMs per level,
-with levels applied in stored order into one shared accumulator), and the
-result is rounded to float32 once at the end. Results are deterministic
-for a fixed BLAS build and thread count, and the single rounding keeps
-oracle comparisons meaningful at tight tolerances.
+float64 BLAS (one call for dense; for HBS, a few stacked GEMMs per part of
+the matrix's execution plan, with parts applied in stored order into one
+shared accumulator), and the result is rounded to float32 once at the end.
+Results are deterministic for a fixed BLAS build and thread count, and the
+single rounding keeps oracle comparisons meaningful at tight tolerances.
 
-A level's blocks are fixed once it is built, so :func:`hbs_matmul` packs
-each level on first use and keeps the packing for as long as the level
-lives; matrices that share a level share it. A level whose ``bh`` divides
-8, on a matrix whose rows 8 divides, runs as zero-padded ``8 x bw`` blocks
-(8 is ``_EXEC_BH``): stored block ``(gr, gc)`` lands in execution block
-``(gr // (8 / bh), gc)`` at row offset ``(gr % (8 / bh)) * bh``, and the
-rest of each execution block is ``+0.0``. Padding runs only along rows, so
-a padded block reads the same rows of ``b`` as its kept cells. Every other
-level runs as stored. The storage shape never changes.
+A matrix's blocks are fixed once it is built, so :func:`hbs_matmul` builds
+the matrix's execution plan on its first product and keeps it for as long
+as the matrix lives. The plan has one part per stored level, except that
+every level whose ``bh`` divides 8, on a matrix whose rows 8 divides, joins
+one part of zero-padded 8-row execution blocks (8 is ``_EXEC_BH``). Shapes
+divide downward, so those levels are the last ones. Such a part holds one
+tile column per execution block row and matrix column that any of its
+levels keeps a cell in: stored block ``(gr, gc)`` of an ``bh x bw`` level
+lands in execution block row ``gr * bh // 8``, at row offset
+``gr * bh % 8``, in ``bw`` tile columns, one per matrix column it covers.
+Levels are disjoint, so cells of several levels that fall in one tile
+column fill distinct rows of it, and the rest of each column is ``+0.0``.
+Padding runs only along rows, so a padded column reads the same row of
+``b`` as its kept cells. Every other level is a part of its own and runs
+as stored, in the same form with tile columns of height ``bh``. The
+storage shape never changes.
 
-The non-empty execution block rows are then stored block-ELL style, so
-that one stacked GEMM covers many block rows instead of one BLAS call per
-row: sorted by block count, longest first, and cut into slabs. A slab ends
-before the first row holding at most half the blocks of its own first row.
-Each slab stacks its rows' tiles side by side in row-major block order,
-padded with ``+0.0`` to the first row's length, so padding stays below the
-execution tiles themselves and there are at most ``log2(longest row) + 1``
-slabs. The packing holds the execution tiles in float64 plus their
-padding, below twice those tiles, and one ``intp`` gather index per padded
-column: the row of ``b`` that column multiplies. Padding columns read row
-``k``, one past the matrix's last column, which is the zero row
-:func:`hbs_matmul` appends to its copy of ``b``, so padding never
-multiplies an infinity. Each slab also keeps per-row views of its rows'
-own tiles and indices, for rows that run alone.
+Each part's non-empty execution block rows are then stored block-ELL
+style, so that one stacked GEMM covers many block rows instead of one BLAS
+call per row: sorted by tile column count, longest first, and cut into
+slabs. A slab ends before the first row holding at most half the columns
+of its own first row. Each slab stacks its rows' tile columns side by side
+in matrix column order, padded with ``+0.0`` to the first row's length,
+so padding stays below the execution tiles themselves and there are at
+most ``log2(longest row) + 1`` slabs. The part holds the execution tiles
+in float64 plus their padding, below twice those tiles, and one ``intp``
+gather index per padded column: the row of ``b`` that column multiplies.
+Padding columns read row ``k``, one past the matrix's last column, which
+is the zero row :func:`hbs_matmul` appends to its copy of ``b``, so
+padding never multiplies an infinity. Each slab also keeps per-row views
+of its rows' own tiles and indices, for rows that run alone.
 
 FLOP counts follow the multiply-add-times-two convention and count the
-stored, useful cells; a padded level executes more.
+stored, useful cells; a padded part executes more.
 """
 
 from __future__ import annotations
@@ -58,8 +65,8 @@ def dense_matmul(a, b) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
-# Height of the zero-padded blocks a fine level runs as (see _pack). Taller
-# blocks mean fewer BLAS calls but more padded FLOPs and packed bytes.
+# Height of the zero-padded blocks that fine levels run as (see _part).
+# Taller blocks mean fewer BLAS calls but more padded FLOPs and packed bytes.
 _EXEC_BH = 8
 
 # Largest slice of b, in bytes, that one stacked GEMM over several block
@@ -72,134 +79,182 @@ _GATHER_BYTES = 128 * 1024
 
 
 class _Slab(NamedTuple):
-    """Block rows of similar length, padded to a common one (see _pack)."""
+    """Block rows of similar length, padded to a common one (see _part)."""
 
-    tiles: np.ndarray  # read-only float64 (R, eh, L * bw), column-major per row; own tiles first
-    src: np.ndarray  # read-only intp (R, L * bw): row of b per tile column
+    tiles: np.ndarray  # read-only float64 (R, eh, L): column-major per row; own columns first
+    src: np.ndarray  # read-only intp (R, L): row of b per tile column
     ids: np.ndarray  # read-only intp (R,): execution block row of each slab row
-    lens: np.ndarray  # read-only intp (R,): columns of each row's own tiles, descending
+    lens: np.ndarray  # read-only intp (R,): tile columns of each row's own, descending
     # One entry per row: its execution block row, and its tiles and src cut
     # to its own length, so a row that runs alone slices nothing per call.
     rows: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    start: int  # place of the slab's first row in its part's ids
 
 
-class _PackedLevel(NamedTuple):
-    """Execution form of one level, built once by :func:`_pack`."""
+class _Part(NamedTuple):
+    """Levels that run as one set of execution blocks, built by :func:`_part`."""
 
+    levels: range  # the stored levels it covers, by index
     shape: BlockShape  # execution shape: stored, or padded to _EXEC_BH rows
     slabs: tuple[_Slab, ...]  # longest rows first
+    ids: np.ndarray  # read-only intp: every slab's ids, slab after slab
 
 
-# Each level's packing, for as long as the level lives. Levels hash by
-# identity, so matrices that share a level share its packing.
-_PACKED = weakref.WeakKeyDictionary()
+# Each matrix's execution plan, its parts in stored order, for as long as
+# the matrix lives. Matrices hash by identity.
+_PLANS = weakref.WeakKeyDictionary()
 
 
-def _pack(level: BlockSparseLevel) -> _PackedLevel:
-    """The level's packing (see the module docstring), built on first use.
+def _plan(m: HBSMatrix) -> tuple[_Part, ...]:
+    """The matrix's execution plan (see the module docstring), built on
+    first use. Threads that race to build a plan build equal ones, and all
+    keep the first stored."""
+    plan = _PLANS.get(m)
+    if plan is not None:
+        return plan
+    # The levels that pad to _EXEC_BH rows; shapes divide downward, so they
+    # are the last ones.
+    fine = len(m.levels)
+    while fine and m.rows % _EXEC_BH == 0 and _EXEC_BH % m.levels[fine - 1].shape.bh == 0:
+        fine -= 1
+    parts = [_part(m, range(i, i + 1), m.levels[i].shape.bh) for i in range(fine)]
+    if fine < len(m.levels):
+        parts.append(_part(m, range(fine, len(m.levels)), _EXEC_BH))
+    return _PLANS.setdefault(m, tuple(parts))
 
-    Each slab's arrays are gathered in one vectorised pass. Threads that
-    race to build a packing build equal ones, and all keep the first stored.
+
+def _part(m: HBSMatrix, covered: range, eh: int) -> _Part:
+    """The covered levels packed into ``eh``-row execution blocks.
+
+    Every kept cell is written once, straight into its slab's tiles, which
+    are views of one zeroed buffer, so no other copy of the tiles is made.
     """
-    packed = _PACKED.get(level)
-    if packed is not None:
-        return packed
-    bh, bw = level.shape.bh, level.shape.bw
-    per = 1
-    if _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:
-        per = _EXEC_BH // bh
-    eh = per * bh
-    # Execution blocks in row-major order: their rows, columns and tiles,
-    # then one all-zero tile that padding gathers.
+    levels = [m.levels[i] for i in covered]
+    # One tile column per (execution block row, matrix column) that holds a
+    # kept cell, in row-major order. slot maps each block's bw columns,
+    # level after level, to theirs.
     keys, slot = np.unique(
-        _row_major(level.block_rows // per, level.block_cols, level.grid_cols),
+        np.concatenate([
+            _row_major(
+                np.repeat(lv.block_rows * lv.shape.bh // eh, lv.shape.bw),
+                (lv.block_cols[:, None] * lv.shape.bw + np.arange(lv.shape.bw)).ravel(),
+                m.cols,
+            )
+            for lv in levels
+        ]),
         return_inverse=True,
     )
-    erows, ecols = (a.astype(np.intp) for a in np.divmod(keys, np.uint64(level.grid_cols)))
-    blocks = np.zeros((len(keys) + 1, per, bh, bw))
-    blocks[slot, level.block_rows % per] = level.values
-    blocks = blocks.reshape(-1, eh, bw)
-    cols = np.full((len(blocks), bw), level.cols, dtype=np.intp)
-    cols[:-1] = ecols[:, None] * bw + np.arange(bw)
+    erows, ecols = (a.astype(np.intp) for a in np.divmod(keys, np.uint64(m.cols)))
     first = np.flatnonzero(np.diff(erows, prepend=-1))
     lens = np.diff(first, append=len(erows))
     order = np.argsort(-lens, kind="stable")  # longest first, ties in row order
-    ids, first, lens = erows[first[order]], first[order], lens[order]
-    slabs, lo, descending = [], 0, -lens
-    while lo < len(lens):
-        width = int(lens[lo])
+    ids, sorted_lens = erows[first[order]], lens[order]
+    for a in (ids, sorted_lens):
+        a.flags.writeable = False
+    # Slabs as (first row, end row, width, first padded column), and the
+    # padded column where each row starts, rows in slab order.
+    bounds, lo, padded, descending = [], 0, 0, -sorted_lens
+    starts = np.empty(len(ids), dtype=np.intp)
+    while lo < len(ids):
+        width = int(sorted_lens[lo])
         hi = int(np.searchsorted(descending, -(width // 2)))
-        # The block at each place of each row; the zero tile past its end.
-        place = np.arange(width)
-        at = np.where(place < lens[lo:hi, None], first[lo:hi, None] + place, len(blocks) - 1)
-        # Gathered as (R, L * bw, eh), one tile column after another, so
-        # the (R, eh, L * bw) stack is a transposed view and needs no copy.
-        tiles = blocks.take(at, axis=0).transpose(0, 1, 3, 2).reshape(hi - lo, -1, eh)
-        tiles = tiles.transpose(0, 2, 1)
-        src = cols.take(at, axis=0).reshape(hi - lo, -1)
-        slab_ids, widths = ids[lo:hi], lens[lo:hi] * bw
-        for a in (tiles, src, slab_ids, widths):
-            a.flags.writeable = False
+        starts[lo:hi] = padded + np.arange(hi - lo) * width
+        bounds.append((lo, hi, width, padded))
+        lo, padded = hi, padded + (hi - lo) * width
+    # The padded column of each tile column: its row's start plus its place.
+    row_starts = np.empty_like(starts)
+    row_starts[order] = starts
+    at = np.repeat(row_starts - first, lens) + np.arange(len(keys))
+    # Padding columns are +0.0 and read row k of b, the zero row.
+    tiles = np.zeros((padded, eh))
+    src = np.full(padded, m.cols, dtype=np.intp)
+    src[at] = ecols
+    taken = 0
+    for lv in levels:
+        bh, bw = lv.shape.bh, lv.shape.bw
+        count = lv.n_blocks * bw
+        # Each block fills rows gr * bh % eh onwards of its bw columns.
+        where = at.take(slot[taken : taken + count]).reshape(-1, bw)
+        cells = tiles.reshape(-1, eh // bh, bh)
+        cells[where, (lv.block_rows % (eh // bh))[:, None]] = lv.values.transpose(0, 2, 1)
+        taken += count
+    for a in (tiles, src):
+        a.flags.writeable = False
+    slabs = []
+    for lo, hi, width, base in bounds:
+        # Each slab's (R, eh, L) stack is a transposed view of its (R, L, eh)
+        # run of the buffer: column-major per row.
+        end = base + (hi - lo) * width
+        slab_tiles = tiles[base:end].reshape(hi - lo, width, eh).transpose(0, 2, 1)
+        slab_src = src[base:end].reshape(hi - lo, width)
+        slab_ids, widths = ids[lo:hi], sorted_lens[lo:hi]
         rows = tuple(
-            (r, tiles[s, :, :w], src[s, :w])
+            (r, slab_tiles[s, :, :w], slab_src[s, :w])
             for s, (r, w) in enumerate(zip(slab_ids.tolist(), widths.tolist()))
         )
-        slabs.append(_Slab(tiles, src, slab_ids, widths, rows))
-        lo = hi
-    return _PACKED.setdefault(level, _PackedLevel(BlockShape(eh, bw), tuple(slabs)))
+        slabs.append(_Slab(slab_tiles, slab_src, slab_ids, widths, rows, lo))
+    return _Part(covered, BlockShape(eh, levels[-1].shape.bw), tuple(slabs), ids)
 
 
 class _Execution(NamedTuple):
-    """How one level runs, read from its packing (see :func:`_execution`)."""
+    """How one part of a plan runs (see :func:`_execution`)."""
 
+    levels: range  # the stored levels it covers, by index
     shape: BlockShape  # execution shape
     flops: int  # FLOPs of the execution tiles, slab padding not counted
-    nbytes: int  # bytes of the packing's arrays
+    nbytes: int  # bytes of the part's arrays
     slabs: int
     padding: float  # share of the packed cells that pad a row to its slab's length
 
 
-def _execution(level: BlockSparseLevel, n: int) -> _Execution:
-    """How a level runs against n columns, from its packing, which this
-    builds if needed."""
-    packed = _pack(level)
-    cells = sum(int(s.lens.sum()) for s in packed.slabs) * packed.shape.bh
-    packed_cells = sum(s.tiles.size for s in packed.slabs)
-    return _Execution(
-        packed.shape,
-        2 * cells * n,
-        sum(s.tiles.nbytes + s.src.nbytes + s.ids.nbytes + s.lens.nbytes for s in packed.slabs),
-        len(packed.slabs),
-        1 - cells / packed_cells if packed_cells else 0.0,
-    )
+def _execution(m: HBSMatrix, n: int) -> tuple[_Execution, ...]:
+    """How each part of a matrix's plan runs against n columns; builds the
+    plan if needed."""
+    runs = []
+    for part in _plan(m):
+        cells = sum(int(s.lens.sum()) for s in part.slabs) * part.shape.bh
+        packed_cells = sum(s.tiles.size for s in part.slabs)
+        runs.append(_Execution(
+            part.levels,
+            part.shape,
+            2 * cells * n,
+            sum(s.tiles.nbytes + s.src.nbytes + s.ids.nbytes + s.lens.nbytes for s in part.slabs),
+            len(part.slabs),
+            1 - cells / packed_cells if packed_cells else 0.0,
+        ))
+    return tuple(runs)
 
 
 def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
-    """Multiply an HBS matrix by a dense matrix, level by level.
+    """Multiply an HBS matrix by a dense matrix, part by part.
 
-    Levels are applied in stored order into one shared double-precision
-    accumulator and the sum is rounded to float32 once at the end. Products
-    of float32 values are exact in float64, so each cell of that sum is
-    within ``gamma_K`` times the same cell of ``|A| @ |b|`` of the exact
-    product ``A @ b``, where ``A`` is the reconstruction,
-    ``gamma_K = K*u / (1 - K*u)``, ``u = 2^-53`` and ``K = k + n_levels``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    section 3.5); the final rounding adds half a float32 ulp. The bound is
-    componentwise, as for :func:`dense_matmul`: where products cancel, the
-    relative error may be large.
+    The parts of the matrix's execution plan are applied in stored order
+    into one shared double-precision accumulator, and the sum is rounded to
+    float32 once at the end. The part that pads levels to 8 rows sums all
+    of its levels' cells of one execution block row inside one GEMM per
+    row. Products of float32 values are exact in float64, so each cell of
+    that sum is within ``gamma_K`` times the same cell of ``|A| @ |b|`` of
+    the exact product ``A @ b``, where ``A`` is the reconstruction,
+    ``gamma_K = K*u / (1 - K*u)``, ``u = 2^-53`` and ``K = k + n_parts``,
+    at most ``k + n_levels`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.5); the final rounding adds half a
+    float32 ulp. The bound is componentwise, as for :func:`dense_matmul`:
+    where products cancel, the relative error may be large.
     Deterministic for a fixed BLAS build and thread count.
 
-    The first call that uses a level packs it (see the module docstring),
-    and the packing is kept for as long as the level lives, so later calls
-    only gather and multiply. Each slab of the packing runs as stacked
-    float64 GEMMs over consecutive rows, as many as keep the gathered slice
-    of ``b`` within ``_GATHER_BYTES``, each cut to the length of its first,
-    longest row. Rows are unique within a level, so their sums land in the
-    accumulator without conflict. A slab whose rows are too long for that
-    runs each row alone over its own tiles, which is the arithmetic of one
-    BLAS call per block row. Padding adds exact zeros, so the result is
-    within the same bound of the oracle, but it may differ in the last bit
-    from a product that skips the padding.
+    A matrix's first product builds its plan (see the module docstring),
+    which is kept for as long as the matrix lives, so later calls only
+    gather and multiply. Each slab of a part runs as stacked float64 GEMMs
+    over consecutive rows, as many as keep the gathered slice of ``b``
+    within ``_GATHER_BYTES``, each cut to the length of its first, longest
+    row, into one buffer per part; the buffer then lands in the accumulator
+    with one scatter. Rows are unique within a part, so their sums land
+    without conflict. A slab whose rows are too long for that runs each row
+    alone over its own tiles, which is the arithmetic of one BLAS call per
+    block row. Such slabs come first, as the slice per row only shrinks
+    from slab to slab. Padding adds exact zeros, so the result is within
+    the same bound of the oracle, but it may differ in the last bit from a
+    product that skips the padding.
 
     Raises:
         DimensionError: On inner-dimension mismatch.
@@ -213,19 +268,29 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     b64[:-1] = b
     b64[-1] = 0.0
     out64 = np.zeros((m.rows, n))
-    for level in m.levels:
-        packed = _pack(level)
-        eh = packed.shape.bh
+    for part in _plan(m):
+        eh = part.shape.bh
         out3 = out64.reshape(m.rows // eh, eh, n)
-        for tiles, src, ids, lens, rows in packed.slabs:
+        base = None  # place in part.ids of the first stacked row
+        for tiles, src, ids, lens, rows, start in part.slabs:
             step = _GATHER_BYTES // max(1, 8 * n * src.shape[1])
             if step < 2:
                 for row, p, idx in rows:
                     out3[row] += p @ b64.take(idx, axis=0)
                 continue
+            if base is None:
+                base = start
+                stacked = np.empty((len(part.ids) - base, eh, n))
+            offset = start - base
             for s in range(0, len(ids), step):
-                e, w = s + step, lens[s]
-                out3[ids[s:e]] += tiles[s:e, :, :w] @ b64.take(src[s:e, :w], axis=0)
+                e, w = min(s + step, len(ids)), lens[s]
+                np.matmul(
+                    tiles[s:e, :, :w],
+                    b64.take(src[s:e, :w], axis=0),
+                    out=stacked[offset + s : offset + e],
+                )
+        if base is not None:
+            out3[part.ids[base:]] += stacked
     return out64.astype(np.float32)
 
 
@@ -264,9 +329,9 @@ def flops_dense(m_rows: int, k: int, n: int) -> int:
 def flops_sparse_level(level: BlockSparseLevel, n: int) -> int:
     """FLOPs of one level's product against n output columns.
 
-    Counts the stored cells only. :func:`hbs_matmul` runs the level's
-    packing (see the module docstring), whose zero padding executes more;
-    ``hbs matmul --oracle`` prints both.
+    Counts the stored cells only. :func:`hbs_matmul` runs the level in a
+    part of its matrix's execution plan (see the module docstring), whose
+    zero padding executes more; ``hbs matmul --oracle`` prints both.
     """
     _require(level, BlockSparseLevel, "level")
     n = _as_int(n, "n", ValueError, low=0)

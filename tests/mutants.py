@@ -58,14 +58,14 @@ MUTANTS = [
     ),
     (
         "kernels.py",
-        "out3[ids[s:e]] += tiles[s:e, :, :w]",
-        "out3[ids[s:e]] = tiles[s:e, :, :w]",
-        "stacked rows overwrite what earlier levels added to their output rows",
+        "out3[part.ids[base:]] += stacked",
+        "out3[part.ids[base:]] = stacked",
+        "a part's stacked rows overwrite what earlier parts added to their output rows",
     ),
     (
         "kernels.py",
-        "e, w = s + step, lens[s]",
-        "e, w = s + step, lens[-1]",
+        "e, w = min(s + step, len(ids)), lens[s]",
+        "e, w = min(s + step, len(ids)), lens[-1]",
         "stacked rows are cut to the slab's shortest row and lose their last tiles",
     ),
     (
@@ -82,20 +82,20 @@ MUTANTS = [
     ),
     (
         "kernels.py",
-        "if _EXEC_BH % bh == 0 and level.grid_rows * bh % _EXEC_BH == 0:",
-        "if _EXEC_BH % bh == 0:",
+        "while fine and m.rows % _EXEC_BH == 0 and _EXEC_BH",
+        "while fine and _EXEC_BH",
         "a level is padded to 8 rows on a matrix whose rows 8 does not divide",
     ),
     (
         "kernels.py",
-        "blocks[slot, level.block_rows % per] = level.values",
-        "blocks[slot, 0] = level.values",
+        "(lv.block_rows % (eh // bh))[:, None]",
+        "(lv.block_rows * 0)[:, None]",
         "every stored block lands at the top of its padded execution block",
     ),
     (
         "kernels.py",
-        "cols = np.full((len(blocks), bw), level.cols, dtype=np.intp)",
-        "cols = np.full((len(blocks), bw), level.cols - 1, dtype=np.intp)",
+        "src = np.full(padded, m.cols, dtype=np.intp)",
+        "src = np.full(padded, m.cols - 1, dtype=np.intp)",
         "padding columns read the last real row of b instead of the zero row",
     ),
     (
@@ -103,6 +103,19 @@ MUTANTS = [
         "hi = int(np.searchsorted(descending, -(width // 2)))",
         "hi = int(np.searchsorted(descending, -(width // 4)))",
         "a slab keeps rows of a quarter of its first row's length, so padding may pass the tiles",
+    ),
+    (
+        "kernels.py",
+        "        cells = tiles.reshape(-1, eh // bh, bh)\n",
+        "        tiles[where] = 0.0\n        cells = tiles.reshape(-1, eh // bh, bh)\n",
+        "a tile column that several levels share keeps only its last level's cells",
+    ),
+    (
+        "kernels.py",
+        "offset = start - base",
+        "offset = start",
+        "stacked rows land in the buffer at their place in the whole part, not after the "
+        "rows that ran alone",
     ),
     (
         "kernels.py",
@@ -479,7 +492,8 @@ EQUIVALENT = [
         "kernels.py",
         "if step < 2:",
         "if step < 1:",
-        "a stack of one row is the same GEMM as that row run alone",
+        "a stack of one row is the same GEMM as that row run alone, cut to the row's own "
+        "length; only where its sum waits before it lands differs, in the part's buffer",
     ),
     (
         "kernels.py",

@@ -76,7 +76,11 @@ class TestPipelines:
         assert got and float(got.group(1)) <= 1e-5
         assert read_dmat(c).shape == (16, 7)
 
-    @pytest.mark.parametrize("rows, runs", [(16, ["8x2", "8x1"]), (12, ["4x2", "1x1"])])
+    @pytest.mark.parametrize(
+        "rows, runs",
+        [(16, [("1", "levels 1-2", "4x2,1x1", "8x1")]),
+         (12, [("1", "level 1", "4x2", "4x2"), ("2", "level 2", "1x1", "1x1")])],
+    )
     def test_matmul_oracle_prints_execution_shapes(self, run, tmp_path, rows, runs):
         a, m, b, c = (tmp_path / n for n in ("a.dmat", "m.hbsf", "b.dmat", "c.dmat"))
         run("gen", "--rows", rows, "--cols", 12, "--seed", 5, "--out", a)
@@ -85,38 +89,45 @@ class TestPipelines:
         rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
         assert rc == 0
         lines = re.findall(
-            r"level (\d+): stored (\S+), runs as (\S+); "
+            r"part (\d+): (levels? \S+) stored (\S+), runs as (\S+); "
             r"(\d+) flops stored, (\d+) executed at 7 columns",
             out,
         )
-        assert [line[:3] for line in lines] == [("1", "4x2", runs[0]), ("2", "1x1", runs[1])]
-        for lv, (*_, ran, stored, executed) in zip(read_hbsf(m).levels, lines):
-            assert int(stored) == flops_sparse_level(lv, 7)
-            pad = BlockShape.parse(ran).bh // lv.shape.bh
-            assert int(stored) <= int(executed) <= pad * int(stored)
+        assert [line[:4] for line in lines] == runs
+        levels = read_hbsf(m).levels
+        for *_, shapes, ran, stored, executed in lines:
+            covered = [lv for lv in levels if str(lv.shape) in shapes.split(",")]
+            assert int(stored) == sum(flops_sparse_level(lv, 7) for lv in covered)
+            # Each stored cell's tile column holds at most run/bh cells.
+            pad = BlockShape.parse(ran).bh
+            most = sum(pad // lv.shape.bh * flops_sparse_level(lv, 7) for lv in covered)
+            assert int(stored) <= int(executed) <= most
 
     def test_matmul_oracle_prints_packing(self, run, tmp_path):
         m, b, c = (tmp_path / n for n in ("m.hbsf", "b.dmat", "c.dmat"))
-        # 8x1 runs as stored: block rows of 3 and 2 blocks share one slab
-        # of length 3, so 8 of its 48 packed cells pad the shorter row.
+        # 16x1 runs as stored: block rows of 3 and 2 blocks share one slab
+        # of length 3, so 16 of its 96 packed cells pad the shorter row.
         coarse = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
-        # 2x1 runs as 8x1 blocks: execution block rows of 2 blocks and 1
-        # block take a slab each, with no padding between tiles.
-        fine = [(0, 3), (4, 2), (5, 3), (7, 2)]
+        # 8x1 and 2x1 share one part of 8-row blocks. Its execution block
+        # rows 0-2 hold one tile column each, and row 3 two, one of them
+        # shared by two 2x1 blocks: a slab each, with no padding.
+        mid = [(0, 3), (2, 2)]
+        fine = [(4, 3), (6, 3), (12, 2), (15, 3)]
         levels = [
-            level_of(BlockShape(8, 1), 2, 4, [(r, c, np.ones((8, 1))) for r, c in coarse]),
-            level_of(BlockShape(2, 1), 8, 4, [(r, c, np.ones((2, 1))) for r, c in fine]),
+            level_of(BlockShape(16, 1), 2, 4, [(r, c, np.ones((16, 1))) for r, c in coarse]),
+            level_of(BlockShape(8, 1), 4, 4, [(r, c, np.ones((8, 1))) for r, c in mid]),
+            level_of(BlockShape(2, 1), 16, 4, [(r, c, np.ones((2, 1))) for r, c in fine]),
         ]
-        write_hbsf(m, HBSMatrix(16, 4, tuple(levels)))
+        write_hbsf(m, HBSMatrix(32, 4, tuple(levels)))
         write_dmat(b, np.ones((4, 3), np.float32))
         rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
         assert rc == 0
-        lines = [line for line in out.splitlines() if line.startswith("level")]
+        lines = [line for line in out.splitlines() if line.startswith("part")]
         assert lines == [
-            "level 1: stored 8x1, runs as 8x1; 240 flops stored, 240 executed at 3 columns; "
-            "packed 464 bytes in 1 slabs, padding share 0.167",
-            "level 2: stored 2x1, runs as 8x1; 48 flops stored, 144 executed at 3 columns; "
-            "packed 248 bytes in 2 slabs, padding share 0.000",
+            "part 1: level 1 stored 16x1, runs as 16x1; 480 flops stored, 480 executed "
+            "at 3 columns; packed 848 bytes in 1 slabs, padding share 0.167",
+            "part 2: levels 2-3 stored 8x1,2x1, runs as 8x1; 144 flops stored, 240 executed "
+            "at 3 columns; packed 424 bytes in 2 slabs, padding share 0.000",
         ]
 
     def test_topk(self, run, tmp_path):
