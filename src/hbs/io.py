@@ -15,11 +15,25 @@ Binary reads take the whole file into one buffer and decode views of it;
 a DMAT read returns its values in place in that buffer, a buffer of its
 own per read. Binary writes stream the header and then each array's
 buffer to the open file, with no intermediate byte strings.
+
+Binary writes rewrite an existing regular file in place, so the pages the
+old and new files share are reused rather than dropped and filled again.
+The magic goes in as four zero bytes first, the file is cut to the end of
+the new bytes after the last array, and the real magic is written last.
+The zero bytes are the first to reach the file, so once any byte of a
+write has landed, the file reads only when the write has finished: a write
+that stops part-way, by an exception or a killed process, leaves a file
+that every reader refuses with ``MagicError``, never old bytes that read
+as a matrix. (Nothing is synced, so after a system crash the pages may
+persist in any order.) An argument the writer refuses is refused before
+the file is opened. Any other destination, such as a pipe, gets the same
+bytes in one sequential pass.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -81,12 +95,37 @@ def _check_version(cur: _Cursor) -> None:
         )
 
 
+def _write(path, magic: bytes, chunks) -> None:
+    """Write ``magic`` and then each of ``chunks`` to ``path``, in place.
+
+    On a regular file the magic is four zero bytes until the file holds
+    every chunk and is cut to their end, so an unfinished write never
+    leaves a file that reads. Other destinations get one sequential pass.
+    """
+    # No O_TRUNC: the old file's pages are overwritten, not dropped. The
+    # mode is open()'s 0o666 (before the umask), not os.open's 0o777.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        f.write(bytes(len(magic)) if regular else magic)
+        for chunk in chunks:
+            f.write(chunk)
+        if regular:
+            f.truncate()
+            f.seek(0)
+            f.write(magic)
+
+
 def write_dmat(path, values) -> None:
-    """Write a dense float32 matrix. Stored bits are the input bits."""
+    """Write a dense float32 matrix. Stored bits are the input bits.
+
+    An existing file is rewritten in place with its magic written last, so
+    a write that stops part-way leaves a file that reads refuse with
+    ``MagicError``; a refused ``values`` leaves it untouched. A pipe or
+    other non-regular destination gets the bytes in one sequential pass.
+    """
     a = as_matrix(values, check_finite=False)
-    with Path(path).open("wb") as f:
-        f.write(DMAT_MAGIC + struct.pack("<III", FORMAT_VERSION, *a.shape))
-        f.write(a.astype("<f4", copy=False))
+    header = struct.pack("<III", FORMAT_VERSION, *a.shape)
+    _write(path, DMAT_MAGIC, (header, a.astype("<f4", copy=False)))
 
 
 def read_dmat(path) -> np.ndarray:
@@ -112,19 +151,28 @@ def _record_dtype(bh: int, bw: int) -> np.dtype:
     return np.dtype([("gr", "<u4"), ("gc", "<u4"), ("tile", "<f4", (bh, bw))])
 
 
+def _hbsf_chunks(m: HBSMatrix):
+    """The bytes of ``m`` after the magic: the header, then each level's
+    header and records, one level's records built at a time."""
+    yield struct.pack("<IIII", FORMAT_VERSION, m.rows, m.cols, m.n_levels)
+    for lv in m.levels:
+        yield struct.pack("<III", lv.shape.bh, lv.shape.bw, lv.n_blocks)
+        rec = np.zeros(lv.n_blocks, dtype=_record_dtype(lv.shape.bh, lv.shape.bw))
+        rec["gr"] = lv.block_rows
+        rec["gc"] = lv.block_cols
+        rec["tile"] = lv.values
+        yield rec
+
+
 def write_hbsf(path, m: HBSMatrix) -> None:
     """Write an HBS matrix. An invalid matrix cannot be built, so every
-    matrix is writable."""
+    matrix is writable.
+
+    The file is written as :func:`write_dmat` writes: in place with the
+    magic last, a refused ``m`` leaving an existing file untouched.
+    """
     _require(m, HBSMatrix, "m")
-    with Path(path).open("wb") as f:
-        f.write(HBSF_MAGIC + struct.pack("<IIII", FORMAT_VERSION, m.rows, m.cols, m.n_levels))
-        for lv in m.levels:
-            f.write(struct.pack("<III", lv.shape.bh, lv.shape.bw, lv.n_blocks))
-            rec = np.zeros(lv.n_blocks, dtype=_record_dtype(lv.shape.bh, lv.shape.bw))
-            rec["gr"] = lv.block_rows
-            rec["gc"] = lv.block_cols
-            rec["tile"] = lv.values
-            f.write(rec)
+    _write(path, HBSF_MAGIC, _hbsf_chunks(m))
 
 
 def read_hbsf(path) -> HBSMatrix:

@@ -21,6 +21,23 @@ def level_of(shape, grid_rows, grid_cols, blocks):
     return hbs.BlockSparseLevel(shape, grid_rows, grid_cols, gr, gc, vals)
 
 
+def cut_writes(mp, k):
+    """Make every binary write, through the monkeypatch ``mp``, raise after
+    its first ``k`` chunks, before the file is cut and its magic written."""
+    write = hbs.io._write
+
+    def cut(path, magic, chunks):
+        def first_k():
+            for i, chunk in enumerate(chunks):
+                if i == k:
+                    break
+                yield chunk
+            raise OSError(f"write cut after {k} chunk(s)")
+
+        write(path, magic, first_k())
+
+    mp.setattr(hbs.io, "_write", cut)
+
 
 def ones_table(*shapes):
     """An analytic irf table holding 1.0 for every bucket of each shape."""

@@ -478,6 +478,25 @@ MUTANTS = [
         '(np.frombuffer(raw, dtype="<f4").astype(np.float32) + np.float32(0.0)).reshape(rows, cols)',
         "a .dmat read loses -0.0 and NaN payload bits",
     ),
+    # io.py: the in-place writer.
+    (
+        "io.py",
+        "f.write(bytes(len(magic)) if regular else magic)",
+        "f.write(magic)",
+        "the real magic goes in first, so an unfinished rewrite can read as a matrix",
+    ),
+    (
+        "io.py",
+        "f.truncate()\n            f.seek(0)",
+        "f.seek(0)",
+        "a rewrite over a longer file leaves the old file's tail after the new bytes",
+    ),
+    (
+        "io.py",
+        "regular = stat.S_ISREG(",
+        "regular = not stat.S_ISREG(",
+        "regular files take the sequential pass and keep old tails; pipes are cut and sought",
+    ),
 ]
 
 EQUIVALENT = [

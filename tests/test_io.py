@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import COPIES, level_of
+import hbs.io
+from conftest import COPIES, cut_writes, level_of
 from hbs import (
     BlockShape,
     DimensionError,
@@ -81,20 +82,6 @@ class TestDmat:
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(DimensionError):
             write_dmat(tmp_path / "x.dmat", np.zeros((0, 3), np.float32))
-
-    def test_magic(self, tmp_path):
-        data = dmat_bytes(1, 1, [[1.0]], magic=b"XMAT")
-        refused(tmp_path, data, read_dmat, MagicError, "not a DMAT file")
-
-    def test_truncated_header(self, tmp_path):
-        refused(tmp_path, GOLDEN_DMAT_1X1_7[:10], read_dmat, TruncatedError, "dimensions")
-
-    def test_truncated_values(self, tmp_path):
-        data = dmat_bytes(2, 2, np.ones((2, 2)))[:-3]
-        refused(tmp_path, data, read_dmat, TruncatedError, "need 16 bytes")
-
-    def test_trailing_bytes(self, tmp_path):
-        refused(tmp_path, GOLDEN_DMAT_1X1_7 + b"\x00", read_dmat, FormatError, "trailing byte")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -424,6 +411,104 @@ DAMAGED = [
 def test_damaged_file_messages_are_verbatim(tmp_path, data, read, error, message):
     err = refused(tmp_path, data, read, error)
     assert type(err) is error and str(err) == message.format(p=tmp_path / "damaged")
+
+
+# Each binary format's reader, writer, and builders of a matrix whose file
+# is longer than the second's.
+WRITERS = {
+    "dmat": (
+        read_dmat,
+        write_dmat,
+        lambda: np.arange(12, dtype=np.float32).reshape(3, 4),
+        lambda: np.full((1, 2), -0.5, np.float32),
+    ),
+    "hbsf": (read_hbsf, write_hbsf, sample_hbs, lambda: HBSMatrix(4, 4, ())),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+def test_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, fmt, old):
+    _, write, long, short = WRITERS[fmt]
+    before, after = (long, short) if old == "longer" else (short, long)
+    p, fresh = tmp_path / "p", tmp_path / "fresh"
+    write(p, before())
+    write(p, after())
+    write(fresh, after())
+    assert p.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+def test_first_write_creates_a_file_as_open_does(tmp_path, fmt):
+    _, write, long, _ = WRITERS[fmt]
+    write(tmp_path / "new", long())
+    (tmp_path / "opened").write_bytes(b"")
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "opened").stat().st_mode
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+@pytest.mark.parametrize("size", ["same", "shorter"])
+@pytest.mark.parametrize("k", [0, 1, 3, 7])
+def test_unfinished_write_is_refused(tmp_path, monkeypatch, fmt, size, k):
+    # The write stops after its first k chunks, over a file whose old bytes
+    # would otherwise follow the new ones and, at the same size, complete them.
+    read, write, long, short = WRITERS[fmt]
+    p = tmp_path / "p"
+    write(p, long())
+    cut_writes(monkeypatch, k)
+    with pytest.raises(OSError, match="write cut"):
+        write(p, long() if size == "same" else short())
+    with pytest.raises(MagicError) as exc:
+        read(p)
+    assert f"(magic {bytes(4)!r}," in str(exc.value)
+
+
+def test_unfinished_record_build_is_refused(tmp_path, monkeypatch):
+    p = tmp_path / "p.hbsf"
+    write_hbsf(p, sample_hbs())
+    record_dtype, built = hbs.io._record_dtype, []
+
+    def second_fails(bh, bw):
+        built.append((bh, bw))
+        if len(built) == 2:
+            raise MemoryError("no room for level 2's records")
+        return record_dtype(bh, bw)
+
+    monkeypatch.setattr(hbs.io, "_record_dtype", second_fails)
+    with pytest.raises(MemoryError):
+        write_hbsf(p, sample_hbs(seed=10))
+    with pytest.raises(MagicError):
+        read_hbsf(p)
+
+
+@pytest.mark.parametrize(
+    "write,refused_value,error",
+    [
+        (write_dmat, np.zeros((0, 3), np.float32), DimensionError),
+        (write_hbsf, np.ones((2, 2), np.float32), ValueError),
+    ],
+    ids=["dmat-empty", "hbsf-not-a-matrix"],
+)
+def test_refused_argument_leaves_the_file(tmp_path, write, refused_value, error):
+    p = tmp_path / "p"
+    p.write_bytes(GOLDEN_DMAT_1X1_7)
+    with pytest.raises(error):
+        write(p, refused_value)
+    assert p.read_bytes() == GOLDEN_DMAT_1X1_7
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+def test_writes_a_pipe(tmp_path, fmt):
+    _, write, long, _ = WRITERS[fmt]
+    write(tmp_path / "file", long())
+    r, w = os.pipe()
+    with open(r, "rb") as got:
+        try:
+            write(f"/dev/fd/{w}", long())
+        finally:
+            os.close(w)
+        assert got.read() == (tmp_path / "file").read_bytes()
 
 
 class TestIrf:

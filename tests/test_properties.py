@@ -1,17 +1,19 @@
 """Property tests: matrices are valid by construction, pruning keeps the
-input bits, files are byte-stable, and damaged files fail only with the
-package's named errors."""
+input bits, files are byte-stable, rewrites in place read back the last
+write, and damaged or unfinished files fail only with the package's named
+errors."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_random_case, random_level_set
+from conftest import cut_writes, make_random_case, random_level_set
 from hbs import (
     BlockShape,
     HBSMatrix,
     HbsError,
     IrfTable,
+    MagicError,
     ValidationError,
     prune_hierarchical,
     read_dmat,
@@ -135,6 +137,38 @@ def test_damaged_files_raise_only_named_errors(seed, where, flip, truncate, scra
             FORMATS[ext][0](path)
         except HbsError:
             pass
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_rewrites_in_place_read_back_the_last_write(seed, scratch):
+    # Random shapes written to one path per format in turn, so each write
+    # lands on a longer, shorter or same-size file; then one write is cut
+    # off after a random number of chunks.
+    rng = np.random.default_rng(seed)
+    paths = {ext: scratch / f"rewrite.{ext}" for ext in ("dmat", "hbsf")}
+    for _ in range(3):
+        a, config = make_random_case(rng, max_dim=12)
+        dense = rng.integers(0, 2**32, a.shape, dtype=np.uint32).view(np.float32)
+        write_dmat(paths["dmat"], dense)
+        assert np.array_equal(read_dmat(paths["dmat"]).view(np.uint32), dense.view(np.uint32))
+        m, _ = prune_hierarchical(a, config)
+        write_hbsf(paths["hbsf"], m)
+        back = read_hbsf(paths["hbsf"])
+        assert (back.rows, back.cols, back.n_levels) == (m.rows, m.cols, m.n_levels)
+        for got, want in zip(back.levels, m.levels):
+            assert got.shape == want.shape
+            assert np.array_equal(got.block_rows, want.block_rows)
+            assert np.array_equal(got.block_cols, want.block_cols)
+            assert np.array_equal(got.values.view(np.uint32), want.values.view(np.uint32))
+    with pytest.MonkeyPatch.context() as mp:
+        cut_writes(mp, int(rng.integers(0, 8)))
+        for ext, obj in (("dmat", dense), ("hbsf", m)):
+            read, write = FORMATS[ext]
+            with pytest.raises(OSError, match="write cut"):
+                write(paths[ext], obj)
+            with pytest.raises(MagicError):
+                read(paths[ext])
 
 
 @PROPERTY
