@@ -1,4 +1,5 @@
-"""Bit-exact binary file formats: DMAT (dense) and HBSF (block sparse).
+"""Bit-exact binary file formats, DMAT (dense) and HBSF (block sparse),
+and the one file writer, which :func:`hbs.perf.write_irf` uses too.
 
 DMAT layout: magic ``DMAT``, then version, rows, cols as little-endian
 uint32, then rows*cols float32 little-endian values in row-major order.
@@ -16,18 +17,18 @@ a DMAT read returns its values in place in that buffer, a buffer of its
 own per read. Binary writes stream the header and then each array's
 buffer to the open file, with no intermediate byte strings.
 
-Binary writes rewrite an existing regular file in place, so the pages the
-old and new files share are reused rather than dropped and filled again.
-The magic goes in as four zero bytes first, the file is cut to the end of
-the new bytes after the last array, and the real magic is written last.
-The zero bytes are the first to reach the file, so once any byte of a
-write has landed, the file reads only when the write has finished: a write
-that stops part-way, by an exception or a killed process, leaves a file
-that every reader refuses with ``MagicError``, never old bytes that read
-as a matrix. (Nothing is synced, so after a system crash the pages may
-persist in any order.) An argument the writer refuses is refused before
-the file is opened. Any other destination, such as a pipe, gets the same
-bytes in one sequential pass.
+Every write, ``.irf`` text included, rewrites an existing regular file in
+place, so the pages the old and new files share are reused rather than
+dropped and filled again. The magic goes in as zero bytes first, the file
+is cut to the end of the new bytes after the last chunk, and the real
+magic is written last. The zero bytes are the first to reach the file, so
+once any byte of a write has landed, the file reads only when the write
+has finished: a write that stops part-way, by an exception or a killed
+process, leaves a file that every reader refuses with ``MagicError``,
+never old bytes that read as a matrix or a table. (Nothing is synced, so
+after a system crash the pages may persist in any order.) An argument the
+writer refuses is refused before the file is opened. Any other
+destination, such as a pipe, gets the same bytes in one sequential pass.
 """
 
 from __future__ import annotations
@@ -56,10 +57,13 @@ class _Cursor:
 
     def __init__(self, path: Path):
         with open(path, "rb") as f:
-            buf = bytearray(os.fstat(f.fileno()).st_size)
-            del buf[f.readinto(buf) :]
+            # np.empty: readinto overwrites the buffer, so nothing zero-fills it.
+            buf = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
+            buf = buf[: f.readinto(buf)]
             # A pipe has no size, and a file may grow: read what is left.
-            buf += f.read()
+            rest = f.read()
+            if rest:
+                buf = np.concatenate((buf, np.frombuffer(rest, np.uint8)))
         self.data = memoryview(buf)
         self.path = path
         self.offset = 0
@@ -98,7 +102,7 @@ def _check_version(cur: _Cursor) -> None:
 def _write(path, magic: bytes, chunks) -> None:
     """Write ``magic`` and then each of ``chunks`` to ``path``, in place.
 
-    On a regular file the magic is four zero bytes until the file holds
+    On a regular file the magic is zero bytes until the file holds
     every chunk and is cut to their end, so an unfinished write never
     leaves a file that reads. Other destinations get one sequential pass.
     """

@@ -20,7 +20,10 @@ and ``nan``, in any case, parse and fail the ranges. The sparsity picks its
 bucket (:func:`sparsity_bucket`). Written files hold the exact bucket
 fraction, lines sorted by (bh, bw, bucket), floats in shortest round-trip
 form, so canonical files are byte-stable. Each entry read from a file passes
-the one rule :class:`IrfTable` applies to every entry.
+the one rule :class:`IrfTable` applies to every entry. Files are written by
+the binary formats' writer (:mod:`hbs.io`), in place with the magic
+written last: an unfinished write leaves seven zero bytes where
+``HBS-IRF`` goes, which reads refuse with ``MagicError``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .core import (
 from .errors import (
     CalibrationError, ConfigError, FormatError, IrfLookupError, MagicError, VersionError
 )
+from .io import _write
 from .kernels import dense_matmul, flops_dense, flops_sparse, hbs_matmul
 from .pruning import prune_hierarchical, round_half_up
 
@@ -123,11 +127,23 @@ class IrfTable:
 
 
 def write_irf(path, table: IrfTable) -> None:
-    """Write an IrfTable in canonical form: sorted, shortest float repr."""
+    """Write an IrfTable in canonical form: sorted, shortest float repr.
+
+    The file is written as :func:`~hbs.io.write_dmat` writes: in place,
+    with ``HBS-IRF`` written last, so a write that stops part-way leaves a
+    file that :func:`read_irf` refuses with ``MagicError``; a refused
+    ``table`` leaves an existing file untouched.
+
+    Raises:
+        ValueError: If ``table`` is not an :class:`IrfTable`.
+    """
+    _require(table, IrfTable, "table")
     lines = [f"{IRF_MAGIC} {IRF_VERSION} {table.provenance}"]
     rows = sorted((s.bh, s.bw, b, irf) for (s, b), irf in table.entries.items())
     lines += [f"{bh} {bw} {b / SPARSITY_BUCKETS!r} {irf!r}" for bh, bw, b, irf in rows]
-    Path(path).write_bytes("\n".join(lines).encode("ascii") + b"\n")
+    text = "\n".join(lines).encode("ascii") + b"\n"
+    magic = IRF_MAGIC.encode("ascii")
+    _write(path, magic, (text[len(magic) :],))
 
 
 def read_irf(path) -> IrfTable:

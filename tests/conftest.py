@@ -22,8 +22,9 @@ def level_of(shape, grid_rows, grid_cols, blocks):
 
 
 def cut_writes(mp, k):
-    """Make every binary write, through the monkeypatch ``mp``, raise after
-    its first ``k`` chunks, before the file is cut and its magic written."""
+    """Make every file write, through the monkeypatch ``mp``, raise after
+    its first ``k`` chunks, before the file is cut and its magic written.
+    ``hbs.perf`` binds the writer by name, so it is patched there too."""
     write = hbs.io._write
 
     def cut(path, magic, chunks):
@@ -37,6 +38,7 @@ def cut_writes(mp, k):
         write(path, magic, first_k())
 
     mp.setattr(hbs.io, "_write", cut)
+    mp.setattr(hbs.perf, "_write", cut)
 
 
 def ones_table(*shapes):

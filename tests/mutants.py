@@ -383,6 +383,12 @@ MUTANTS = [
     ),
     (
         "perf.py",
+        'raise MagicError(f"{path}: empty file',
+        'raise FormatError(f"{path}: empty file',
+        "an empty .irf is a FormatError, not a MagicError",
+    ),
+    (
+        "perf.py",
         "if fields[0] != IRF_MAGIC:",
         "if fields[0] != IRF_MAGIC and fields[0] != 'IRF':",
         "a .irf header starting IRF passes the magic check",
@@ -410,6 +416,18 @@ MUTANTS = [
         "if key in entries:",
         "if key in entries and key[1] == 0:",
         "a duplicate .irf entry overwrites the first",
+    ),
+    (
+        "perf.py",
+        "_write(path, magic, (text[len(magic) :],))",
+        '_write(path, b"", (text,))',
+        "the .irf magic goes in first with the text, so an unfinished rewrite can read as a table",
+    ),
+    (
+        "perf.py",
+        '    _require(table, IrfTable, "table")\n',
+        "",
+        "write_irf given a non-table raises AttributeError instead of a named ValueError",
     ),
     # io.py: binary file checks.
     (

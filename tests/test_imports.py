@@ -41,7 +41,7 @@ LAYERS = {
     "kernels": {"core", "errors"},
     "pruning": {"core", "errors"},
     "io": {"core", "errors"},
-    "perf": {"core", "errors", "kernels", "pruning"},
+    "perf": {"core", "errors", "io", "kernels", "pruning"},
     "cli": _LIBRARY,
     "__init__": _LIBRARY,
 }

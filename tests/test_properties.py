@@ -42,6 +42,16 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("properties")
 
 
+def random_table(rng):
+    """An irf table of 1 to 4 random entries and a random provenance."""
+    shapes = rng.integers(1, 65, (int(rng.integers(1, 5)), 2)).tolist()
+    entries = {
+        (BlockShape(bh, bw), int(rng.integers(0, 65))): float(1.0 - rng.random())
+        for bh, bw in shapes
+    }
+    return IrfTable(entries, str(rng.choice(["calibrated", "analytic"])))
+
+
 def write_valid_files(seed, directory):
     """One valid file of each format drawn from ``seed``: {extension: path}."""
     rng = np.random.default_rng(seed)
@@ -49,12 +59,7 @@ def write_valid_files(seed, directory):
     # Any float32 bit pattern, NaN payloads and infinities included.
     dense = rng.integers(0, 2**32, a.shape, dtype=np.uint32).view(np.float32)
     m, _ = prune_hierarchical(a, config)
-    shapes = rng.integers(1, 65, (int(rng.integers(1, 5)), 2)).tolist()
-    entries = {
-        (BlockShape(bh, bw), int(rng.integers(0, 65))): float(1.0 - rng.random())
-        for bh, bw in shapes
-    }
-    table = IrfTable(entries, str(rng.choice(["calibrated", "analytic"])))
+    table = random_table(rng)
     paths = {}
     for ext, obj in (("dmat", dense), ("hbsf", m), ("irf", table)):
         paths[ext] = directory / f"{seed}.{ext}"
@@ -142,11 +147,11 @@ def test_damaged_files_raise_only_named_errors(seed, where, flip, truncate, scra
 @PROPERTY
 @given(seed=SEEDS)
 def test_rewrites_in_place_read_back_the_last_write(seed, scratch):
-    # Random shapes written to one path per format in turn, so each write
-    # lands on a longer, shorter or same-size file; then one write is cut
-    # off after a random number of chunks.
+    # Random shapes and tables written to one path per format in turn, so
+    # each write lands on a longer, shorter or same-size file; then one write
+    # is cut off after a random number of chunks.
     rng = np.random.default_rng(seed)
-    paths = {ext: scratch / f"rewrite.{ext}" for ext in ("dmat", "hbsf")}
+    paths = {ext: scratch / f"rewrite.{ext}" for ext in FORMATS}
     for _ in range(3):
         a, config = make_random_case(rng, max_dim=12)
         dense = rng.integers(0, 2**32, a.shape, dtype=np.uint32).view(np.float32)
@@ -161,9 +166,13 @@ def test_rewrites_in_place_read_back_the_last_write(seed, scratch):
             assert np.array_equal(got.block_rows, want.block_rows)
             assert np.array_equal(got.block_cols, want.block_cols)
             assert np.array_equal(got.values.view(np.uint32), want.values.view(np.uint32))
+        table = random_table(rng)
+        write_irf(paths["irf"], table)
+        back = read_irf(paths["irf"])
+        assert (back.entries, back.provenance) == (table.entries, table.provenance)
     with pytest.MonkeyPatch.context() as mp:
         cut_writes(mp, int(rng.integers(0, 8)))
-        for ext, obj in (("dmat", dense), ("hbsf", m)):
+        for ext, obj in (("dmat", dense), ("hbsf", m), ("irf", table)):
             read, write = FORMATS[ext]
             with pytest.raises(OSError, match="write cut"):
                 write(paths[ext], obj)
