@@ -20,7 +20,7 @@ from .core import (
     HBSMatrix,
     _as_real,
     _require,
-    _top_mask,
+    _top_magnitudes,
     as_matrix,
     density,
     support_mask,
@@ -81,15 +81,17 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     retention is the share of that set inside the pruned support. The size
     is the ceiling of the exact product of ``total`` and p's shortest
     decimal repr. Each top set is found by selection (one ``np.partition``
-    per percentile, on the int32 bit patterns of the magnitudes, which
-    order like the magnitudes), in time linear in the cells, and is exactly
-    the prefix of a stable descending sort. It is kept as a mask and
+    per percentile, on the magnitudes' bit patterns, see
+    :func:`hbs.core._top_magnitudes`), in time linear in the cells, and is
+    exactly the prefix of a stable descending sort. It is kept as a mask and
     counted against the support mask, with no index arrays.
 
     Raises:
         DimensionError: If the shapes differ.
     """
     _require(hbs, HBSMatrix, "hbs")
+    if isinstance(percentiles, (str, bytes)):
+        raise ValueError(f"percentiles: expected numbers, got {type(percentiles).__name__}")
     percentiles = tuple(_require(percentiles, Iterable, "percentiles"))
     a = as_matrix(original)
     if a.shape != (hbs.rows, hbs.cols):
@@ -100,11 +102,10 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     total = a.size
     sizes = _top_sizes(percentiles, total)
 
-    # Finite non-negative float32 magnitudes order like their int32 bits.
-    keys = np.abs(a.ravel()).view(np.int32)
+    mags = np.abs(a.ravel())
     support = support_mask(hbs).ravel()
     retained = tuple(
-        int(np.count_nonzero(_top_mask(keys, sz) & support)) / sz for sz in sizes
+        int(np.count_nonzero(_top_magnitudes(mags, sz) & support)) / sz for sz in sizes
     )
     return RetentionReport(tuple(float(p) for p in percentiles), retained, total)
 

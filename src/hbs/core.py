@@ -169,9 +169,7 @@ def _top_mask(keys: np.ndarray, k: int) -> np.ndarray:
     Ties at the cut go to the lower index, so the mask marks the first ``k``
     of a stable descending sort, found by selection in linear time.
     ``k >= n`` marks everything; ``k <= 0`` marks nothing. Any ordered dtype
-    works, but integers select about twice as fast as floats: finite
-    non-negative floats order like their bit patterns, so callers rank
-    magnitudes and scores on a same-width signed integer ``view``.
+    works; :func:`_top_magnitudes` ranks floats on their bits.
     """
     n = keys.shape[0]
     if k >= n:
@@ -187,10 +185,15 @@ def _top_mask(keys: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the ``k`` largest entries of 1-D ``scores``:
-    the first ``k`` of a stable descending sort (see :func:`_top_mask`)."""
-    return np.flatnonzero(_top_mask(scores, k))
+def _top_magnitudes(values: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_top_mask` of 1-D float32 or float64 ``values``, each a finite
+    non-negative float or -inf, ranked on their bits.
+
+    A finite non-negative float orders like its bits read as a signed
+    integer of the same width, and -inf reads as a negative integer, below
+    all of them; integers select about twice as fast as floats.
+    """
+    return _top_mask(values.view(f"i{values.itemsize}"), k)
 
 
 def _row_major(rows: np.ndarray, cols: np.ndarray, grid_cols: int) -> np.ndarray:

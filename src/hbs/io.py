@@ -85,18 +85,22 @@ class _Cursor:
             raise FormatError(f"{self.path}: {remain} trailing byte(s) after {what}")
 
 
-def _check_magic(cur: _Cursor, magic: bytes, name: str) -> None:
+def _header(path: Path, magic: bytes, fields: str, what: str) -> tuple[_Cursor, tuple]:
+    """A cursor over ``path`` past its header, and the header's uint32
+    ``fields`` after the version, read as ``what``: rows and cols first.
+    Raises on a wrong magic or version and on a zero dimension."""
+    cur = _Cursor(path)
     got = bytes(cur.take(len(magic), "magic"))
     if got != magic:
-        raise MagicError(f"{cur.path}: not a {name} file (magic {got!r}, expected {magic!r})")
-
-
-def _check_version(cur: _Cursor) -> None:
+        raise MagicError(f"{path}: not a {magic.decode()} file (magic {got!r}, expected {magic!r})")
     (version,) = struct.unpack("<I", cur.take(4, "version"))
     if version != FORMAT_VERSION:
-        raise VersionError(
-            f"{cur.path}: unsupported version {version}, expected {FORMAT_VERSION}"
-        )
+        raise VersionError(f"{path}: unsupported version {version}, expected {FORMAT_VERSION}")
+    dims = struct.unpack(f"<{fields}", cur.take(4 * len(fields), what))
+    rows, cols = dims[:2]
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: non-positive dimensions {rows}x{cols}")
+    return cur, dims
 
 
 def _write(path, magic: bytes, chunks) -> None:
@@ -139,13 +143,7 @@ def read_dmat(path) -> np.ndarray:
         MagicError, VersionError, TruncatedError, FormatError: On a
             malformed file, naming the problem.
     """
-    path = Path(path)
-    cur = _Cursor(path)
-    _check_magic(cur, DMAT_MAGIC, "DMAT")
-    _check_version(cur)
-    rows, cols = struct.unpack("<II", cur.take(8, "dimensions"))
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{path}: non-positive dimensions {rows}x{cols}")
+    cur, (rows, cols) = _header(Path(path), DMAT_MAGIC, "II", "dimensions")
     raw = cur.take(4 * rows * cols, f"{rows}x{cols} float32 values")
     cur.done("values")
     return np.frombuffer(raw, dtype="<f4").astype(np.float32, copy=False).reshape(rows, cols)
@@ -190,12 +188,7 @@ def read_hbsf(path) -> HBSMatrix:
             the full :class:`~hbs.core.ValidationReport`.
     """
     path = Path(path)
-    cur = _Cursor(path)
-    _check_magic(cur, HBSF_MAGIC, "HBSF")
-    _check_version(cur)
-    rows, cols, level_count = struct.unpack("<III", cur.take(12, "header"))
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{path}: non-positive dimensions {rows}x{cols}")
+    cur, (rows, cols, level_count) = _header(path, HBSF_MAGIC, "III", "header")
     levels = []
     for i in range(level_count):
         bh, bw, kept = struct.unpack("<III", cur.take(12, f"level {i + 1} header"))

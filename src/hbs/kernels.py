@@ -70,11 +70,10 @@ def dense_matmul(a, b) -> np.ndarray:
 _EXEC_BH = 8
 
 # Largest slice of b, in bytes, that one stacked GEMM over several block
-# rows may gather. Stacking saves a dispatch per row but writes the slice
-# out and reads it back. At 4 columns the saving stops growing near this
-# size; at 256 columns, where one row's slice is tens of KiB, rows run
-# faster alone, and this size keeps nearly all of them alone. A slab whose
-# rows are too long for two to fit runs each row alone.
+# rows may gather. It has two roles. It is the threshold between rows that
+# run alone and rows that stack: a slab whose rows are too long for two to
+# fit runs each row alone. And it caps the transient gather of one stacked
+# GEMM, which would otherwise be bounded only by the level's size.
 _GATHER_BYTES = 128 * 1024
 
 

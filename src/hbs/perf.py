@@ -153,7 +153,9 @@ def read_irf(path) -> IrfTable:
         MagicError, VersionError, FormatError: On a malformed file.
     """
     path = Path(path)
-    lines = path.read_text(encoding="ascii", errors="replace").splitlines()
+    # Lines end at "\n" only (read_text would end them at a lone "\r" too);
+    # strip() drops a "\r" before it.
+    lines = path.read_bytes().decode("ascii", errors="replace").split("\n")
     for lineno, line in enumerate(lines, 1):
         if "\ufffd" in line:
             raise FormatError(f"{path}:{lineno}: non-ASCII byte, {IRF_MAGIC} files are ASCII")
@@ -338,12 +340,14 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
         CalibrationError: When a timing falls below the measurable floor.
         ConfigError: When a shape is not a :class:`~hbs.core.BlockShape`.
         DimensionError: When a shape does not tile (m, k).
-        ValueError: When a sparsity is not a real number in [0, 1], or
-            ``plan`` is not a :class:`BenchPlan`.
+        ValueError: When ``sparsities`` is a string, a sparsity is not a
+            real number in [0, 1], or ``plan`` is not a :class:`BenchPlan`.
     """
     _require(plan, BenchPlan, "plan")
     m, k, n = plan.dims
     shapes = list(shapes)
+    if isinstance(sparsities, (str, bytes)):
+        raise ValueError(f"sparsities: expected numbers, got {type(sparsities).__name__}")
     sparsities = [_as_real(s, "sparsity", ValueError) for s in sparsities]
     buckets = [sparsity_bucket(s) for s in sparsities]
     for shape in shapes:

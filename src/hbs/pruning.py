@@ -26,7 +26,7 @@ from .core import (
     _as_floats,
     _require,
     _scatter,
-    _top_k,
+    _top_magnitudes,
     as_matrix,
     grid_dims,
 )
@@ -111,8 +111,7 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     row-major grid index; blocks owned by an earlier level are never kept,
     and the keep count is capped at the blocks still free. The kept blocks
     are found by selection (one ``np.partition`` on the scores' bit
-    patterns, int64 for float64 sums and int32 for float32 magnitudes,
-    which order like the non-negative scores), in time linear in the
+    patterns, see :func:`hbs.core._top_magnitudes`), in time linear in the
     blocks, and are exactly those a stable descending sort would put
     first. Besides the kept blocks, pruning holds the float32 magnitudes
     (4 bytes per cell) and one level's scores, the selection's copy of
@@ -143,22 +142,19 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         # Kept cells are -inf in ``mag``. Every shape divides the shapes of
         # the earlier levels, so a block lies either wholly inside a kept
         # block (score -inf) or wholly outside all of them (score exactly
-        # as on the input with the kept cells zeroed). Scores rank on their
-        # bits as signed integers of their width: a free block's finite
-        # non-negative score orders like its bits, and -inf is a negative
-        # key below every free block, so capping the keep count at the free
-        # supply, counted from the earlier levels' blocks, leaves the owned
-        # blocks out. A single cell scores its magnitude, read in place:
-        # ``kept_scores`` is taken before the next level writes ``mag``.
+        # as on the input with the kept cells zeroed). -inf ranks below every
+        # free block (see :func:`hbs.core._top_magnitudes`), so capping the
+        # keep count at the free supply, counted from the earlier levels'
+        # blocks, leaves the owned blocks out. A single cell scores its
+        # magnitude, read in place: ``kept_scores`` is taken before the next
+        # level writes ``mag``.
         if shape.area == 1:
             scores = mag.reshape(-1)
-            keys = scores.view(np.int32)
         else:
             scores = _block_sums(mag, shape).reshape(-1)
-            keys = scores.view(np.int64)
         free = total - sum(lv.n_blocks * (lv.shape.area // shape.area) for lv in levels)
         want = total - round_half_up(spec.sparsity * total)
-        kept = _top_k(keys, min(want, free))
+        kept = np.flatnonzero(_top_magnitudes(scores, min(want, free)))
         block_rows = kept // gc
         block_cols = kept % gc
         tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)
@@ -199,5 +195,5 @@ def lower_tensor4d(t, order: str = "CRS") -> np.ndarray:
         flat = arr.transpose(0, 2, 3, 1)
     else:
         raise ValueError(f"unknown lowering order {order!r}, expected one of {LOWERING_ORDERS}")
-    k = arr.shape[0]
-    return np.ascontiguousarray(flat.reshape(k, -1))
+    # The column count is given, not -1: numpy cannot infer it when K is 0.
+    return np.ascontiguousarray(flat.reshape(arr.shape[0], math.prod(arr.shape[1:])))

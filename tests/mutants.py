@@ -270,24 +270,18 @@ MUTANTS = [
         "if k < 0:",
         "selecting nothing partitions past the end of the keys",
     ),
+    (
+        "core.py",
+        'return _top_mask(values.view(f"i{values.itemsize}"), k)',
+        'return _top_mask(values.view(f"u{values.itemsize}"), k)',
+        "floats rank as unsigned bit patterns, so an owned block's or cell's -inf ranks first",
+    ),
     # pruning.py: ranking and the hierarchy.
     (
         "pruning.py",
-        "kept = _top_k(keys, min(want, free))",
-        "kept = _top_k(keys, want)",
+        "kept = np.flatnonzero(_top_magnitudes(scores, min(want, free)))",
+        "kept = np.flatnonzero(_top_magnitudes(scores, want))",
         "without the supply cap a level keeps blocks an earlier level owns",
-    ),
-    (
-        "pruning.py",
-        "keys = scores.view(np.int64)",
-        "keys = scores.view(np.uint64)",
-        "scores rank as uint64, so an owned block's -inf ranks first",
-    ),
-    (
-        "pruning.py",
-        "keys = scores.view(np.int32)",
-        "keys = scores.view(np.uint32)",
-        "single-cell keys rank as uint32, so an owned cell's -inf ranks first",
     ),
     (
         "pruning.py",
@@ -310,20 +304,14 @@ MUTANTS = [
     # analysis.py: retention.
     (
         "analysis.py",
-        "keys = np.abs(a.ravel()).view(np.int32)",
-        "keys = a.ravel().view(np.int32)",
+        "mags = np.abs(a.ravel())",
+        "mags = a.ravel()",
         "retention ranks signed values, not magnitudes",
     ),
     (
         "analysis.py",
-        "keys = np.abs(a.ravel()).view(np.int32)",
-        "keys = a.ravel().view(np.uint32)",
-        "retention ranks unsigned bit patterns, so negative values rank first",
-    ),
-    (
-        "analysis.py",
-        "keys = np.abs(a.ravel()).view(np.int32)",
-        "keys = np.where(a.ravel() < 0, -a.ravel(), a.ravel()).view(np.int32)",
+        "mags = np.abs(a.ravel())",
+        "mags = np.where(a.ravel() < 0, -a.ravel(), a.ravel())",
         "-0.0 keeps its sign bit and ranks as a negative key",
     ),
     (
@@ -444,15 +432,9 @@ MUTANTS = [
     ),
     (
         "io.py",
-        'cur.take(8, "dimensions"))\n    if rows < 1 or cols < 1:',
-        'cur.take(8, "dimensions"))\n    if rows < 1 and cols < 1:',
-        "a .dmat with zero rows or zero columns is read",
-    ),
-    (
-        "io.py",
-        'cur.take(12, "header"))\n    if rows < 1 or cols < 1:',
-        'cur.take(12, "header"))\n    if rows < 1 and cols < 1:',
-        "a .hbsf with zero rows is not a FormatError",
+        "if rows < 1 or cols < 1:",
+        "if rows < 1 and cols < 1:",
+        "a file with one zero dimension passes the header check",
     ),
     (
         "io.py",

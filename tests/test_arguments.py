@@ -114,6 +114,24 @@ CASES = [
         ValueError,
         "percentiles: expected Iterable, got float",
     ),
+    (
+        "topk_retention-percentiles-str",
+        lambda tmp: topk_retention(A, M, "0.1"),
+        ValueError,
+        "percentiles: expected numbers, got str",
+    ),
+    (
+        "calibrate_irf-sparsities-str",
+        lambda tmp: calibrate_irf([BlockShape(2, 1)], "0.5", PLAN),
+        ValueError,
+        "sparsities: expected numbers, got str",
+    ),
+    (
+        "calibrate_irf-sparsities-bytes",
+        lambda tmp: calibrate_irf([BlockShape(2, 1)], b"0.5", PLAN),
+        ValueError,
+        "sparsities: expected numbers, got bytes",
+    ),
     ("HBSConfig.parse", lambda tmp: HBSConfig.parse(None), ConfigError, "text: expected str"),
     ("BlockShape.parse", lambda tmp: BlockShape.parse(5), ConfigError, "text: expected str, got int"),
     (

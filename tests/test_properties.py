@@ -26,7 +26,7 @@ from hbs import (
     write_hbsf,
     write_irf,
 )
-from hbs.core import _top_k
+from hbs.core import _top_magnitudes, _top_mask
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -186,7 +186,7 @@ def test_top_k_is_a_stable_descending_sort_prefix(scores):
     s = np.array(scores, dtype=np.float64)
     order = np.argsort(-s, kind="stable")
     for k in range(-1, s.size + 2):
-        assert np.array_equal(_top_k(s, k), np.sort(order[: max(k, 0)])), k
+        assert np.array_equal(np.flatnonzero(_top_mask(s, k)), np.sort(order[: max(k, 0)])), k
 
 
 @PROPERTY
@@ -198,7 +198,7 @@ def test_top_k_is_a_stable_descending_sort_prefix(scores):
 def test_top_k_on_bit_patterns_ranks_like_the_floats(magnitudes):
     # Pruning and retention rank finite non-negative floats, and -inf, on
     # same-width signed integer views of their bits.
-    for dtype, key in ((np.float32, np.int32), (np.float64, np.int64)):
+    for dtype in (np.float32, np.float64):
         s = np.array(magnitudes, dtype=dtype)
         for k in range(-1, s.size + 2):
-            assert np.array_equal(_top_k(s.view(key), k), _top_k(s, k)), (dtype, k)
+            assert np.array_equal(_top_magnitudes(s, k), _top_mask(s, k)), (dtype, k)

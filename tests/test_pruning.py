@@ -370,6 +370,11 @@ class TestLowerTensor4d:
         assert lower_tensor4d(t, "CRS").tolist() == [[1, 2, 3, 4]]
         assert lower_tensor4d(t, "RSC").tolist() == [[1, 3, 2, 4]]
 
+    @pytest.mark.parametrize("order", ["CRS", "RSC"])
+    def test_no_filters(self, order):
+        out = lower_tensor4d(np.zeros((0, 2, 3, 3)), order)
+        assert out.shape == (0, 18) and out.dtype == np.float32
+
     def test_unknown_order(self):
         with pytest.raises(ValueError):
             lower_tensor4d(np.zeros((1, 1, 1, 1), np.float32), "SRC")
