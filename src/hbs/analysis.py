@@ -20,7 +20,6 @@ from .core import (
     HBSMatrix,
     _as_real,
     _require,
-    _top_magnitudes,
     as_matrix,
     density,
     support_mask,
@@ -80,11 +79,19 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     the largest magnitudes, ties broken by ascending row-major index;
     retention is the share of that set inside the pruned support. The size
     is the ceiling of the exact product of ``total`` and p's shortest
-    decimal repr. Each top set is found by selection (one ``np.partition``
-    per percentile, on the magnitudes' bit patterns, see
-    :func:`hbs.core._top_magnitudes`), in time linear in the cells, and is
-    exactly the prefix of a stable descending sort. It is kept as a mask and
-    counted against the support mask, with no index arrays.
+    decimal repr.
+
+    Every top set is selected from one uint32 key per cell: the float32
+    bits shifted left by one, so the sign drops out and a key ranks like
+    the magnitude, with the freed low bit set where the support covers the
+    cell. The sizes are cut largest first, each by an in-place
+    ``np.partition`` of the previous top slice only, since every smaller
+    top set lies inside it; the retained count is the number of tagged
+    keys in the slice. At equal magnitude the tag ranks covered cells
+    first, which departs from the index rule only when the cut's magnitude
+    also occurs below the cut; for such a top set alone, the cells at the
+    cut's magnitude are found again in index order and the earliest are
+    counted. Time is linear in the cells, and no index array is built.
 
     Raises:
         DimensionError: If the shapes differ.
@@ -102,11 +109,32 @@ def topk_retention(original, hbs: HBSMatrix, percentiles) -> RetentionReport:
     total = a.size
     sizes = _top_sizes(percentiles, total)
 
-    mags = np.abs(a.ravel())
     support = support_mask(hbs).ravel()
-    retained = tuple(
-        int(np.count_nonzero(_top_magnitudes(mags, sz) & support)) / sz for sz in sizes
-    )
+    tagged = np.left_shift(a.ravel().view(np.uint32), 1)
+    tagged |= support
+    covered = int(np.count_nonzero(support))  # odd (covered) keys in tagged[lo:]
+    below = 0  # the largest key in tagged[:lo]
+    lo, counts = 0, {}
+    for size in sorted(set(sizes), reverse=True):
+        pos = total - size
+        if pos:
+            tagged[lo:].partition(pos - lo)
+            dropped = tagged[lo:pos]
+            covered -= int(np.count_nonzero(dropped & 1))
+            below = max(below, int(dropped.max()))
+            lo = pos
+        counts[size] = covered
+        if pos and below >> 1 == int(tagged[pos]) >> 1:
+            # The cut's magnitude also lies below the cut: of its cells, the
+            # top set holds as many as the slice does, the earliest by index.
+            key = int(tagged[pos]) & ~1
+            top = tagged[pos:]
+            ties_covered = int(np.count_nonzero(top == (key | 1)))
+            ties = ties_covered + int(np.count_nonzero(top == key))
+            mag, flat = np.uint32(key >> 1).view(np.float32), a.ravel()
+            at_cut = (flat == mag) | (flat == -mag)
+            counts[size] += int(np.count_nonzero(support[at_cut][:ties])) - ties_covered
+    retained = tuple(counts[sz] / sz for sz in sizes)
     return RetentionReport(tuple(float(p) for p in percentiles), retained, total)
 
 

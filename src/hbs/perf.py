@@ -28,6 +28,7 @@ written last: an unfinished write leaves seven zero bytes where
 
 from __future__ import annotations
 
+import re
 import statistics
 import time
 from collections.abc import Mapping
@@ -59,6 +60,7 @@ PROVENANCE_ANALYTIC = "analytic"
 _PROVENANCES = (PROVENANCE_CALIBRATED, PROVENANCE_ANALYTIC)
 IRF_MAGIC = "HBS-IRF"
 IRF_VERSION = "v1"
+_BLANKS = re.compile(r"[ \t]+")
 
 # Floor for calibrated irf: the contract range (0, 1] has no minimum, and a
 # meaningless near-zero throughput ratio must still produce a usable entry.
@@ -146,6 +148,15 @@ def write_irf(path, table: IrfTable) -> None:
     _write(path, magic, (text[len(magic) :],))
 
 
+def _irf_number(text: str, kind: type, what: str):
+    """One ``.irf`` entry field as ``kind``. A field has no space or tab
+    around it, and the control characters that int() and float() would
+    strip as blanks (\\x0b, \\x0c, \\x1c-\\x1f, a stray \\r) are refused."""
+    if not text.isprintable():
+        raise ValueError(f"bad {what} {text!r}")
+    return _parse_number(text, kind, what, ValueError)
+
+
 def read_irf(path) -> IrfTable:
     """Read an HBS-IRF text file.
 
@@ -153,17 +164,19 @@ def read_irf(path) -> IrfTable:
         MagicError, VersionError, FormatError: On a malformed file.
     """
     path = Path(path)
-    # Lines end at "\n" only (read_text would end them at a lone "\r" too);
-    # strip() drops a "\r" before it.
+    # Lines end at "\n" only (read_text would end them at a lone "\r" too),
+    # and a "\r" just before it is dropped. Fields are split on spaces and
+    # tabs only: str.split() would also split on \x0b, \x0c and \x1c-\x1f.
     lines = path.read_bytes().decode("ascii", errors="replace").split("\n")
     for lineno, line in enumerate(lines, 1):
         if "\ufffd" in line:
             raise FormatError(f"{path}:{lineno}: non-ASCII byte, {IRF_MAGIC} files are ASCII")
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
+    stripped = (ln.removesuffix("\r").strip(" \t") for ln in lines)
+    rows = [(lineno, line) for lineno, line in enumerate(stripped, 1) if line]
     if not rows:
         raise MagicError(f"{path}: empty file, expected an {IRF_MAGIC} header")
     _, header = rows[0]
-    fields = header.split()
+    fields = _BLANKS.split(header)
     if fields[0] != IRF_MAGIC:
         raise MagicError(f"{path}: not an {IRF_MAGIC} file (header starts {fields[0]!r})")
     if len(fields) < 2 or fields[1] != IRF_VERSION:
@@ -174,14 +187,14 @@ def read_irf(path) -> IrfTable:
         raise FormatError(f"{path}: header must end with {names}, got {header!r}")
     entries: dict[tuple[BlockShape, int], float] = {}
     for lineno, line in rows[1:]:
-        parts = line.split()
+        parts = _BLANKS.split(line)
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 'bh bw sparsity irf', got {line!r}")
         try:
-            bh = _parse_number(parts[0], int, "block bh", ValueError)
-            bw = _parse_number(parts[1], int, "block bw", ValueError)
-            sparsity = _parse_number(parts[2], float, "sparsity", ValueError)
-            irf = _parse_number(parts[3], float, "irf", ValueError)
+            bh = _irf_number(parts[0], int, "block bh")
+            bw = _irf_number(parts[1], int, "block bw")
+            sparsity = _irf_number(parts[2], float, "sparsity")
+            irf = _irf_number(parts[3], float, "irf")
             key, irf = _irf_entry((BlockShape(bh, bw), sparsity_bucket(sparsity)), irf)
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from None

@@ -19,7 +19,9 @@ pytest exits 1 and names a failing test; a collection or usage error is not
 a kill (under ``-x`` pytest exits 1 on a collection error too, so the runner
 also requires the first failure it names to be a test, not a module).
 ``test_08_calibrated_speedup_prediction`` is deselected in every run,
-because a kill by that timing test would be host noise.
+because a kill by that timing test would be host noise, and
+``tests/test_mutants.py`` is left out, because every mutant breaks the match
+it checks (the runner checks that match itself before it starts).
 
 ``EQUIVALENT`` lists mutants that change only speed or layout, each with the
 reason no test can tell them apart; they run too and are reported, but a
@@ -42,8 +44,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIMING_TEST = "tests/test_acceptance.py::test_08_calibrated_speedup_prediction"
+CATALOGUE_TEST = "tests/test_mutants.py"
 PYTEST = [
-    "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", TIMING_TEST,
+    "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    "--deselect", TIMING_TEST, "--ignore", CATALOGUE_TEST,
 ]
 TIMEOUT_S = 600
 JOBS = min(2, os.cpu_count() or 1)
@@ -304,15 +308,48 @@ MUTANTS = [
     # analysis.py: retention.
     (
         "analysis.py",
-        "mags = np.abs(a.ravel())",
-        "mags = a.ravel()",
-        "retention ranks signed values, not magnitudes",
+        "tagged = np.left_shift(a.ravel().view(np.uint32), 1)",
+        "tagged = np.left_shift(a.ravel().view(np.uint32), 0)",
+        "retention ranks signed bits: negative cells outrank positive ones, "
+        "and the tag overwrites the last mantissa bit",
     ),
     (
         "analysis.py",
-        "mags = np.abs(a.ravel())",
-        "mags = np.where(a.ravel() < 0, -a.ravel(), a.ravel())",
-        "-0.0 keeps its sign bit and ranks as a negative key",
+        "tagged = np.left_shift(a.ravel().view(np.uint32), 1)",
+        "tagged = np.left_shift(a.ravel().view(np.uint32), 1) | (a.ravel().view(np.uint32) >> 31)",
+        "the key keeps the sign bit in its tag bit: -0.0 outranks +0.0, "
+        "and every negative cell counts as covered",
+    ),
+    (
+        "analysis.py",
+        "tagged |= support",
+        "tagged |= ~support",
+        "the tag marks the cells the support leaves out",
+    ),
+    (
+        "analysis.py",
+        "for size in sorted(set(sizes), reverse=True):",
+        "for size in sorted(set(sizes)):",
+        "sizes are cut smallest first, so a larger top set is cut inside a smaller one",
+    ),
+    (
+        "analysis.py",
+        "if pos and below >> 1 == int(tagged[pos]) >> 1:",
+        "if pos and below == int(tagged[pos]):",
+        "the tie test compares tagged keys: an uncovered cell below the cut at the "
+        "cut's magnitude no longer sends the top set to the index-order fallback",
+    ),
+    (
+        "analysis.py",
+        "support[at_cut][:ties]",
+        "support[at_cut][-ties:]",
+        "ties at the cut go to the later cells",
+    ),
+    (
+        "analysis.py",
+        "at_cut = (flat == mag) | (flat == -mag)",
+        "at_cut = flat == mag",
+        "negative cells at the cut's magnitude are left out of the index-order ties",
     ),
     (
         "analysis.py",
@@ -392,6 +429,24 @@ MUTANTS = [
         "if len(fields) != 3 or fields[2] not in _PROVENANCES:",
         "if len(fields) != 3:",
         "an unknown .irf provenance escapes as ValueError instead of FormatError",
+    ),
+    (
+        "perf.py",
+        'stripped = (ln.removesuffix("\\r").strip(" \\t") for ln in lines)',
+        "stripped = (ln.strip() for ln in lines)",
+        "control characters around a .irf line are stripped as blanks",
+    ),
+    (
+        "perf.py",
+        '_BLANKS = re.compile(r"[ \\t]+")',
+        '_BLANKS = re.compile(r"\\s+")',
+        "control characters split .irf fields like spaces",
+    ),
+    (
+        "perf.py",
+        "if not text.isprintable():",
+        "if not text.isascii():",
+        "a .irf field with a control character around it parses as its number",
     ),
     (
         "perf.py",
@@ -605,9 +660,15 @@ def verdict(code: int, output: str) -> tuple[str, str]:
     return "not killed", f"pytest exited {code}: {last[0]}"
 
 
-def main() -> int:
+def labelled() -> list:
+    """``(label, mutant, equivalent)`` for every entry: ``MUTANTS`` numbered
+    from 1, then ``EQUIVALENT`` as ``E1``, ``E2``, ..."""
     entries = [(str(i), m, False) for i, m in enumerate(MUTANTS, 1)]
-    entries += [(f"E{i}", m, True) for i, m in enumerate(EQUIVALENT, 1)]
+    return entries + [(f"E{i}", m, True) for i, m in enumerate(EQUIVALENT, 1)]
+
+
+def main() -> int:
+    entries = labelled()
     bad = mismatches(entries)
     if bad:
         print("replacements that do not match exactly once:", *bad, sep="\n  ")

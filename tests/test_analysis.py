@@ -106,6 +106,53 @@ class TestTopkRetention:
             pcts = [1.0, *rng.uniform(0.001, 1.0, 5)]
             assert topk_retention(a, m, pcts).retained == stable_sort_retention(a, m, pcts)
 
+    @pytest.mark.parametrize(
+        "pcts",
+        [
+            [0.1, 0.1, 0.3, 0.5, 0.5],
+            [0.5, 0.5, 0.3, 0.1, 0.1],
+            [0.3, 0.1, 0.5, 0.1, 0.3, 1.0, 0.5],
+            [1e-300, 1.0],
+            [1.0, 1e-300, 1e-300],
+        ],
+        ids=["ascending", "descending", "mixed", "one-cell-then-all", "all-then-one-cell"],
+    )
+    def test_repeated_and_unsorted_percentiles_match_oracle(self, pcts):
+        # Sizes are cut largest first, each inside the last top slice;
+        # the report keeps the caller's order and repeats.
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            a, config = make_random_case(rng, max_dim=24)
+            a = np.round(a * 2)
+            m, _ = prune_hierarchical(a, config)
+            rep = topk_retention(a, m, pcts)
+            assert rep.percentiles == tuple(pcts)
+            assert rep.retained == stable_sort_retention(a, m, pcts)
+
+    def test_cut_ties_follow_index_order_not_the_support(self):
+        # Magnitude 1 sits on covered (2, 5, 6) and uncovered (1, 3, 4)
+        # cells on both sides of the top-4 cut. Ranking covered cells first
+        # would count cells 0, 2, 5, 6; the index rule takes 0, 1, 2, 3.
+        a = np.array([[2, 1, -1, 1, 1, -1, 1, 0]], dtype=np.float32)
+        kept = [(0, 0, [[2.0]]), (0, 2, [[-1.0]]), (0, 5, [[-1.0]]), (0, 6, [[1.0]])]
+        m = HBSMatrix(1, 8, (level_of(BlockShape(1, 1), 1, 8, kept),))
+        pcts = [0.5, 0.25, 0.125, 0.75, 1.0]
+        rep = topk_retention(a, m, pcts)
+        assert rep.retained == (0.5, 0.5, 1.0, 0.5, 0.5)
+        assert rep.retained == stable_sort_retention(a, m, pcts)
+
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+    def test_input_bits_unchanged(self, writeable):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((16, 16), dtype=np.float32)
+        a[0, :4] = [-0.0, 0.0, -1.0, 1.0]
+        m = pruned(a, (4, 4, 0.5), (1, 1, 0.9))
+        before = a.tobytes()
+        a.setflags(write=writeable)
+        rep = topk_retention(a, m, [0.5, 0.1, 1.0])
+        assert a.tobytes() == before
+        assert rep.retained == stable_sort_retention(a, m, [0.5, 0.1, 1.0])
+
     @pytest.mark.parametrize("bad", [True, "0.5", None])
     def test_percentile_real_only(self, bad):
         m = pruned(FOUR, (2, 2, 0.75))

@@ -691,6 +691,24 @@ IRF_DAMAGED = [
         FormatError,
         "{p}:2: expected 'bh bw sparsity irf', got '1 1 0.5 0.5\\x0b2 1 0.5 2.0'",
     ),
+    (
+        "control-characters-are-not-blanks",
+        b"HBS-IRF\x0cv1\x1canalytic\n1\x0b1 0.5\x1f0.5\x0c\n",
+        MagicError,
+        "{p}: not an HBS-IRF file (header starts 'HBS-IRF\\x0cv1\\x1canalytic')",
+    ),
+    (
+        "control-characters-do-not-split-fields",
+        IRF_HEADER + b"1\x0b1 0.5\x1f0.5\x0c\n",
+        FormatError,
+        "{p}:2: expected 'bh bw sparsity irf', got '1\\x0b1 0.5\\x1f0.5\\x0c'",
+    ),
+    (
+        "control-character-after-a-field",
+        IRF_HEADER + b"1 1 0.5 0.5\x0c\n",
+        FormatError,
+        "{p}:2: bad irf '0.5\\x0c'",
+    ),
 ]
 
 
