@@ -53,8 +53,9 @@ def _dims(text: str) -> tuple[int, int, int]:
 
 
 def _comma_list(text: str, parse, what: str) -> tuple:
-    """Apply ``parse`` to each non-blank token of a comma list; reject an empty list."""
-    out = tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
+    """Apply ``parse`` to each token of a comma list that is not all spaces;
+    reject an empty list."""
+    out = tuple(parse(tok.strip(" ")) for tok in text.split(",") if tok.strip(" "))
     if not out:
         raise ValueError(f"empty {what} list")
     return out

@@ -122,11 +122,12 @@ def _as_int(value, what: str, error: type[Exception], low=None, high=None) -> in
 
 def _parse_number(text: str, kind: type, what: str, error: type[Exception]):
     """``kind(text)``, ``kind`` being int or float; ``error`` naming ``what``
-    unless ``text`` is ASCII number text. Python's ``int`` and ``float``
-    also read digit-group underscores (``1_6``) and non-ASCII digits; those
-    are refused. Blanks around the text, a sign, an exponent, ``inf`` and
-    ``nan`` parse as they do there, so range checks see them."""
-    if text.isascii() and "_" not in text:
+    unless ``text`` is printable ASCII number text. Python's ``int`` and
+    ``float`` also read digit-group underscores (``1_6``) and non-ASCII
+    digits, and strip control characters and non-ASCII blanks as blanks;
+    those are refused. Spaces around the text, a sign, an exponent, ``inf``
+    and ``nan`` parse as they do there, so range checks see them."""
+    if text.isascii() and text.isprintable() and "_" not in text:
         try:
             return kind(text)
         except ValueError:
@@ -163,39 +164,6 @@ def _set_dims(obj, names: tuple[str, str]) -> None:
         object.__setattr__(obj, name, dim)
 
 
-def _top_mask(keys: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the ``k`` largest entries of 1-D ``keys``.
-
-    Ties at the cut go to the lower index, so the mask marks the first ``k``
-    of a stable descending sort, found by selection in linear time.
-    ``k >= n`` marks everything; ``k <= 0`` marks nothing. Any ordered dtype
-    works; :func:`_top_magnitudes` ranks floats on their bits.
-    """
-    n = keys.shape[0]
-    if k >= n:
-        return np.ones(n, dtype=bool)
-    if k <= 0:
-        return np.zeros(n, dtype=bool)
-    cut = np.partition(keys, n - k)[n - k]
-    keep = keys >= cut
-    extra = np.count_nonzero(keep) - k
-    if extra:
-        ties = np.flatnonzero(keys == cut)
-        keep[ties[ties.size - extra :]] = False
-    return keep
-
-
-def _top_magnitudes(values: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_top_mask` of 1-D float32 or float64 ``values``, each a finite
-    non-negative float or -inf, ranked on their bits.
-
-    A finite non-negative float orders like its bits read as a signed
-    integer of the same width, and -inf reads as a negative integer, below
-    all of them; integers select about twice as fast as floats.
-    """
-    return _top_mask(values.view(f"i{values.itemsize}"), k)
-
-
 def _row_major(rows: np.ndarray, cols: np.ndarray, grid_cols: int) -> np.ndarray:
     """uint64 row-major flat index of in-grid int64 coordinates: exact, as
     grid dimensions are below ``_DIM_LIMIT`` and so the index is below 2^64."""
@@ -228,7 +196,7 @@ class BlockShape:
     def parse(cls, text: str) -> "BlockShape":
         """Parse ``"<bh>x<bw>"``, e.g. ``"32x1"``."""
         _require(text, str, "text", ConfigError)
-        parts = text.strip().split("x")
+        parts = text.strip(" ").split("x")
         if len(parts) != 2:
             raise ConfigError(f"bad block shape {text!r}, expected <bh>x<bw>")
         bh = _parse_number(parts[0], int, "block bh", ConfigError)
@@ -338,12 +306,12 @@ class HBSConfig:
         Example: ``"32x1:0.75,16x1:0.875,1x1:0.96875"``.
         """
         _require(text, str, "text", ConfigError)
-        entries = [e for e in text.split(",") if e.strip()]
+        entries = [e for e in text.split(",") if e.strip(" ")]
         if not entries:
             raise ConfigError(f"empty level spec {text!r}")
         levels = []
         for entry in entries:
-            head, sep, tail = entry.strip().partition(":")
+            head, sep, tail = entry.strip(" ").partition(":")
             if not sep:
                 raise ConfigError(f"bad level spec {entry!r}, expected <bh>x<bw>:<sparsity>")
             shape = BlockShape.parse(head)

@@ -82,7 +82,6 @@ class _Slab(NamedTuple):
 
     tiles: np.ndarray  # read-only float64 (R, eh, L): column-major per row; own columns first
     src: np.ndarray  # read-only intp (R, L): row of b per tile column
-    ids: np.ndarray  # read-only intp (R,): execution block row of each slab row
     lens: np.ndarray  # read-only intp (R,): tile columns of each row's own, descending
     # One entry per row: its execution block row, and its tiles and src cut
     # to its own length, so a row that runs alone slices nothing per call.
@@ -96,7 +95,7 @@ class _Part(NamedTuple):
     levels: range  # the stored levels it covers, by index
     shape: BlockShape  # execution shape: stored, or padded to _EXEC_BH rows
     slabs: tuple[_Slab, ...]  # longest rows first
-    ids: np.ndarray  # read-only intp: every slab's ids, slab after slab
+    ids: np.ndarray  # read-only intp: execution block row of each row, slab after slab
 
 
 # Each matrix's execution plan, its parts in stored order, for as long as
@@ -186,12 +185,12 @@ def _part(m: HBSMatrix, covered: range, eh: int) -> _Part:
         end = base + (hi - lo) * width
         slab_tiles = tiles[base:end].reshape(hi - lo, width, eh).transpose(0, 2, 1)
         slab_src = src[base:end].reshape(hi - lo, width)
-        slab_ids, widths = ids[lo:hi], sorted_lens[lo:hi]
+        widths = sorted_lens[lo:hi]
         rows = tuple(
             (r, slab_tiles[s, :, :w], slab_src[s, :w])
-            for s, (r, w) in enumerate(zip(slab_ids.tolist(), widths.tolist()))
+            for s, (r, w) in enumerate(zip(ids[lo:hi].tolist(), widths.tolist()))
         )
-        slabs.append(_Slab(slab_tiles, slab_src, slab_ids, widths, rows, lo))
+        slabs.append(_Slab(slab_tiles, slab_src, widths, rows, lo))
     return _Part(covered, BlockShape(eh, levels[-1].shape.bw), tuple(slabs), ids)
 
 
@@ -217,7 +216,8 @@ def _execution(m: HBSMatrix, n: int) -> tuple[_Execution, ...]:
             part.levels,
             part.shape,
             2 * cells * n,
-            sum(s.tiles.nbytes + s.src.nbytes + s.ids.nbytes + s.lens.nbytes for s in part.slabs),
+            part.ids.nbytes
+            + sum(s.tiles.nbytes + s.src.nbytes + s.lens.nbytes for s in part.slabs),
             len(part.slabs),
             1 - cells / packed_cells if packed_cells else 0.0,
         ))
@@ -271,7 +271,7 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
         eh = part.shape.bh
         out3 = out64.reshape(m.rows // eh, eh, n)
         base = None  # place in part.ids of the first stacked row
-        for tiles, src, ids, lens, rows, start in part.slabs:
+        for tiles, src, lens, rows, start in part.slabs:
             step = _GATHER_BYTES // max(1, 8 * n * src.shape[1])
             if step < 2:
                 for row, p, idx in rows:
@@ -281,8 +281,8 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
                 base = start
                 stacked = np.empty((len(part.ids) - base, eh, n))
             offset = start - base
-            for s in range(0, len(ids), step):
-                e, w = min(s + step, len(ids)), lens[s]
+            for s in range(0, len(lens), step):
+                e, w = min(s + step, len(lens)), lens[s]
                 np.matmul(
                     tiles[s:e, :, :w],
                     b64.take(src[s:e, :w], axis=0),

@@ -148,15 +148,6 @@ def write_irf(path, table: IrfTable) -> None:
     _write(path, magic, (text[len(magic) :],))
 
 
-def _irf_number(text: str, kind: type, what: str):
-    """One ``.irf`` entry field as ``kind``. A field has no space or tab
-    around it, and the control characters that int() and float() would
-    strip as blanks (\\x0b, \\x0c, \\x1c-\\x1f, a stray \\r) are refused."""
-    if not text.isprintable():
-        raise ValueError(f"bad {what} {text!r}")
-    return _parse_number(text, kind, what, ValueError)
-
-
 def read_irf(path) -> IrfTable:
     """Read an HBS-IRF text file.
 
@@ -191,10 +182,10 @@ def read_irf(path) -> IrfTable:
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 'bh bw sparsity irf', got {line!r}")
         try:
-            bh = _irf_number(parts[0], int, "block bh")
-            bw = _irf_number(parts[1], int, "block bw")
-            sparsity = _irf_number(parts[2], float, "sparsity")
-            irf = _irf_number(parts[3], float, "irf")
+            bh = _parse_number(parts[0], int, "block bh", ValueError)
+            bw = _parse_number(parts[1], int, "block bw", ValueError)
+            sparsity = _parse_number(parts[2], float, "sparsity", ValueError)
+            irf = _parse_number(parts[3], float, "irf", ValueError)
             key, irf = _irf_entry((BlockShape(bh, bw), sparsity_bucket(sparsity)), irf)
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from None

@@ -26,7 +26,6 @@ from .core import (
     _as_floats,
     _require,
     _scatter,
-    _top_magnitudes,
     as_matrix,
     grid_dims,
 )
@@ -99,6 +98,31 @@ def _block_sums(mag: np.ndarray, shape: BlockShape) -> np.ndarray:
     return scores
 
 
+def _top_blocks(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the ``k`` highest of 1-D float32 or float64
+    ``scores``, each a finite non-negative float or -inf; never a -inf one.
+
+    Ties at the cut go to the lower index, so these are the first ``k``
+    finite scores of a stable descending sort, found by selection in linear
+    time. A finite non-negative float orders like its bits read as a signed
+    integer of the same width, and -inf reads as a negative integer, below
+    all of them; integers select about twice as fast as floats. Key 0 is
+    +0.0, the lowest finite score, so the cut is clamped there: with fewer
+    than ``k`` finite scores, exactly those are returned.
+    """
+    keys = scores.view(f"i{scores.itemsize}")
+    n = keys.shape[0]
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    cut = max(np.partition(keys, n - k)[n - k], 0) if k < n else 0
+    keep = keys >= cut
+    extra = np.count_nonzero(keep) - k
+    if extra > 0:
+        ties = np.flatnonzero(keys == cut)
+        keep[ties[ties.size - extra :]] = False
+    return np.flatnonzero(keep)
+
+
 def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     """Run the full multi-level pruning pipeline.
 
@@ -108,15 +132,16 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
     one by one in row-major order within the block in float64, so scores
     are reproducible; a single cell's score is its float32 magnitude, the
     same value. Ranking: score descending, ties broken by ascending
-    row-major grid index; blocks owned by an earlier level are never kept,
-    and the keep count is capped at the blocks still free. The kept blocks
-    are found by selection (one ``np.partition`` on the scores' bit
-    patterns, see :func:`hbs.core._top_magnitudes`), in time linear in the
-    blocks, and are exactly those a stable descending sort would put
-    first. Besides the kept blocks, pruning holds the float32 magnitudes
-    (4 bytes per cell) and one level's scores, the selection's copy of
-    their keys and a keep mask: 17 bytes per block of a multi-cell level,
-    5 per cell of a single-cell level, whose scores are the magnitudes.
+    row-major grid index; a block owned by an earlier level scores -inf and
+    is never kept, so a level with fewer free blocks than its keep count
+    keeps all the free ones. The kept blocks are found by selection (one
+    ``np.partition`` on the scores' bit patterns, see :func:`_top_blocks`),
+    in time linear in the blocks, and are exactly those a stable descending
+    sort would put first. Besides the kept blocks, pruning holds the
+    float32 magnitudes (4 bytes per cell) and one level's scores, the
+    selection's copy of their keys and a keep mask: 17 bytes per block of a
+    multi-cell level, 5 per cell of a single-cell level, whose scores are
+    the magnitudes.
     A 512x512 Gaussian matrix peaks at about 11 traced bytes per cell.
     The result is valid by construction: building its :class:`HBSMatrix`
     ran every :func:`hbs.core.validate` check, and they passed. Every
@@ -141,20 +166,15 @@ def prune_hierarchical(m, config: HBSConfig) -> tuple[HBSMatrix, PruneTrace]:
         total = gr * gc
         # Kept cells are -inf in ``mag``. Every shape divides the shapes of
         # the earlier levels, so a block lies either wholly inside a kept
-        # block (score -inf) or wholly outside all of them (score exactly
-        # as on the input with the kept cells zeroed). -inf ranks below every
-        # free block (see :func:`hbs.core._top_magnitudes`), so capping the
-        # keep count at the free supply, counted from the earlier levels'
-        # blocks, leaves the owned blocks out. A single cell scores its
-        # magnitude, read in place: ``kept_scores`` is taken before the next
-        # level writes ``mag``.
+        # block (score -inf, which :func:`_top_blocks` never returns) or
+        # wholly outside all of them (score exactly as on the input with the
+        # kept cells zeroed). A single cell scores its magnitude, read in
+        # place: ``kept_scores`` is taken before the next level writes ``mag``.
         if shape.area == 1:
             scores = mag.reshape(-1)
         else:
             scores = _block_sums(mag, shape).reshape(-1)
-        free = total - sum(lv.n_blocks * (lv.shape.area // shape.area) for lv in levels)
-        want = total - round_half_up(spec.sparsity * total)
-        kept = np.flatnonzero(_top_magnitudes(scores, min(want, free)))
+        kept = _top_blocks(scores, total - round_half_up(spec.sparsity * total))
         block_rows = kept // gc
         block_cols = kept % gc
         tiles4 = m.reshape(gr, shape.bh, gc, shape.bw)

@@ -68,8 +68,8 @@ MUTANTS = [
     ),
     (
         "kernels.py",
-        "e, w = min(s + step, len(ids)), lens[s]",
-        "e, w = min(s + step, len(ids)), lens[-1]",
+        "e, w = min(s + step, len(lens)), lens[s]",
+        "e, w = min(s + step, len(lens)), lens[-1]",
         "stacked rows are cut to the slab's shortest row and lose their last tiles",
     ),
     (
@@ -233,9 +233,15 @@ MUTANTS = [
     ),
     (
         "core.py",
-        'if text.isascii() and "_" not in text:',
-        "if text.isascii():",
+        'if text.isascii() and text.isprintable() and "_" not in text:',
+        'if text.isascii() and text.isprintable():',
         "number text with digit-group underscores parses",
+    ),
+    (
+        "core.py",
+        'if text.isascii() and text.isprintable() and "_" not in text:',
+        'if text.isascii() and "_" not in text:',
+        "number text with a control character around it parses as its number",
     ),
     (
         "core.py",
@@ -255,38 +261,39 @@ MUTANTS = [
         "        _scatter(out, lv, lv.values)\n    return out + np.float32(0.0)\n",
         "the reconstruction turns -0.0 into +0.0",
     ),
-    # core.py: selection of the k largest keys.
+    # pruning.py: selection of the k highest scores.
     (
-        "core.py",
+        "pruning.py",
         "keep = keys >= cut",
         "keep = keys > cut",
-        "keys equal to the cut are never kept",
+        "scores equal to the cut are never kept",
     ),
     (
-        "core.py",
+        "pruning.py",
         "keep[ties[ties.size - extra :]] = False",
         "keep[ties[:extra]] = False",
         "ties at the cut go to the last index instead of the first",
     ),
     (
-        "core.py",
+        "pruning.py",
         "if k <= 0:",
         "if k < 0:",
-        "selecting nothing partitions past the end of the keys",
+        "selecting nothing partitions past the end of the scores",
     ),
-    (
-        "core.py",
-        'return _top_mask(values.view(f"i{values.itemsize}"), k)',
-        'return _top_mask(values.view(f"u{values.itemsize}"), k)',
-        "floats rank as unsigned bit patterns, so an owned block's or cell's -inf ranks first",
-    ),
-    # pruning.py: ranking and the hierarchy.
     (
         "pruning.py",
-        "kept = np.flatnonzero(_top_magnitudes(scores, min(want, free)))",
-        "kept = np.flatnonzero(_top_magnitudes(scores, want))",
-        "without the supply cap a level keeps blocks an earlier level owns",
+        'keys = scores.view(f"i{scores.itemsize}")',
+        'keys = scores.view(f"u{scores.itemsize}")',
+        "scores rank as unsigned bit patterns, so an owned block's or cell's -inf ranks first",
     ),
+    (
+        "pruning.py",
+        "cut = max(np.partition(keys, n - k)[n - k], 0) if k < n else 0",
+        "cut = np.partition(keys, n - k)[n - k] if k < n else 0",
+        "without the clamp at key 0 a level short of free blocks keeps blocks an earlier "
+        "level owns",
+    ),
+    # pruning.py: ranking and the hierarchy.
     (
         "pruning.py",
         "scores = cells[:, first[0], :, first[1]].astype(np.float64)",
@@ -441,12 +448,6 @@ MUTANTS = [
         '_BLANKS = re.compile(r"[ \\t]+")',
         '_BLANKS = re.compile(r"\\s+")',
         "control characters split .irf fields like spaces",
-    ),
-    (
-        "perf.py",
-        "if not text.isprintable():",
-        "if not text.isascii():",
-        "a .irf field with a control character around it parses as its number",
     ),
     (
         "perf.py",

@@ -380,9 +380,10 @@ NUMBER_TEXTS = {
     ),
 }
 # Text that is no plain ASCII decimal, though Python's int() or float() read
-# all but the last. A .irf file is ASCII, so a non-ASCII digit fails its byte
-# check first.
-LOOSE_TEXTS = ["1_6", "0.5_0", "\u0663", "abc"]
+# all but the last: they also strip control characters and non-ASCII blanks
+# as blanks. A .irf file is ASCII, so non-ASCII text fails its byte check
+# first.
+LOOSE_TEXTS = ["1_6", "0.5_0", "\u0663", "4\x0c", "\x0b32", "0.75\x1f", "\u20032", "abc"]
 
 
 @pytest.mark.parametrize(

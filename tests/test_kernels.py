@@ -219,20 +219,19 @@ class TestPackedLevels:
                 arrays = [part.ids]
                 for slab in part.slabs:
                     assert slab.tiles.dtype == np.float64 and slab.src.dtype == np.intp
-                    assert slab.tiles.shape == (len(slab.ids), part.shape.bh, slab.src.shape[1])
-                    assert slab.lens.shape == slab.ids.shape == (len(slab.rows),)
-                    # The slab's ids are its run of the part's ids.
-                    at = part.ids[slab.start : slab.start + len(slab.ids)]
-                    assert np.shares_memory(slab.ids, part.ids) and (at == slab.ids).all()
+                    assert slab.tiles.shape == (len(slab.lens), part.shape.bh, slab.src.shape[1])
+                    # The slab's rows are its run of the part's ids.
+                    at = part.ids[slab.start : slab.start + len(slab.lens)]
+                    assert slab.lens.shape == at.shape == (len(slab.rows),)
                     # The per-row entries are views cut from the slab's own arrays.
-                    for (row, p, idx), s_row, w in zip(slab.rows, slab.ids, slab.lens):
+                    for (row, p, idx), s_row, w in zip(slab.rows, at, slab.lens):
                         assert row == s_row and p.shape == (part.shape.bh, w)
                         assert len(idx) == w
                         assert np.shares_memory(p, slab.tiles) and np.shares_memory(idx, slab.src)
                     assert sum(p.shape[1] for _, p, _ in slab.rows) == slab.lens.sum()
-                    arrays += [slab.tiles, slab.src, slab.ids, slab.lens]
+                    arrays += [slab.tiles, slab.src, slab.lens]
                     arrays += [a for _, p, idx in slab.rows for a in (p, idx)]
-                assert sum(len(slab.ids) for slab in part.slabs) == len(part.ids)
+                assert sum(len(slab.lens) for slab in part.slabs) == len(part.ids)
                 # An unpadded level gathers by its own block_cols, in row-major order.
                 (lv, *more) = [m.levels[i] for i in part.levels]
                 if not more and part.shape == lv.shape:
@@ -363,7 +362,8 @@ def _unpack(part, rows, cols):
     for slab in part.slabs:
         assert slab.src.shape[1] == slab.lens[0] and (np.diff(slab.lens) <= 0).all()
         assert (slab.lens > slab.lens[0] // 2).all()
-        for s, (row, w) in enumerate(zip(slab.ids.tolist(), slab.lens.tolist())):
+        ids = part.ids[slab.start : slab.start + len(slab.lens)]
+        for s, (row, w) in enumerate(zip(ids.tolist(), slab.lens.tolist())):
             p, idx = slab.tiles[s, :, :w], slab.src[s, :w]
             assert len(np.unique(idx)) == len(idx) and (idx < cols).all()
             dense[row * eh : (row + 1) * eh, idx] = p
@@ -449,7 +449,7 @@ class TestExecutionShape:
         # One execution block row of two tile columns: column 0 holds the
         # 4x1 block's rows 0-3 and the 1x1 cells of rows 5 and 7.
         (slab,) = part.slabs
-        assert slab.ids.tolist() == [0] and slab.src.tolist() == [[0, 1]]
+        assert part.ids.tolist() == [0] and slab.src.tolist() == [[0, 1]]
         want = reconstruct(m).astype(np.float64)
         assert slab.tiles[0].view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
         (ex,) = kernels._execution(m, 3)

@@ -26,7 +26,7 @@ from hbs import (
     write_hbsf,
     write_irf,
 )
-from hbs.core import _top_magnitudes, _top_mask
+from hbs.pruning import _top_blocks
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -180,13 +180,23 @@ def test_rewrites_in_place_read_back_the_last_write(seed, scratch):
                 read(paths[ext])
 
 
+def _check_top_blocks(values):
+    """``_top_blocks`` at float32 and float64 and every ``k`` from below 0
+    to above the length: the first ``min(k, finite)`` finite ``values`` of
+    a stable descending sort, in ascending order."""
+    for dtype in (np.float32, np.float64):
+        s = np.array(values, dtype=dtype)
+        order = np.argsort(-s, kind="stable")
+        finite = order[np.isfinite(s[order])]
+        for k in range(-1, s.size + 2):
+            assert np.array_equal(_top_blocks(s, k), np.sort(finite[: max(k, 0)])), (dtype, k)
+
+
 @PROPERTY
-@given(scores=st.lists(st.integers(-3, 3).map(float) | st.just(-np.inf), max_size=200))
+@given(scores=st.lists(st.integers(0, 3).map(float) | st.just(-np.inf), max_size=200))
 def test_top_k_is_a_stable_descending_sort_prefix(scores):
-    s = np.array(scores, dtype=np.float64)
-    order = np.argsort(-s, kind="stable")
-    for k in range(-1, s.size + 2):
-        assert np.array_equal(np.flatnonzero(_top_mask(s, k)), np.sort(order[: max(k, 0)])), k
+    # Few distinct scores, so most cuts fall inside a run of ties.
+    _check_top_blocks(scores)
 
 
 @PROPERTY
@@ -196,9 +206,6 @@ def test_top_k_is_a_stable_descending_sort_prefix(scores):
     )
 )
 def test_top_k_on_bit_patterns_ranks_like_the_floats(magnitudes):
-    # Pruning and retention rank finite non-negative floats, and -inf, on
-    # same-width signed integer views of their bits.
-    for dtype in (np.float32, np.float64):
-        s = np.array(magnitudes, dtype=dtype)
-        for k in range(-1, s.size + 2):
-            assert np.array_equal(_top_magnitudes(s, k), _top_mask(s, k)), (dtype, k)
+    # Pruning ranks finite non-negative scores, and -inf for blocks an
+    # earlier level owns, on same-width signed integer views of their bits.
+    _check_top_blocks(magnitudes)

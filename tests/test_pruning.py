@@ -319,6 +319,13 @@ class TestPruneHierarchical:
         assert m.levels[1].n_blocks == 0
         assert trace.levels[1].cutoff_score is None
         assert (reconstruct(m) == a).all()
+        # Level 1 keeps 5 - round(2.4) = 3 of five 2x1 blocks; level 2 asks
+        # for 10 - round(5.2) = 5 cells with 4 free, and keeps those 4.
+        a = np.arange(1, 11, dtype=np.float32).reshape(2, 5)
+        m, trace = prune_hierarchical(a, HBSConfig.parse("2x1:0.48,1x1:0.52"))
+        assert [lv.n_blocks for lv in m.levels] == [3, 4]
+        assert [t.pruned_blocks for t in trace.levels] == [2, 6]
+        assert (reconstruct(m) == a).all()
 
     def test_finer_levels_prefer_uncovered_blocks(self):
         # all-equal matrix: level 2's zero-score survivors must sit outside
