@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from functools import partial
 
 import numpy as np
@@ -19,7 +20,9 @@ from .core import (
 )
 from .errors import HbsError, ValidationError
 from .io import read_dmat, read_hbsf, write_dmat, write_hbsf
-from .kernels import _execution, dense_matmul, flops_sparse_level, hbs_matmul, max_rel_error
+from .kernels import (
+    _execution, dense_matmul, flops_sparse, flops_sparse_level, hbs_matmul, max_rel_error
+)
 from .perf import BenchPlan, calibrate_irf, estimate_cost, read_irf, write_irf
 from .pruning import prune_hierarchical
 
@@ -108,11 +111,15 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_matmul(args) -> int:
     m = read_hbsf(args.a)
     b = read_dmat(args.b)
+    if args.oracle:
+        n = b.shape[1]
+        t0 = time.perf_counter()
+        runs = _execution(m, n)  # builds the plan, which hbs_matmul then reuses
+        plan_s = time.perf_counter() - t0
     c = hbs_matmul(m, b)
     write_dmat(args.out, c)
     if args.oracle:
-        n = b.shape[1]
-        for i, ex in enumerate(_execution(m, n), 1):
+        for i, ex in enumerate(runs, 1):
             first, last = ex.levels[0] + 1, ex.levels[-1] + 1
             covered = f"level {first}" if first == last else f"levels {first}-{last}"
             levels = [m.levels[j] for j in ex.levels]
@@ -123,6 +130,13 @@ def _cmd_matmul(args) -> int:
                 f"{ex.flops} executed at {n} columns; "
                 f"packed {ex.nbytes} bytes in {ex.slabs} slabs, padding share {ex.padding:.3f}"
             )
+        kept = sum(lv.n_blocks * lv.shape.area for lv in m.levels)
+        executed = sum(ex.flops for ex in runs) / flops_sparse(m, n) if kept else 0.0
+        per_kept = sum(ex.nbytes for ex in runs) / kept if kept else 0.0
+        print(
+            f"plan: built in {plan_s:.6f} s, {per_kept:.2f} bytes per kept cell, "
+            f"executed/stored flops {executed:.2f}"
+        )
         d = dense_matmul(reconstruct(m), b)
         print(f"max relative error vs dense oracle: {max_rel_error(c, d):.3e}")
     print(f"wrote {args.out}")
@@ -197,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         help="also print each execution plan part's levels, stored and execution shapes, "
-        "FLOPs and packing size, run the dense reference product and print the max "
+        "FLOPs and packing size, the plan's build time, bytes per kept cell and "
+        "executed/stored FLOPs, run the dense reference product and print the max "
         "relative error",
     )
     p.set_defaults(func=_cmd_matmul)

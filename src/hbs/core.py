@@ -34,6 +34,9 @@ _DENSITY_SLACK = 1e-9
 # them as uint32, and it keeps every row-major block index below 2^64.
 _DIM_LIMIT = 2**32
 
+# Largest finite float32; a wider float beyond it rounds to an infinity.
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 def as_matrix(values, *, check_finite: bool = True) -> np.ndarray:
     """Return ``values`` as a C-contiguous float32 2-D array.
@@ -61,11 +64,23 @@ def _as_floats(values, what: str) -> np.ndarray:
     """``values`` as a C-contiguous float32 array; ``ValueError`` naming
     ``what`` unless they are bools, integers or floats: no string is parsed,
     no ``None`` becomes NaN and no imaginary part is dropped. An empty array
-    of any dtype holds no value, so it passes."""
+    of any dtype holds no value, so it passes. Floats wider than float32
+    must also lie within its range: a finite value does not turn into an
+    infinity, though an infinity stays one."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be bools, integers or floats, got dtype {arr.dtype}")
-    return np.ascontiguousarray(arr, dtype=np.float32)
+    if arr.dtype.kind != "f" or arr.dtype.itemsize <= 4:
+        return np.ascontiguousarray(arr, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype=np.float32)
+    if np.isinf(out).any():
+        wide = arr[np.isinf(out) & np.isfinite(arr)]
+        if wide.size:
+            raise ValueError(
+                f"{what} must lie within float32's range of ±{_F32_MAX:.8g}, got {wide[0]}"
+            )
+    return out
 
 
 def _as_2d(values, what: str) -> np.ndarray:

@@ -23,6 +23,7 @@ import ast
 import os
 import sys
 import threading
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -47,46 +48,62 @@ def statements(path: Path) -> list[tuple[int, range]]:
     return sorted(found)
 
 
-def trace_suite() -> tuple[int, dict[str, set[int]]]:
+def trace_suite() -> tuple[int, dict[str, dict[str, set[int]]]]:
     """pytest's exit code for tier-1, and the lines run in each file of
-    ``src/hbs``, keyed by resolved path."""
-    run: dict[str, set[int]] = {}
-    ours: dict[str, set[int] | None] = {}
+    ``src/hbs``, keyed by test id, then by resolved path. A test's lines
+    are those run from the start of its setup to the end of its teardown,
+    so a fixture's lines go to each test whose setup runs it; lines run
+    outside every test, as imports during collection, go to ``""``."""
+    by_test: dict[str, dict[str, set[int]]] = {"": defaultdict(set)}
+    now = [by_test[""]]
+    ours: dict[str, str | None] = {}
     prefix = str(PACKAGE.resolve()) + os.sep
 
     def local(frame, event, arg):
         if event == "line":
-            ours[frame.f_code.co_filename].add(frame.f_lineno)
+            now[0][frame.f_code.co_filename].add(frame.f_lineno)
         return local
 
     def call(frame, event, arg):
         name = frame.f_code.co_filename
         if name not in ours:
             path = os.path.realpath(name)
-            ours[name] = run.setdefault(path, set()) if path.startswith(prefix) else None
+            ours[name] = path if path.startswith(prefix) else None
         return local if ours[name] is not None else None
+
+    class ByTest:
+        @staticmethod
+        def pytest_runtest_logstart(nodeid, location):
+            now[0] = by_test.setdefault(nodeid, defaultdict(set))
+
+        @staticmethod
+        def pytest_runtest_logfinish(nodeid, location):
+            now[0] = by_test[""]
 
     args = ["-q", "-p", "no:cacheprovider", "--deselect", TIMING_TEST, "tests"]
     threading.settrace(call)
     sys.settrace(call)
     try:
-        code = pytest.main(args)
+        code = pytest.main(args, plugins=[ByTest()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), run
+    return int(code), {
+        test: {ours[name]: lines for name, lines in files.items()}
+        for test, files in by_test.items()
+    }
 
 
 def main() -> int:
     os.chdir(ROOT)
-    code, run = trace_suite()
+    code, by_test = trace_suite()
     if code != 0:
         print(f"tier-1: pytest exited {code}; lines are judged on a passing suite only")
         return 2
     missed, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
-        ran = run.get(str(path.resolve()), set())
+        ran = set().union(*(files.get(str(path.resolve()), ()) for files in by_test.values()))
         for lineno, counted in statements(path):
             total += 1
             if ran.isdisjoint(counted):

@@ -12,7 +12,10 @@ Each entry of ``MUTANTS`` is ``(file, old, new, why)``: replace ``old`` by
 match its file exactly once, so the catalogue fails loudly when code moves.
 Every mutant runs in its own temporary copy of ``src/``, ``tests/``,
 ``pyproject.toml`` and ``README.md`` (``tests/test_readme.py`` reads the
-README), with ``python -m pytest -x -q -p no:cacheprovider``.
+README), with ``python -m pytest -x -q -p no:cacheprovider``: first on the
+tests that ``tests/killsets.json`` records as the entry's killers, then, when
+none of them fails or the record is missing or no longer names the entry's
+``why``, on the whole suite.
 
 The unmutated copy must pass first. A mutant counts as killed only when
 pytest exits 1 and names a failing test; a collection or usage error is not
@@ -32,6 +35,7 @@ baseline fails or an ``old`` string does not match exactly once).
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -46,9 +50,10 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIMING_TEST = "tests/test_acceptance.py::test_08_calibrated_speedup_prediction"
 CATALOGUE_TEST = "tests/test_mutants.py"
 PYTEST = [
-    "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    "-m", "pytest", "-q", "-p", "no:cacheprovider",
     "--deselect", TIMING_TEST, "--ignore", CATALOGUE_TEST,
 ]
+KILLSETS = ROOT / "tests" / "killsets.json"
 TIMEOUT_S = 600
 JOBS = min(2, os.cpu_count() or 1)
 
@@ -120,6 +125,32 @@ MUTANTS = [
         "offset = start",
         "stacked rows land in the buffer at their place in the whole part, not after the "
         "rows that ran alone",
+    ),
+    (
+        "kernels.py",
+        "row_starts[order] = starts",
+        "row_starts[:] = starts",
+        "rows' padded columns are laid out in block row order, not the slabs' longest-first "
+        "order, so rows land in other rows' places",
+    ),
+    (
+        "kernels.py",
+        "at = np.repeat(row_starts - first, lens)",
+        "at = np.repeat(row_starts, lens)",
+        "each tile column lands past its row's start by the row's place among all tile "
+        "columns, not within its row",
+    ),
+    (
+        "kernels.py",
+        "cells = sum(int(s.lens.sum()) for s in part.slabs) * part.shape.bh",
+        "cells = sum(int(s.lens.sum()) for s in part.slabs)",
+        "executed FLOPs count tile columns, not the cells of their execution blocks",
+    ),
+    (
+        "kernels.py",
+        "packed_cells = sum(s.tiles.size for s in part.slabs)",
+        "packed_cells = sum(s.src.size for s in part.slabs)",
+        "the padding share divides by packed tile columns instead of packed cells",
     ),
     (
         "kernels.py",
@@ -242,6 +273,18 @@ MUTANTS = [
         'if text.isascii() and text.isprintable() and "_" not in text:',
         'if text.isascii() and "_" not in text:',
         "number text with a control character around it parses as its number",
+    ),
+    (
+        "core.py",
+        'if arr.dtype.kind != "f" or arr.dtype.itemsize <= 4:',
+        'if arr.dtype.kind != "f" or arr.dtype.itemsize <= 8:',
+        "a finite float64 beyond float32's range becomes an infinity",
+    ),
+    (
+        "core.py",
+        "wide = arr[np.isinf(out) & np.isfinite(arr)]",
+        "wide = arr[np.isinf(out)]",
+        "an infinity in a float64 input is refused as beyond float32's range",
     ),
     (
         "core.py",
@@ -612,9 +655,9 @@ def mismatches(entries) -> list[str]:
     return bad
 
 
-def run(mutant=None) -> tuple[int, str, float]:
-    """pytest's exit code and output on a fresh copy, mutated if given,
-    and the run's wall time in seconds."""
+def run(mutant=None, args=()) -> tuple[int, str, float]:
+    """pytest's exit code and output on a fresh copy, mutated if given, with
+    ``args`` after ``PYTEST``'s, and the run's wall time in seconds."""
     with tempfile.TemporaryDirectory(prefix="hbs-mutant-") as tmp:
         tree = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -634,12 +677,22 @@ def run(mutant=None) -> tuple[int, str, float]:
         t0 = time.perf_counter()
         try:
             proc = subprocess.run(
-                [sys.executable, *PYTEST], cwd=tree, env=env,
+                [sys.executable, *PYTEST, *args], cwd=tree, env=env,
                 capture_output=True, text=True, timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
             return -1, f"timed out after {TIMEOUT_S} s", time.perf_counter() - t0
         return proc.returncode, proc.stdout + proc.stderr, time.perf_counter() - t0
+
+
+def failures(output: str) -> list[str]:
+    """The tests and modules that pytest's short summary names as failed or
+    in error, in its order."""
+    return [
+        line.split(" ", 1)[1].split(" - ", 1)[0]
+        for line in output.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
 
 
 def verdict(code: int, output: str) -> tuple[str, str]:
@@ -648,15 +701,11 @@ def verdict(code: int, output: str) -> tuple[str, str]:
     and the reason."""
     if code == 0:
         return "survived", ""
-    failures = [
-        line.split(" ", 1)[1].split(" - ", 1)[0]
-        for line in output.splitlines()
-        if line.startswith(("FAILED ", "ERROR "))
-    ]
-    if code == 1 and failures and "::" in failures[0]:
-        return "killed", failures[0]
-    if code == 1 and failures:
-        return "not killed", f"collection error in {failures[0]}"
+    named = failures(output)
+    if code == 1 and named and "::" in named[0]:
+        return "killed", named[0]
+    if code == 1 and named:
+        return "not killed", f"collection error in {named[0]}"
     last = output.strip().splitlines()[-1:] or [""]
     return "not killed", f"pytest exited {code}: {last[0]}"
 
@@ -668,15 +717,31 @@ def labelled() -> list:
     return entries + [(f"E{i}", m, True) for i, m in enumerate(EQUIVALENT, 1)]
 
 
+def recorded_killers(entries) -> dict[str, list[str]]:
+    """The killers ``KILLSETS`` records per label, for each entry whose file
+    and ``why`` it still names; empty when there is no record."""
+    try:
+        record = json.loads(KILLSETS.read_text(encoding="utf-8"))["entries"]
+    except FileNotFoundError:
+        return {}
+    known = {e["label"]: e for e in record}
+    return {
+        label: known[label]["killers"]
+        for label, (file, _, _, why), _ in entries
+        if label in known and (known[label]["file"], known[label]["why"]) == (file, why)
+    }
+
+
 def main() -> int:
     entries = labelled()
     bad = mismatches(entries)
     if bad:
         print("replacements that do not match exactly once:", *bad, sep="\n  ")
         return 2
+    killers = recorded_killers(entries)
 
     t0 = time.perf_counter()
-    code, output, seconds = run()
+    code, output, seconds = run(args=["-x"])
     if code != 0:
         print(output)
         print(f"baseline: pytest exited {code} on the unmutated copy; nothing to judge")
@@ -684,8 +749,15 @@ def main() -> int:
     print(f"baseline: passed in {seconds:.1f} s", flush=True)
 
     def judge(entry):
-        code, output, seconds = run(entry[1])
-        return (*verdict(code, output), seconds)
+        label, mutant, _ = entry
+        seconds = 0.0
+        if killers.get(label):
+            code, output, seconds = run(mutant, ["-x", *killers[label]])
+            outcome, detail = verdict(code, output)
+            if outcome == "killed":
+                return outcome, detail, seconds
+        code, output, more = run(mutant, ["-x"])
+        return (*verdict(code, output), seconds + more)
 
     survivors, killed = [], 0
     with ThreadPoolExecutor(JOBS) as pool:

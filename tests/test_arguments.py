@@ -425,6 +425,17 @@ def test_non_real_values_are_refused(tmp_path, intake, fill):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("intake", list(FLOAT_INTAKES))
+def test_finite_values_beyond_float32_are_refused(tmp_path, intake):
+    # Infinities come first and pass; the finite value float32 cannot hold does not.
+    call, shape, what = FLOAT_INTAKES[intake]
+    x = np.full(shape, np.inf)
+    x.flat[-1] = -1e300
+    message = _raised(ValueError, call, tmp_path, x)
+    assert message == f"{what} must lie within float32's range of ±3.4028235e+38, got -1e+300"
+    assert not list(tmp_path.iterdir())
+
+
 def test_bool_and_empty_values_pass(tmp_path):
     write_dmat(tmp_path / "mask.dmat", support_mask(M))
     assert hbs_matmul(M, np.ones((8, 2), bool)).dtype == np.float32

@@ -129,6 +129,10 @@ class TestPipelines:
             "part 2: levels 2-3 stored 8x1,2x1, runs as 8x1; 144 flops stored, 240 executed "
             "at 3 columns; packed 424 bytes in 2 slabs, padding share 0.000",
         ]
+        # 1272 packed bytes over 104 kept cells; 720 flops run for 624 stored.
+        plan = r"plan: built in \d+\.\d{6} s, 12\.23 bytes per kept cell, "
+        plan += r"executed/stored flops 1\.15"
+        assert re.search(f"^{plan}$", out, re.M)
 
     def test_topk(self, run, tmp_path):
         a, m = tmp_path / "a.dmat", tmp_path / "m.hbsf"

@@ -368,39 +368,6 @@ class TestValidate:
     def test_zero_levels_pass(self):
         assert validate(HBSMatrix(2, 2, ())).ok
 
-    def test_tiling_failure(self):
-        lv = level_of(BlockShape(2, 2), 1, 1, [(0, 0, [[1, 2], [3, 4]])])
-        report = report_of(4, 4, (lv,))
-        first = report.first_failure
-        assert first.name == "tiling" and "2x2" in first.detail
-        assert not report.ok
-
-    def test_divisibility_failure(self):
-        l1 = level_of(BlockShape(3, 1), 2, 6, [])
-        l2 = level_of(BlockShape(2, 1), 3, 6, [])
-        report = report_of(6, 6, (l1, l2))
-        assert report.first_failure.name == "divisibility"
-        assert "3 % 2 != 0" in report.first_failure.detail
-
-    def test_block_out_of_bounds(self):
-        lv = level_of(BlockShape(2, 2), 2, 2, [(0, 2, [[1, 2], [3, 4]])])
-        report = report_of(4, 4, (lv,))
-        assert report.first_failure.name == "blocks"
-        assert "(0,2)" in report.first_failure.detail
-
-    def test_unsorted_blocks(self):
-        lv = level_of(
-            BlockShape(1, 1), 2, 2, [(1, 1, [[1.0]]), (0, 0, [[2.0]])]
-        )
-        report = report_of(2, 2, (lv,))
-        assert report.first_failure.name == "blocks"
-
-    def test_duplicate_blocks(self):
-        lv = level_of(
-            BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]]), (0, 0, [[2.0]])]
-        )
-        assert report_of(2, 2, (lv,)).first_failure.name == "blocks"
-
     @pytest.mark.parametrize("n", [3, 2**32 - 1], ids=["small", "2^32-1"])
     @pytest.mark.parametrize(
         "coords,at",

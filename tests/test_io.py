@@ -156,13 +156,6 @@ class TestHbsf:
         write_hbsf(again, read_hbsf(p))
         assert again.read_bytes() == data
 
-    def test_write_refuses_invalid(self, tmp_path):
-        dup = level_of(BlockShape(1, 1), 2, 2, [(0, 0, [[1.0]])])
-        p = tmp_path / "bad.hbsf"
-        with pytest.raises(ValidationError):
-            write_hbsf(p, HBSMatrix(2, 2, (dup, dup)))
-        assert not p.exists()
-
     def test_level_taller_than_matrix(self, tmp_path):
         data = hbsf_bytes(2, 4, [(4, 1, [(0, 3, [[1.0], [2.0], [3.0], [4.0]])])])
         tiling = refused(tmp_path, data, read_hbsf, ValidationError).report.checks[0]

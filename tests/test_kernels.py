@@ -30,6 +30,10 @@ from hbs import (
 )
 from conftest import COPIES, level_of, make_random_case
 
+# The benchmark suite's two configs.
+TWO = "32x1:0.75,8x1:0.875"
+LADDER = "32x1:0.75,16x1:0.875,8x1:0.9375,4x1:0.96875,1x1:0.96875"
+
 
 def blockwise_product(m, b):
     """float64 sum of every kept block's tile times its slice of b.
@@ -456,6 +460,15 @@ class TestExecutionShape:
         assert ex.flops == 2 * 16 * 3 and ex.padding == 0.0
         b = np.random.default_rng(2).standard_normal((2, 3), dtype=np.float32)
         assert max_rel_error(hbs_matmul(m, b), blockwise_product(m, b).astype(np.float32)) <= 1e-5
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("levels, most", [(TWO, 11.5), (LADDER, 16)], ids=["two", "ladder"])
+    def test_plan_bytes_per_kept_cell(self, levels, most, seed):
+        # float64 tiles with their padding, one intp per tile column and per block row.
+        a = np.random.default_rng(seed).standard_normal((512, 512), dtype=np.float32)
+        m, _ = prune_hierarchical(a, HBSConfig.parse(levels))
+        kept = sum(lv.n_blocks * lv.shape.area for lv in m.levels)
+        assert sum(ex.nbytes for ex in kernels._execution(m, 1)) / kept <= most
 
     def test_ladder_pads_its_fine_levels(self):
         m = _ladder()
