@@ -8,6 +8,7 @@ randomness is seeded through ``--seed``, so every command is reproducible.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from functools import partial
@@ -21,7 +22,8 @@ from .core import (
 from .errors import HbsError, ValidationError
 from .io import read_dmat, read_hbsf, write_dmat, write_hbsf
 from .kernels import (
-    _execution, dense_matmul, flops_sparse, flops_sparse_level, hbs_matmul, max_rel_error
+    _dense_rule, _execution, _plan_product, dense_matmul, flops_sparse, flops_sparse_level,
+    hbs_matmul, max_rel_error,
 )
 from .perf import BenchPlan, calibrate_irf, estimate_cost, read_irf, write_irf
 from .pruning import prune_hierarchical
@@ -137,10 +139,37 @@ def _cmd_matmul(args) -> int:
             f"plan: built in {plan_s:.6f} s, {per_kept:.2f} bytes per kept cell, "
             f"executed/stored flops {executed:.2f}"
         )
+        plan, dense = _dense_rule(m, n)
+        runs = "dense" if plan > dense else "plan"
+        print(
+            f"product at {n} columns: {runs}; rule: plan side {plan:.6g} vs dense side "
+            f"{dense:.6g}, dense runs when the plan side is larger"
+        )
+        by_plan, by_rule = _median_times((lambda: _plan_product(m, b), lambda: hbs_matmul(m, b)))
+        print(
+            f"timed, median of {_TIMED_REPS}: plan product {by_plan:.6f} s, "
+            f"{runs} product that runs {by_rule:.6f} s"
+        )
         d = dense_matmul(reconstruct(m), b)
         print(f"max relative error vs dense oracle: {max_rel_error(c, d):.3e}")
     print(f"wrote {args.out}")
     return 0
+
+
+# Timed calls of each product that ``matmul --oracle`` compares.
+_TIMED_REPS = 5
+
+
+def _median_times(calls) -> list[float]:
+    """Median wall time of each of ``calls`` over _TIMED_REPS rounds, the
+    calls alternating within each round."""
+    times = [[] for _ in calls]
+    for _ in range(_TIMED_REPS):
+        for ts, fn in zip(times, calls):
+            t0 = time.perf_counter()
+            fn()
+            ts.append(time.perf_counter() - t0)
+    return [statistics.median(ts) for ts in times]
 
 
 def _cmd_topk(args) -> int:
@@ -212,7 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print each execution plan part's levels, stored and execution shapes, "
         "FLOPs and packing size, the plan's build time, bytes per kept cell and "
-        "executed/stored FLOPs, run the dense reference product and print the max "
+        "executed/stored FLOPs, which product runs at this width and the two sides of "
+        "the rule that picks it, the median times of the plan product and of the "
+        "product that runs, run the dense reference product and print the max "
         "relative error",
     )
     p.set_defaults(func=_cmd_matmul)

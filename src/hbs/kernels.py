@@ -5,20 +5,31 @@
 contract: float32 inputs are widened to float64, every product runs in
 float64 BLAS (one call for dense; for HBS, a few stacked GEMMs per part of
 the matrix's execution plan, with parts applied in stored order into one
-shared accumulator), and the result is rounded to float32 once at the end.
+shared accumulator, or one call by the matrix's float64 reconstruction),
+and the result is rounded to float32 once at the end.
 Results are deterministic for a fixed BLAS build and thread count, and the
 single rounding keeps oracle comparisons meaningful at tight tolerances.
 
+:func:`hbs_matmul` has two executions, and a rule on the matrix's stored
+counts and the width ``n`` of ``b`` picks one per call (see
+:func:`_dense_rule`): the execution plan below, or one float64 BLAS product
+by the matrix's float64 reconstruction, built on its first dense product
+and kept, at 8 bytes per cell, for as long as the matrix lives. Choosing
+builds nothing, so a matrix that only ever runs dense holds no plan. Both
+executions meet the same accuracy bound, but they sum in different orders,
+so a column's result bits may change when ``n`` crosses the matrix's
+crossover from one execution to the other.
+
 A matrix's blocks are fixed once it is built, so :func:`hbs_matmul` builds
-the matrix's execution plan on its first product and keeps it for as long
-as the matrix lives. The plan has one part per stored level, except that
-every level whose ``bh`` divides 8, on a matrix whose rows 8 divides, joins
-one part of zero-padded 8-row execution blocks (8 is ``_EXEC_BH``). Shapes
-divide downward, so those levels are the last ones. Such a part holds one
-tile column per execution block row and matrix column that any of its
-levels keeps a cell in: stored block ``(gr, gc)`` of an ``bh x bw`` level
-lands in execution block row ``gr * bh // 8``, at row offset
-``gr * bh % 8``, in ``bw`` tile columns, one per matrix column it covers.
+the matrix's execution plan on its first product by the plan and keeps it
+for as long as the matrix lives. The plan has one part per stored level,
+except that every level whose ``bh`` divides 8, on a matrix whose rows 8
+divides, joins one part of zero-padded 8-row execution blocks (8 is
+``_EXEC_BH``). Shapes divide downward, so those levels are the last ones.
+Such a part holds one tile column per execution block row and matrix column
+that any of its levels keeps a cell in: stored block ``(gr, gc)`` of an
+``bh x bw`` level lands in execution block row ``gr * bh // 8``, at row
+offset ``gr * bh % 8``, in ``bw`` tile columns, one per column it covers.
 Levels are disjoint, so cells of several levels that fall in one tile
 column fill distinct rows of it, and the rest of each column is ``+0.0``.
 Padding runs only along rows, so a padded column reads the same row of
@@ -52,7 +63,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BlockShape, BlockSparseLevel, HBSMatrix, _as_2d, _as_int, _require, _row_major
+from .core import (
+    BlockShape, BlockSparseLevel, HBSMatrix, _as_2d, _as_int, _require, _row_major, reconstruct
+)
 from .errors import DimensionError
 
 
@@ -98,9 +111,61 @@ class _Part(NamedTuple):
     ids: np.ndarray  # read-only intp: execution block row of each row, slab after slab
 
 
-# Each matrix's execution plan, its parts in stored order, for as long as
-# the matrix lives. Matrices hash by identity.
+# Each matrix's execution plan, its parts in stored order, and its float64
+# reconstruction for the dense product, each for as long as the matrix
+# lives. Matrices hash by identity.
 _PLANS = weakref.WeakKeyDictionary()
+_DENSE = weakref.WeakKeyDictionary()
+
+# The rule that picks a product (see _dense_rule), a crossover measured on
+# a 2-core VM with 2 BLAS threads over 19 matrices of 256-2048 rows at 4,
+# 16, 64 and 256 columns: of the 69 cells where the two products differed
+# by more than 10%, it picked the faster in 67. A gathered tile column
+# costs as much as _GATHER_CELLS executed cells, and the dense product's
+# cells weigh _DENSE_CELLS times n ** -_WIDTH_EXP.
+_GATHER_CELLS = 7.4
+_DENSE_CELLS = 1.55
+_WIDTH_EXP = 0.3
+
+
+def _fine(m: HBSMatrix) -> int:
+    """Index of the first level that pads to _EXEC_BH rows; shapes divide
+    downward, so those levels are the last ones."""
+    fine = len(m.levels)
+    while fine and m.rows % _EXEC_BH == 0 and _EXEC_BH % m.levels[fine - 1].shape.bh == 0:
+        fine -= 1
+    return fine
+
+
+def _dense_rule(m: HBSMatrix, n: int) -> tuple[float, float]:
+    """The two sides of the rule that picks :func:`hbs_matmul`'s product:
+    ``(plan, dense)``. The dense product runs when ``plan > dense``.
+
+    ``plan`` is ``(E + _GATHER_CELLS * T) * n ** _WIDTH_EXP``, where ``T``
+    counts the stored tile columns, ``n_blocks * bw`` summed over the levels,
+    and ``E`` their execution cells, each column ``bh`` tall, or 8 in the
+    part that pads to 8 rows. ``dense`` is ``_DENSE_CELLS * rows * cols``.
+    Only stored counts are read, so the rule builds nothing; at ``n = 0``
+    the plan runs.
+    """
+    fine = _fine(m)
+    cells = 0.0
+    for i, lv in enumerate(m.levels):
+        eh = _EXEC_BH if i >= fine else lv.shape.bh
+        cells += lv.n_blocks * lv.shape.bw * (eh + _GATHER_CELLS)
+    return cells * n**_WIDTH_EXP, _DENSE_CELLS * m.rows * m.cols
+
+
+def _dense_form(m: HBSMatrix) -> np.ndarray:
+    """The matrix's read-only float64 reconstruction, built on first use.
+    Threads that race to build it build equal ones, and all keep the first
+    stored."""
+    dense = _DENSE.get(m)
+    if dense is None:
+        dense = reconstruct(m).astype(np.float64)
+        dense.flags.writeable = False
+        dense = _DENSE.setdefault(m, dense)
+    return dense
 
 
 def _plan(m: HBSMatrix) -> tuple[_Part, ...]:
@@ -110,11 +175,7 @@ def _plan(m: HBSMatrix) -> tuple[_Part, ...]:
     plan = _PLANS.get(m)
     if plan is not None:
         return plan
-    # The levels that pad to _EXEC_BH rows; shapes divide downward, so they
-    # are the last ones.
-    fine = len(m.levels)
-    while fine and m.rows % _EXEC_BH == 0 and _EXEC_BH % m.levels[fine - 1].shape.bh == 0:
-        fine -= 1
+    fine = _fine(m)
     parts = [_part(m, range(i, i + 1), m.levels[i].shape.bh) for i in range(fine)]
     if fine < len(m.levels):
         parts.append(_part(m, range(fine, len(m.levels)), _EXEC_BH))
@@ -225,35 +286,29 @@ def _execution(m: HBSMatrix, n: int) -> tuple[_Execution, ...]:
 
 
 def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
-    """Multiply an HBS matrix by a dense matrix, part by part.
+    """Multiply an HBS matrix by a dense matrix, by its plan or densely.
 
-    The parts of the matrix's execution plan are applied in stored order
-    into one shared double-precision accumulator, and the sum is rounded to
-    float32 once at the end. The part that pads levels to 8 rows sums all
-    of its levels' cells of one execution block row inside one GEMM per
-    row. Products of float32 values are exact in float64, so each cell of
-    that sum is within ``gamma_K`` times the same cell of ``|A| @ |b|`` of
-    the exact product ``A @ b``, where ``A`` is the reconstruction,
-    ``gamma_K = K*u / (1 - K*u)``, ``u = 2^-53`` and ``K = k + n_parts``,
-    at most ``k + n_levels`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 3.5); the final rounding adds half a
-    float32 ulp. The bound is componentwise, as for :func:`dense_matmul`:
-    where products cancel, the relative error may be large.
-    Deterministic for a fixed BLAS build and thread count.
+    A rule on the matrix's stored counts and the width ``n`` of ``b`` picks
+    the product (see :func:`_dense_rule`). Where the plan is modelled to
+    lose, as for most matrices at hundreds of columns, one float64 BLAS
+    product runs by the matrix's float64 reconstruction, built on its first
+    dense product and kept, at 8 bytes per cell, for as long as the matrix
+    lives. Elsewhere the parts of the matrix's execution plan are applied
+    in stored order into one shared double-precision accumulator (see
+    :func:`_plan_product`). Either way the sum is rounded to float32 once
+    at the end. Products of float32 values are exact in float64, so each
+    cell of that sum is within ``gamma_K`` times the same cell of
+    ``|A| @ |b|`` of the exact product ``A @ b``, where ``A`` is the
+    reconstruction, ``gamma_K = K*u / (1 - K*u)``, ``u = 2^-53`` and
+    ``K = k + n_parts``, at most ``k + n_levels`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.5); the final
+    rounding adds half a float32 ulp. The bound is componentwise, as for
+    :func:`dense_matmul`: where products cancel, the relative error may be
+    large. Deterministic for a fixed BLAS build and thread count.
 
-    A matrix's first product builds its plan (see the module docstring),
-    which is kept for as long as the matrix lives, so later calls only
-    gather and multiply. Each slab of a part runs as stacked float64 GEMMs
-    over consecutive rows, as many as keep the gathered slice of ``b``
-    within ``_GATHER_BYTES``, each cut to the length of its first, longest
-    row, into one buffer per part; the buffer then lands in the accumulator
-    with one scatter. Rows are unique within a part, so their sums land
-    without conflict. A slab whose rows are too long for that runs each row
-    alone over its own tiles, which is the arithmetic of one BLAS call per
-    block row. Such slabs come first, as the slice per row only shrinks
-    from slab to slab. Padding adds exact zeros, so the result is within
-    the same bound of the oracle, but it may differ in the last bit from a
-    product that skips the padding.
+    The two products sum in different orders, so a column's result bits
+    may change when ``n`` crosses the matrix's crossover from one product
+    to the other; both stay within the bound.
 
     Raises:
         DimensionError: On inner-dimension mismatch.
@@ -262,6 +317,33 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     b = _as_2d(b, "b")
     if m.cols != b.shape[0]:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, b is {b.shape[0]}x{b.shape[1]}")
+    plan, dense = _dense_rule(m, b.shape[1])
+    if plan > dense:
+        return (_dense_form(m) @ b.astype(np.float64)).astype(np.float32)
+    return _plan_product(m, b)
+
+
+def _plan_product(m: HBSMatrix, b: np.ndarray) -> np.ndarray:
+    """``m @ b`` by the matrix's execution plan, for a float32 ``b`` of
+    ``m.cols`` rows; :func:`hbs_matmul`'s sparse product, which
+    :func:`~hbs.perf.calibrate_irf` times.
+
+    A matrix's first product builds its plan (see the module docstring),
+    which is kept for as long as the matrix lives, so later calls only
+    gather and multiply. The part that pads levels to 8 rows sums all of
+    its levels' cells of one execution block row inside one GEMM per row.
+    Each slab of a part runs as stacked float64 GEMMs over consecutive
+    rows, as many as keep the gathered slice of ``b`` within
+    ``_GATHER_BYTES``, each cut to the length of its first, longest row,
+    into one buffer per part; the buffer then lands in the accumulator
+    with one scatter. Rows are unique within a part, so their sums land
+    without conflict. A slab whose rows are too long for that runs each row
+    alone over its own tiles, which is the arithmetic of one BLAS call per
+    block row. Such slabs come first, as the slice per row only shrinks
+    from slab to slab. Padding adds exact zeros, so the result is within
+    the same bound of the oracle, but it may differ in the last bit from a
+    product that skips the padding.
+    """
     n = b.shape[1]
     b64 = np.empty((m.cols + 1, n))
     b64[:-1] = b

@@ -3,9 +3,12 @@
 Dense cost is raw FLOPs. Each sparse level's cost is its FLOPs divided by
 an irregularity factor irf(sparsity, block shape) in (0, 1]: the efficiency
 of that sparse configuration relative to dense throughput on the machine at
-hand. Speedup is the dense-to-sparse cost ratio. irf values are measured with
-microbenchmarks (:func:`calibrate_irf`) or supplied, for example read from
-an ``.irf`` file; the table remembers which.
+hand. Speedup is the ratio of the dense cost to the cost of the product
+that runs, the cheaper of the two, since :func:`~hbs.kernels.hbs_matmul`
+runs the dense product where the plan loses; the sparse-only ratio is
+reported beside it. irf values are measured with microbenchmarks
+(:func:`calibrate_irf`, which times the sparse product itself) or supplied,
+for example read from an ``.irf`` file; the table remembers which.
 
 HBS-IRF layout: ASCII lines of blank-separated fields; blank lines are
 skipped. Header ``HBS-IRF v1 <calibrated|analytic>``, then one
@@ -45,7 +48,7 @@ from .errors import (
     CalibrationError, ConfigError, FormatError, IrfLookupError, MagicError, VersionError
 )
 from .io import _write
-from .kernels import dense_matmul, flops_dense, flops_sparse, hbs_matmul
+from .kernels import _plan_product, dense_matmul, flops_dense, flops_sparse
 from .pruning import prune_hierarchical, round_half_up
 
 # Sparsity keys are bucketized to this many steps across [0, 1].
@@ -211,8 +214,9 @@ class CostEstimate:
     """Dense vs sparse cost of one layer and the resulting speedup.
 
     ``c_sparse`` is the sum of per-level contributions (each level's FLOPs
-    divided by its irf); ``speedup`` is ``c_dense / c_sparse``, infinite
-    when every level is fully sparse.
+    divided by its irf). ``speedup`` is that of the product that runs, the
+    cheaper one: ``c_dense / min(c_sparse, c_dense)``, so 1.0 where the
+    dense product runs, and infinite when every level is fully sparse.
     """
 
     c_dense: float
@@ -228,7 +232,12 @@ class CostEstimate:
                 f"flops {lc.flops:.6g}  irf {lc.irf:.4f}  cost {lc.contribution:.6g}"
             )
         lines.append(f"sparse cost: {self.c_sparse:.6g}")
-        lines.append(f"speedup: {self.speedup:.4f}" if np.isfinite(self.speedup) else "speedup: inf")
+        sparse_only = self.c_dense / self.c_sparse if self.c_sparse > 0.0 else float("inf")
+        lines.append(f"sparse-only speedup: {sparse_only:.4f}")
+        runs = "sparse runs"
+        if self.c_sparse > self.c_dense:
+            runs = "dense runs: sparse cost exceeds dense"
+        lines.append(f"speedup: {self.speedup:.4f} ({runs})")
         return "\n".join(lines)
 
 
@@ -250,7 +259,9 @@ def estimate_cost(
     Dense cost is ``2*m*k*n`` FLOPs. Level i contributes
     ``(1 - sparsity_i) * dense_flops / irf_i``. FLOPs come from the config's
     grid fractions, not from any particular matrix, so the estimate is
-    matrix independent.
+    matrix independent. The speedup is that of the cheaper product, as
+    :func:`~hbs.kernels.hbs_matmul` runs the dense one where the plan loses;
+    ``c_sparse`` and ``per_level`` stay the sparse product's.
 
     Raises:
         ValueError: If ``layer_dims`` is not three non-negative integers,
@@ -270,7 +281,8 @@ def estimate_cost(
             LevelCost(spec.shape, spec.sparsity, level_flops, level_irf, contribution)
         )
         c_sparse += contribution
-    speedup = c_dense / c_sparse if c_sparse > 0.0 else float("inf")
+    c_run = min(c_sparse, c_dense)
+    speedup = c_dense / c_run if c_run > 0.0 else float("inf")
     return CostEstimate(float(c_dense), c_sparse, tuple(per_level), speedup)
 
 
@@ -333,9 +345,11 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
     """Measure irf for every (shape, sparsity) pair with microbenchmarks.
 
     For each pair, a seeded random matrix is pruned to a single level at
-    that configuration and the block sparse product is timed against the
-    dense (BLAS) product on the same (m, k, n) problem, one dense and one
-    sparse call per repetition. The entry is the ratio of the two achieved
+    that configuration and the block sparse product, by the matrix's
+    execution plan even where :func:`~hbs.kernels.hbs_matmul` would run it
+    densely, is timed against the dense (BLAS) product on the same
+    (m, k, n) problem, one dense and one sparse call per repetition. irf is
+    the sparse kernel's efficiency. The entry is the ratio of the two achieved
     FLOP/s medians, clamped to (0, 1]. Requires exclusive use of the
     machine's timing context; do not run concurrently with other
     benchmarks.
@@ -371,7 +385,7 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
             t_dense, t_sparse = _median_seconds(
                 {
                     f"dense {m}x{k}x{n} matmul": lambda: dense_matmul(a, b),
-                    f"sparse {shape} sp={sp:g} matmul": lambda: hbs_matmul(hbs, b),
+                    f"sparse {shape} sp={sp:g} matmul": lambda: _plan_product(hbs, b),
                 },
                 plan,
             )

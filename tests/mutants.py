@@ -596,6 +596,44 @@ MUTANTS = [
         "regular = not stat.S_ISREG(",
         "regular files take the sequential pass and keep old tails; pipes are cut and sought",
     ),
+    # kernels.py and perf.py: the product that runs, and the cost model's view of it.
+    (
+        "kernels.py",
+        "if plan > dense:",
+        "if plan < dense:",
+        "the dense product runs where the plan wins, and the plan where it loses",
+    ),
+    (
+        "kernels.py",
+        "cells += lv.n_blocks * lv.shape.bw * (eh + _GATHER_CELLS)",
+        "cells += lv.n_blocks * lv.shape.bw * eh",
+        "the rule charges nothing for gathering b, so the plan runs where its gathers lose",
+    ),
+    (
+        "kernels.py",
+        "eh = _EXEC_BH if i >= fine else lv.shape.bh",
+        "eh = lv.shape.bh",
+        "the rule counts a padded level's cells as stored, not as the 8-row tiles that run",
+    ),
+    (
+        "kernels.py",
+        "        dense.flags.writeable = False\n",
+        "",
+        "the kept dense form is writable, so a caller can change the matrix's products",
+    ),
+    (
+        "perf.py",
+        "from .kernels import _plan_product, dense_matmul",
+        "from .kernels import hbs_matmul as _plan_product, dense_matmul",
+        "calibrate_irf times hbs_matmul, which runs densely where the plan loses, so irf "
+        "is no longer the sparse kernel's efficiency",
+    ),
+    (
+        "perf.py",
+        "c_run = min(c_sparse, c_dense)",
+        "c_run = c_sparse",
+        "the estimate predicts the plan's product where the dense product runs",
+    ),
 ]
 
 EQUIVALENT = [

@@ -134,6 +134,30 @@ class TestPipelines:
         plan += r"executed/stored flops 1\.15"
         assert re.search(f"^{plan}$", out, re.M)
 
+    @pytest.mark.parametrize("n, runs", [(4, "plan"), (64, "dense")])
+    def test_matmul_oracle_names_the_product_that_runs(self, run, tmp_path, n, runs):
+        a, m, b, c = (tmp_path / name for name in ("a.dmat", "m.hbsf", "b.dmat", "c.dmat"))
+        run("gen", "--rows", 64, "--cols", 64, "--seed", 5, "--out", a)
+        run("prune", "--in", a, "--out", m, "--levels", "32x1:0.75,8x1:0.875")
+        run("gen", "--rows", 64, "--cols", n, "--seed", 6, "--out", b)
+        rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
+        assert rc == 0
+        rule = re.search(
+            rf"^product at {n} columns: (plan|dense); rule: plan side (\S+) vs dense side "
+            r"(\S+), dense runs when the plan side is larger$",
+            out,
+            re.M,
+        )
+        assert rule and rule.group(1) == runs
+        assert (float(rule.group(2)) > float(rule.group(3))) == (runs == "dense")
+        timed = re.search(
+            r"^timed, median of 5: plan product (\d+\.\d{6}) s, "
+            r"(plan|dense) product that runs (\d+\.\d{6}) s$",
+            out,
+            re.M,
+        )
+        assert timed and timed.group(2) == runs
+
     def test_topk(self, run, tmp_path):
         a, m = tmp_path / "a.dmat", tmp_path / "m.hbsf"
         write_dmat(a, FOUR)

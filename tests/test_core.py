@@ -640,6 +640,8 @@ class TestMatrixType:
         for mat in (m, back):
             for n in (4, 256):
                 hbs_matmul(mat, np.ones((mat.cols, n), np.float32))
+            # hbs_matmul runs this small matrix densely; build its plan too.
+            hbs.kernels._plan_product(mat, np.ones((mat.cols, 4), np.float32))
             reconstruct(mat)
             validate(mat)
             write_hbsf(tmp_path / "again.hbsf", mat)

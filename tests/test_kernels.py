@@ -168,11 +168,15 @@ class TestPanelKernel:
 
         got = hbs_matmul(m, b)
         again = hbs_matmul(m, b)
+        # The plan's product too, wherever the dense product runs.
+        planned = kernels._plan_product(m, np.asarray(b, np.float32))
 
-        assert got.dtype == np.float32 and got.shape == (m.rows, n)
+        assert got.dtype == planned.dtype == np.float32
+        assert got.shape == planned.shape == (m.rows, n)
         if n:
             want = blockwise_product(m, b).astype(np.float32)
             assert max_rel_error(got, want) <= 1e-5
+            assert max_rel_error(planned, want) <= 1e-5
         assert (got.view(np.uint32) == again.view(np.uint32)).all()
         assert b.tobytes() == b_bytes
         for lv, (br, bc, vals) in zip(m.levels, arrays):
@@ -205,17 +209,17 @@ class TestPackedLevels:
         assert _plan_of(m) is None and _plan_of(fresh) is None
         b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
 
-        first = hbs_matmul(m, b)
+        first = kernels._plan_product(m, b)
         plan = _plan_of(m)
-        second = hbs_matmul(m, b)
+        second = kernels._plan_product(m, b)
 
         assert plan is not None and _plan_of(m) is plan
-        assert _bits(first) == _bits(second) == _bits(hbs_matmul(fresh, b))
+        assert _bits(first) == _bits(second) == _bits(kernels._plan_product(fresh, b))
 
     def test_packing_is_read_only(self):
         # Both a padded execution shape ("4x2") and the stored one ("2x3").
         for m in (build() for build in EDGE_MATRICES.values()):
-            hbs_matmul(m, np.ones((m.cols, 2), np.float32))
+            kernels._plan_product(m, np.ones((m.cols, 2), np.float32))
             plan = _plan_of(m)
             assert [i for part in plan for i in part.levels] == list(range(m.n_levels))
             for part in plan:
@@ -258,7 +262,7 @@ class TestPackedLevels:
         before = (repr(m), hash(m), [hash(lv) for lv in m.levels])
         hbs.write_hbsf(tmp_path / "before.hbsf", m)
 
-        hbs_matmul(m, np.ones((m.cols, 3), np.float32))
+        kernels._plan_product(m, np.ones((m.cols, 3), np.float32))
 
         assert (repr(m), hash(m), [hash(lv) for lv in m.levels]) == before
         assert repr(m) == repr(twin) and "plan" not in repr(m)
@@ -269,21 +273,22 @@ class TestPackedLevels:
     def test_matrices_sharing_a_level_agree(self):
         full = EDGE_MATRICES["4x2"]()
         b = np.random.default_rng(3).standard_normal((full.cols, 4), dtype=np.float32)
-        hbs_matmul(full, b)
+        kernels._plan_product(full, b)
         plan = _plan_of(full)
         for lv, twin in zip(full.levels, EDGE_MATRICES["4x2"]().levels):
             one = HBSMatrix(full.rows, full.cols, (lv,))
             also = HBSMatrix(full.rows, full.cols, (lv,))
-            got = hbs_matmul(one, b)
-            assert _bits(got) == _bits(hbs_matmul(also, b))
-            assert _bits(got) == _bits(hbs_matmul(HBSMatrix(full.rows, full.cols, (twin,)), b))
+            got = kernels._plan_product(one, b)
+            assert _bits(got) == _bits(kernels._plan_product(also, b))
+            twin_m = HBSMatrix(full.rows, full.cols, (twin,))
+            assert _bits(got) == _bits(kernels._plan_product(twin_m, b))
             # Each matrix has a plan of its own.
             assert _plan_of(one) is not _plan_of(also)
         assert _plan_of(full) is plan
 
     def test_plan_dies_with_its_matrix(self):
         m = _ladder()
-        hbs_matmul(m, np.ones((m.cols, 4), np.float32))
+        kernels._plan_product(m, np.ones((m.cols, 4), np.float32))
         held = [weakref.ref(m)] + [weakref.ref(part.ids) for part in _plan_of(m)]
         del m
         gc.collect()
@@ -294,7 +299,7 @@ class TestPackedLevels:
         dup = COPIES[how]
         m = _ladder()
         b = np.random.default_rng(6).standard_normal((m.cols, 4), dtype=np.float32)
-        want = hbs_matmul(m, b)
+        want = kernels._plan_product(m, b)
         twin = dup(m)
         # A copied matrix is a new matrix, with no plan.
         assert twin is not m and _plan_of(twin) is None
@@ -304,7 +309,7 @@ class TestPackedLevels:
         hbs.write_hbsf(tmp_path / "twin.hbsf", twin)
         assert (tmp_path / "twin.hbsf").read_bytes() == (tmp_path / "m.hbsf").read_bytes()
         assert _bits(reconstruct(twin)) == _bits(reconstruct(m))
-        assert _bits(hbs_matmul(twin, b)) == _bits(want)
+        assert _bits(kernels._plan_product(twin, b)) == _bits(want)
         lv = dup(m.levels[0])
         assert lv is not m.levels[0]
         assert not any(a.flags.writeable for a in (lv.block_rows, lv.block_cols, lv.values))
@@ -312,17 +317,17 @@ class TestPackedLevels:
     def test_pickle_carries_no_packing(self):
         m = _ladder()
         size = len(pickle.dumps(m))
-        hbs_matmul(m, np.ones((m.cols, 4), np.float32))
+        kernels._plan_product(m, np.ones((m.cols, 4), np.float32))
         assert len(pickle.dumps(m)) == size
 
     def test_threads_racing_to_pack_agree(self):
         m = EDGE_MATRICES["empty-middle"]()
         b = np.random.default_rng(8).standard_normal((m.cols, 5), dtype=np.float32)
-        want = _bits(hbs_matmul(EDGE_MATRICES["empty-middle"](), b))
+        want = _bits(kernels._plan_product(EDGE_MATRICES["empty-middle"](), b))
         got = []
 
         def run():
-            got.append(_bits(hbs_matmul(m, b)))
+            got.append(_bits(kernels._plan_product(m, b)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -336,6 +341,175 @@ class TestPackedLevels:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 8
+
+
+def _dense_of(m):
+    """The matrix's float64 dense form if a dense product has built it, else None."""
+    return kernels._DENSE.get(m)
+
+
+def _runs_dense(m, n):
+    plan, dense = kernels._dense_rule(m, n)
+    return plan > dense
+
+
+def _two(seed=41):
+    """A 64x64 matrix pruned with the suite's two-level config: the plan runs
+    at 4 columns, the dense product at 64."""
+    return _pruned(seed, (64, 64), TWO)
+
+
+# The rule's decisions, (rows, cols, config, n, dense runs): the benchmark
+# suite's three shapes with both configs at 4 and 256 columns, and one-level
+# configs of one shape at 256, where 32x1 and 8x1 blocks still pay and 1x1
+# blocks, which run padded to 8 rows, do not.
+RULE_TABLE = [
+    (rows, cols, config, n, dense)
+    for rows, cols in ((1024, 1024), (2048, 512), (256, 576))
+    for config, n, dense in (
+        (TWO, 4, False), (LADDER, 4, True), (TWO, 256, True), (LADDER, 256, True)
+    )
+] + [
+    (1024, 1024, "32x1:0.9", 256, False),
+    (1024, 1024, "8x1:0.9", 256, False),
+    (1024, 1024, "1x1:0.9", 256, True),
+    (1024, 1024, LADDER, 0, False),
+]
+
+
+def _rule_id(case):
+    rows, cols, config, n, _ = case
+    name = {TWO: "two", LADDER: "ladder"}.get(config, config)
+    return f"{rows}x{cols}-{name}-{n}"
+
+
+class TestDenseProduct:
+    """Where the rule says the plan loses, hbs_matmul runs one BLAS product
+    by the matrix's float64 reconstruction, built once and kept as long as
+    the matrix."""
+
+    @pytest.mark.parametrize(
+        "rows, cols, config, n, dense", RULE_TABLE, ids=[_rule_id(c) for c in RULE_TABLE]
+    )
+    def test_rule_decisions(self, rows, cols, config, n, dense):
+        m = _pruned(5, (rows, cols), config)
+        assert _runs_dense(m, n) == dense
+        # The rule reads stored counts only.
+        assert _plan_of(m) is None and _dense_of(m) is None
+
+    def test_each_width_takes_the_product_the_rule_names(self):
+        m = _two()
+        a = reconstruct(m)
+        rng = np.random.default_rng(7)
+        assert not _runs_dense(m, 4) and _runs_dense(m, 64)
+
+        b = rng.standard_normal((m.cols, 4), dtype=np.float32)
+        narrow = hbs_matmul(m, b)
+        plan = _plan_of(m)
+        assert plan is not None and _dense_of(m) is None
+        assert _bits(narrow) == _bits(kernels._plan_product(m, b))
+        assert_within_componentwise_bound(narrow, a, b, len(plan))
+
+        b = rng.standard_normal((m.cols, 64), dtype=np.float32)
+        wide = hbs_matmul(m, b)
+        assert _dense_of(m) is not None and _plan_of(m) is plan
+        assert_within_componentwise_bound(wide, a, b, 0)
+
+    def test_dense_product_builds_no_plan(self):
+        m = _ladder()
+        b = np.random.default_rng(4).standard_normal((m.cols, 4), dtype=np.float32)
+        assert _runs_dense(m, 4)
+        first = hbs_matmul(m, b)
+        form = _dense_of(m)
+        assert _bits(hbs_matmul(m, b)) == _bits(first)
+        assert _plan_of(m) is None and _dense_of(m) is form
+
+    def test_dense_form_is_read_only(self):
+        m = _ladder()
+        hbs_matmul(m, np.ones((m.cols, 4), np.float32))
+        form = _dense_of(m)
+        assert form.dtype == np.float64 and form.shape == (m.rows, m.cols)
+        assert form.tobytes() == reconstruct(m).astype(np.float64).tobytes()
+        assert not form.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            form[...] = 0.0
+
+    def test_dense_form_dies_with_its_matrix(self):
+        m = _ladder()
+        hbs_matmul(m, np.ones((m.cols, 4), np.float32))
+        held = [weakref.ref(m), weakref.ref(_dense_of(m))]
+        del m
+        gc.collect()
+        assert all(ref() is None for ref in held)
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copies_and_pickles_carry_no_dense_form(self, how):
+        m = _ladder()
+        size = len(pickle.dumps(m))
+        b = np.random.default_rng(6).standard_normal((m.cols, 4), dtype=np.float32)
+        want = hbs_matmul(m, b)
+        assert _dense_of(m) is not None and len(pickle.dumps(m)) == size
+        twin = COPIES[how](m)
+        assert twin is not m and _dense_of(twin) is None
+        assert _bits(hbs_matmul(twin, b)) == _bits(want)
+
+    def test_threads_racing_to_build_agree(self):
+        m = _ladder()
+        b = np.random.default_rng(8).standard_normal((m.cols, 5), dtype=np.float32)
+        want = _bits(hbs_matmul(_ladder(), b))
+        got, forms = [], []
+
+        def run():
+            got.append(_bits(hbs_matmul(m, b)))
+            forms.append(_dense_of(m))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
+        # Every thread multiplied by the one form the matrix keeps.
+        assert all(form is forms[0] for form in forms) and _dense_of(m) is forms[0]
+
+    def test_within_bound_of_the_oracle(self):
+        ran = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            a, config = make_random_case(rng, max_dim=24)
+            m, _ = prune_hierarchical(a, config)
+            n = int(rng.integers(1, 9))
+            b = rng.standard_normal((m.cols, n), dtype=np.float32)
+            if not _runs_dense(m, n):
+                continue
+            ran += 1
+            got = hbs_matmul(m, b)
+            assert _dense_of(m) is not None
+            assert_within_componentwise_bound(got, reconstruct(m), b, 0)
+            assert max_rel_error(got, dense_matmul(reconstruct(m), b)) <= 1e-5
+        assert ran >= 20
+
+    def test_nonfinite_cells_also_nonfinite_in_oracle(self):
+        ran = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            a, config = make_random_case(rng, max_dim=32)
+            m, _ = prune_hierarchical(a, config)
+            b = rng.standard_normal((m.cols, int(rng.integers(1, 9))), dtype=np.float32)
+            cells = rng.integers(0, b.size, size=int(rng.integers(1, 4)))
+            b.flat[cells] = rng.choice([np.inf, -np.inf, np.nan], size=len(cells))
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = hbs_matmul(m, b)
+                want = dense_matmul(reconstruct(m), b)
+            assert not np.isfinite(want[~np.isfinite(got)]).any()
+            ran += _dense_of(m) is not None
+        assert ran >= 20
 
 
 def _one_level(bh, bw, rows, cols, blocks):
@@ -459,7 +633,8 @@ class TestExecutionShape:
         (ex,) = kernels._execution(m, 3)
         assert ex.flops == 2 * 16 * 3 and ex.padding == 0.0
         b = np.random.default_rng(2).standard_normal((2, 3), dtype=np.float32)
-        assert max_rel_error(hbs_matmul(m, b), blockwise_product(m, b).astype(np.float32)) <= 1e-5
+        got = kernels._plan_product(m, b)
+        assert max_rel_error(got, blockwise_product(m, b).astype(np.float32)) <= 1e-5
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("levels, most", [(TWO, 11.5), (LADDER, 16)], ids=["two", "ladder"])
@@ -479,9 +654,9 @@ class TestExecutionShape:
     def test_ladder_matches_blockwise_product(self, n):
         m = _ladder()
         b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
-        got = hbs_matmul(m, b)
-        assert max_rel_error(got, blockwise_product(m, b).astype(np.float32)) <= 1e-5
-        assert max_rel_error(got, dense_matmul(reconstruct(m), b)) <= 1e-5
+        for got in (hbs_matmul(m, b), kernels._plan_product(m, b)):
+            assert max_rel_error(got, blockwise_product(m, b).astype(np.float32)) <= 1e-5
+            assert max_rel_error(got, dense_matmul(reconstruct(m), b)) <= 1e-5
 
     def test_nonfinite_cells_also_nonfinite_in_oracle(self):
         # Random hierarchies, where fine levels pad rows, and skewed levels,
@@ -499,7 +674,7 @@ class TestExecutionShape:
                 cells = rng.integers(0, b.size, size=int(rng.integers(1, 4)))
                 b.flat[cells] = rng.choice([np.inf, -np.inf, np.nan], size=len(cells))
                 with np.errstate(invalid="ignore", over="ignore"):
-                    got = hbs_matmul(m, b)
+                    got = kernels._plan_product(m, b)
                     want = dense_matmul(reconstruct(m), b)
                 assert not np.isfinite(want[~np.isfinite(got)]).any()
                 plan = _plan_of(m)
@@ -569,9 +744,9 @@ class TestSlabs:
     def test_skewed_level_within_oracle(self, case, n):
         m = _skewed(*SKEWED[case])
         b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
-        got = hbs_matmul(m, b)
         want = (reconstruct(m).astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
-        assert got.shape == want.shape and max_rel_error(got, want) <= 1e-5
+        for got in (hbs_matmul(m, b), kernels._plan_product(m, b)):
+            assert got.shape == want.shape and max_rel_error(got, want) <= 1e-5
 
     @pytest.mark.parametrize("case", sorted(SKEWED) + ["1x1-under-8x1", "1x1-under-16x1"])
     @pytest.mark.parametrize("n", [1, 4, 33])
@@ -591,7 +766,7 @@ class TestSlabs:
             monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
             spied = tuple(slab._replace(rows=_Walked(slab.rows)) for slab in part.slabs)
             kernels._PLANS[m] = plan[:-1] + (part._replace(slabs=spied),)
-            got = hbs_matmul(m, b)
+            got = kernels._plan_product(m, b)
             alone = [slab.rows.walked for slab in spied]
             if gather_bytes == 1:
                 assert all(alone)
@@ -600,7 +775,8 @@ class TestSlabs:
             else:
                 assert not any(alone)
             assert max_rel_error(got, want) <= 1e-5
-            assert _bits(got) == _bits(hbs_matmul(m, b)) == _bits(hbs_matmul(m, b))
+            again = kernels._plan_product(m, b)
+            assert _bits(got) == _bits(again) == _bits(kernels._plan_product(m, b))
 
 
 class _Walked(tuple):
@@ -622,10 +798,10 @@ def test_hbs_matmul_within_float64_oracle(seed, n, scale):
     m, _ = prune_hierarchical(a, config)
     b = rng.standard_normal((a.shape[1], n), dtype=np.float32)
     want = (reconstruct(m).astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
-    got = hbs_matmul(m, b)
-    assert got.shape == want.shape
-    if n:
-        assert max_rel_error(got, want) <= 1e-5
+    for got in (hbs_matmul(m, b), kernels._plan_product(m, b)):
+        assert got.shape == want.shape
+        if n:
+            assert max_rel_error(got, want) <= 1e-5
 
 
 def assert_within_componentwise_bound(got, a, b, n_parts):
@@ -666,18 +842,20 @@ class TestAccuracyBound:
 
     def test_cancelling_levels(self):
         # Both levels share one 8-row part, so one GEMM sums 1e20, -1e20
-        # and 1 for row 0, in an order BLAS picks: hbs_matmul may give 0.0
-        # where the exact product is 1.0, a relative error of 1, within the
-        # bound for one part.
+        # and 1 for row 0, in an order BLAS picks: the plan's product may
+        # give 0.0 where the exact product is 1.0, a relative error of 1,
+        # within the bound for one part. hbs_matmul runs this small matrix
+        # densely, within the same bound.
         coarse = level_of(BlockShape(8, 1), 1, 3, [(0, 0, [[1e20]] + [[0.0]] * 7)])
         fine = level_of(BlockShape(1, 1), 8, 3, [(0, 1, [[-1e20]]), (0, 2, [[1.0]])])
         m = HBSMatrix(8, 3, (coarse, fine))
         b = np.ones((3, 1), dtype=np.float32)
         a = reconstruct(m)
-        got = hbs_matmul(m, b)
+        got = kernels._plan_product(m, b)
         assert len(kernels._plan(m)) == 1
         exact = assert_within_componentwise_bound(got, a, b, 1)
         assert exact[0, 0] == 1.0
+        assert_within_componentwise_bound(hbs_matmul(m, b), a, b, 1)
         assert_within_componentwise_bound(dense_matmul(a, b), a, b, 1)
 
     def test_random_cancellation(self):
@@ -690,8 +868,10 @@ class TestAccuracyBound:
             a = reconstruct(m)
             with np.errstate(over="ignore"):
                 got, dense = hbs_matmul(m, b), dense_matmul(a, b)
+                planned = kernels._plan_product(m, b)
             n_parts = len(kernels._plan(m))
             exact = assert_within_componentwise_bound(got, a, b, n_parts)
+            assert_within_componentwise_bound(planned, a, b, n_parts)
             assert_within_componentwise_bound(dense, a, b, n_parts)
             scale = np.abs(a.astype(np.float64)) @ np.abs(b.astype(np.float64))
             cancelled += int(np.count_nonzero(np.abs(exact) < 1e-6 * scale))

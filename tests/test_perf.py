@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ones_table
+import hbs.kernels as kernels
 import hbs.perf as perf
 from hbs import (
     BenchPlan,
@@ -16,6 +17,8 @@ from hbs import (
     IrfTable,
     calibrate_irf,
     estimate_cost,
+    hbs_matmul,
+    prune_hierarchical,
     sparsity_bucket,
 )
 
@@ -113,7 +116,8 @@ class TestEstimateCost:
         cfg = HBSConfig.of((32, 1, 0.75), (1, 1, 0.75))
         est = estimate_cost((128, 128, 128), cfg, t)
         assert est.c_sparse == pytest.approx(2.8125 * est.c_dense, rel=1e-12)
-        assert est.speedup == pytest.approx(1 / 2.8125, rel=1e-12)
+        # The sparse product costs more, so the dense one runs.
+        assert est.speedup == 1.0
         lv32 = est.per_level[0]
         assert lv32.flops == 0.25 * est.c_dense
         assert lv32.contribution == pytest.approx(lv32.flops / 0.8)
@@ -161,6 +165,15 @@ class TestEstimateCost:
         t = ones_table(BlockShape(1, 1))
         text = estimate_cost((4, 4, 4), HBSConfig.of((1, 1, 0.5)), t).render()
         assert "speedup: 2.0000" in text and "dense cost" in text
+        assert "sparse-only speedup: 2.0000" in text and "(sparse runs)" in text
+
+    def test_render_names_the_dense_product_where_it_runs(self):
+        t = IrfTable({(BlockShape(1, 1), 32): 0.25}, "analytic")
+        text = estimate_cost((4, 4, 4), HBSConfig.of((1, 1, 0.5)), t).render()
+        assert text.splitlines()[-2:] == [
+            "sparse-only speedup: 0.5000",
+            "speedup: 1.0000 (dense runs: sparse cost exceeds dense)",
+        ]
 
 
 class TestBenchPlan:
@@ -188,6 +201,21 @@ class TestBenchPlan:
 
 
 class TestCalibration:
+    def test_times_the_plan_where_the_dense_product_would_run(self, monkeypatch):
+        # At 256 columns hbs_matmul runs a 1x1 level densely; irf stays the
+        # efficiency of the plan's product.
+        def dense_form(m):
+            raise AssertionError("the dense product ran")
+
+        monkeypatch.setattr(kernels, "_dense_form", dense_form)
+        ones = np.ones((128, 128), np.float32)
+        m, _ = prune_hierarchical(ones, HBSConfig.of((1, 1, 0.5)))
+        with pytest.raises(AssertionError, match="the dense product ran"):
+            hbs_matmul(m, np.ones((128, 256), np.float32))
+        plan = BenchPlan((128, 128, 256), reps=1, warmup=0)
+        table = calibrate_irf([BlockShape(1, 1)], [0.5], plan)
+        assert set(table.entries) == {(BlockShape(1, 1), 32)}
+
     def test_small_run_produces_bounded_entries(self):
         plan = BenchPlan((128, 128, 32), reps=3, warmup=1, seed=7)
         shapes = [BlockShape(8, 1), BlockShape(1, 1)]
