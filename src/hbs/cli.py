@@ -8,7 +8,6 @@ randomness is seeded through ``--seed``, so every command is reproducible.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 import time
 from functools import partial
@@ -22,10 +21,10 @@ from .core import (
 from .errors import HbsError, ValidationError
 from .io import read_dmat, read_hbsf, write_dmat, write_hbsf
 from .kernels import (
-    _dense_rule, _execution, _plan_product, dense_matmul, flops_sparse, flops_sparse_level,
-    hbs_matmul, max_rel_error,
+    _dense_rule, _execution, _plan_product, _runs_dense, dense_matmul, flops_sparse,
+    flops_sparse_level, hbs_matmul, max_rel_error,
 )
-from .perf import BenchPlan, calibrate_irf, estimate_cost, read_irf, write_irf
+from .perf import BenchPlan, _median_seconds, calibrate_irf, estimate_cost, read_irf, write_irf
 from .pruning import prune_hierarchical
 
 
@@ -140,36 +139,23 @@ def _cmd_matmul(args) -> int:
             f"executed/stored flops {executed:.2f}"
         )
         plan, dense = _dense_rule(m, n)
-        runs = "dense" if plan > dense else "plan"
+        runs = "dense" if _runs_dense(m, n) else "plan"
         print(
             f"product at {n} columns: {runs}; rule: plan side {plan:.6g} vs dense side "
             f"{dense:.6g}, dense runs when the plan side is larger"
         )
-        by_plan, by_rule = _median_times((lambda: _plan_product(m, b), lambda: hbs_matmul(m, b)))
+        timing = BenchPlan((m.rows, m.cols, n), reps=5, warmup=0)
+        by_plan, by_rule = _median_seconds(
+            {"plan": lambda: _plan_product(m, b), "rule": lambda: hbs_matmul(m, b)}, timing
+        )
         print(
-            f"timed, median of {_TIMED_REPS}: plan product {by_plan:.6f} s, "
+            f"timed, median of {timing.reps}: plan product {by_plan:.6f} s, "
             f"{runs} product that runs {by_rule:.6f} s"
         )
         d = dense_matmul(reconstruct(m), b)
         print(f"max relative error vs dense oracle: {max_rel_error(c, d):.3e}")
     print(f"wrote {args.out}")
     return 0
-
-
-# Timed calls of each product that ``matmul --oracle`` compares.
-_TIMED_REPS = 5
-
-
-def _median_times(calls) -> list[float]:
-    """Median wall time of each of ``calls`` over _TIMED_REPS rounds, the
-    calls alternating within each round."""
-    times = [[] for _ in calls]
-    for _ in range(_TIMED_REPS):
-        for ts, fn in zip(times, calls):
-            t0 = time.perf_counter()
-            fn()
-            ts.append(time.perf_counter() - t0)
-    return [statistics.median(ts) for ts in times]
 
 
 def _cmd_topk(args) -> int:

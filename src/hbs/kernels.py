@@ -139,7 +139,8 @@ def _fine(m: HBSMatrix) -> int:
 
 def _dense_rule(m: HBSMatrix, n: int) -> tuple[float, float]:
     """The two sides of the rule that picks :func:`hbs_matmul`'s product:
-    ``(plan, dense)``. The dense product runs when ``plan > dense``.
+    ``(plan, dense)``. The dense product runs when ``plan > dense``
+    (:func:`_runs_dense`).
 
     ``plan`` is ``(E + _GATHER_CELLS * T) * n ** _WIDTH_EXP``, where ``T``
     counts the stored tile columns, ``n_blocks * bw`` summed over the levels,
@@ -154,6 +155,12 @@ def _dense_rule(m: HBSMatrix, n: int) -> tuple[float, float]:
         eh = _EXEC_BH if i >= fine else lv.shape.bh
         cells += lv.n_blocks * lv.shape.bw * (eh + _GATHER_CELLS)
     return cells * n**_WIDTH_EXP, _DENSE_CELLS * m.rows * m.cols
+
+
+def _runs_dense(m: HBSMatrix, n: int) -> bool:
+    """Whether :func:`hbs_matmul` runs ``m``'s dense product against ``n`` columns."""
+    plan, dense = _dense_rule(m, n)
+    return plan > dense
 
 
 def _dense_form(m: HBSMatrix) -> np.ndarray:
@@ -317,8 +324,7 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     b = _as_2d(b, "b")
     if m.cols != b.shape[0]:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, b is {b.shape[0]}x{b.shape[1]}")
-    plan, dense = _dense_rule(m, b.shape[1])
-    if plan > dense:
+    if _runs_dense(m, b.shape[1]):
         return (_dense_form(m) @ b.astype(np.float64)).astype(np.float32)
     return _plan_product(m, b)
 

@@ -3,10 +3,10 @@
 Dense cost is raw FLOPs. Each sparse level's cost is its FLOPs divided by
 an irregularity factor irf(sparsity, block shape) in (0, 1]: the efficiency
 of that sparse configuration relative to dense throughput on the machine at
-hand. Speedup is the ratio of the dense cost to the cost of the product
-that runs, the cheaper of the two, since :func:`~hbs.kernels.hbs_matmul`
-runs the dense product where the plan loses; the sparse-only ratio is
-reported beside it. irf values are measured with microbenchmarks
+hand. Speedup is the ratio of the dense cost to the cheaper of the two
+costs, reported beside the sparse-only ratio; which product
+:func:`~hbs.kernels.hbs_matmul` runs is its own rule's choice, which
+``hbs matmul --oracle`` names. irf values are measured with microbenchmarks
 (:func:`calibrate_irf`, which times the sparse product itself) or supplied,
 for example read from an ``.irf`` file; the table remembers which.
 
@@ -214,9 +214,13 @@ class CostEstimate:
     """Dense vs sparse cost of one layer and the resulting speedup.
 
     ``c_sparse`` is the sum of per-level contributions (each level's FLOPs
-    divided by its irf). ``speedup`` is that of the product that runs, the
-    cheaper one: ``c_dense / min(c_sparse, c_dense)``, so 1.0 where the
-    dense product runs, and infinite when every level is fully sparse.
+    divided by its irf). ``speedup`` is that of the cheaper product by the
+    model: ``c_dense / min(c_sparse, c_dense)``, so 1.0 where the sparse
+    cost exceeds the dense one, and infinite when every level is fully
+    sparse. :func:`~hbs.kernels.hbs_matmul` picks the product that runs by
+    ``kernels._dense_rule``, and ``hbs matmul --oracle`` names it; it is not
+    always the model's cheaper one (the README's ``estimate_cost``
+    paragraph gives two layers).
     """
 
     c_dense: float
@@ -234,10 +238,7 @@ class CostEstimate:
         lines.append(f"sparse cost: {self.c_sparse:.6g}")
         sparse_only = self.c_dense / self.c_sparse if self.c_sparse > 0.0 else float("inf")
         lines.append(f"sparse-only speedup: {sparse_only:.4f}")
-        runs = "sparse runs"
-        if self.c_sparse > self.c_dense:
-            runs = "dense runs: sparse cost exceeds dense"
-        lines.append(f"speedup: {self.speedup:.4f} ({runs})")
+        lines.append(f"speedup: {self.speedup:.4f}")
         return "\n".join(lines)
 
 
@@ -259,8 +260,8 @@ def estimate_cost(
     Dense cost is ``2*m*k*n`` FLOPs. Level i contributes
     ``(1 - sparsity_i) * dense_flops / irf_i``. FLOPs come from the config's
     grid fractions, not from any particular matrix, so the estimate is
-    matrix independent. The speedup is that of the cheaper product, as
-    :func:`~hbs.kernels.hbs_matmul` runs the dense one where the plan loses;
+    matrix independent. The speedup is that of the cheaper product by the
+    model, not of the product :func:`~hbs.kernels.hbs_matmul` picks;
     ``c_sparse`` and ``per_level`` stay the sparse product's.
 
     Raises:
@@ -314,10 +315,6 @@ def _median_seconds(calls: dict, plan: BenchPlan) -> list[float]:
     Within every warmup and timed repetition the calls run one after the
     other, so all of them see the same host state; a host that changes
     speed mid-run shifts every median alike instead of one of them.
-
-    Raises:
-        CalibrationError: Naming the first call whose median falls below
-            the measurable floor.
     """
     for _ in range(plan.warmup):
         for fn in calls.values():
@@ -328,17 +325,7 @@ def _median_seconds(calls: dict, plan: BenchPlan) -> list[float]:
             t0 = time.perf_counter()
             fn()
             times[what].append(time.perf_counter() - t0)
-    floor = max(MIN_MEASURABLE_SECONDS, 1000.0 * time.get_clock_info("perf_counter").resolution)
-    meds = []
-    for what, ts in times.items():
-        med = statistics.median(ts)
-        if med < floor:
-            raise CalibrationError(
-                f"{what} ran in {med:.3g}s, below the measurable floor {floor:.3g}s; "
-                "increase the problem size (n) or repetitions"
-            )
-        meds.append(med)
-    return meds
+    return [statistics.median(ts) for ts in times.values()]
 
 
 def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
@@ -377,18 +364,23 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
     b = rng.standard_normal((k, n), dtype=np.float32)
     f_dense = flops_dense(m, k, n)
 
+    floor = max(MIN_MEASURABLE_SECONDS, 1000.0 * time.get_clock_info("perf_counter").resolution)
     entries: dict[tuple[BlockShape, int], float] = {}
     for shape in shapes:
         for sp, bucket in zip(sparsities, buckets):
             w = rng.standard_normal((m, k), dtype=np.float32)
             hbs, _ = prune_hierarchical(w, HBSConfig.of((shape, sp)))
-            t_dense, t_sparse = _median_seconds(
-                {
-                    f"dense {m}x{k}x{n} matmul": lambda: dense_matmul(a, b),
-                    f"sparse {shape} sp={sp:g} matmul": lambda: _plan_product(hbs, b),
-                },
-                plan,
-            )
+            calls = {
+                f"dense {m}x{k}x{n} matmul": lambda: dense_matmul(a, b),
+                f"sparse {shape} sp={sp:g} matmul": lambda: _plan_product(hbs, b),
+            }
+            t_dense, t_sparse = meds = _median_seconds(calls, plan)
+            for what, med in zip(calls, meds):
+                if med < floor:
+                    raise CalibrationError(
+                        f"{what} ran in {med:.3g}s, below the measurable floor {floor:.3g}s; "
+                        "increase the problem size (n) or repetitions"
+                    )
             irf = (flops_sparse(hbs, n) / t_sparse) / (f_dense / t_dense)
             entries[(shape, bucket)] = float(min(max(irf, _IRF_FLOOR), 1.0))
     return IrfTable(entries, PROVENANCE_CALIBRATED)

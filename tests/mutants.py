@@ -596,11 +596,12 @@ MUTANTS = [
         "regular = not stat.S_ISREG(",
         "regular files take the sequential pass and keep old tails; pipes are cut and sought",
     ),
-    # kernels.py and perf.py: the product that runs, and the cost model's view of it.
+    # kernels.py, perf.py and cli.py: the product that runs, the cost model's view of
+    # it, calibration's timing floor and the oracle's report.
     (
         "kernels.py",
-        "if plan > dense:",
-        "if plan < dense:",
+        "return plan > dense",
+        "return plan < dense",
         "the dense product runs where the plan wins, and the plan where it loses",
     ),
     (
@@ -632,7 +633,19 @@ MUTANTS = [
         "perf.py",
         "c_run = min(c_sparse, c_dense)",
         "c_run = c_sparse",
-        "the estimate predicts the plan's product where the dense product runs",
+        "the estimate's speedup is the plan's where the model finds the dense product cheaper",
+    ),
+    (
+        "perf.py",
+        "if med < floor:",
+        "if med < 0.0:",
+        "calibration turns a timing below the measurable floor into an irf entry",
+    ),
+    (
+        "cli.py",
+        'runs = "dense" if _runs_dense(m, n) else "plan"',
+        'runs = "plan" if _runs_dense(m, n) else "dense"',
+        "matmul --oracle names the product that does not run",
     ),
 ]
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import level_of
 from test_io import hbsf_bytes
+from hbs import perf
 from hbs import (
     BlockShape,
     HBSMatrix,
@@ -65,7 +66,7 @@ class TestPipelines:
         assert "level 1" in out and "level 2" in out
         assert "cumulative density 0.375" in out
 
-    def test_matmul_oracle(self, run, tmp_path):
+    def test_matmul_oracle(self, run, tmp_path, monkeypatch):
         a, m, b, c = (tmp_path / n for n in ("a.dmat", "m.hbsf", "b.dmat", "c.dmat"))
         run("gen", "--rows", 16, "--cols", 12, "--seed", 5, "--out", a)
         run("prune", "--in", a, "--out", m, "--levels", "4x2:0.5,1x1:0.75")
@@ -75,6 +76,11 @@ class TestPipelines:
         got = re.search(r"max relative error vs dense oracle: (\S+)", out)
         assert got and float(got.group(1)) <= 1e-5
         assert read_dmat(c).shape == (16, 7)
+        # The oracle reports its times; only calibration refuses times
+        # below the measurable floor.
+        monkeypatch.setattr(perf, "MIN_MEASURABLE_SECONDS", 1e9)
+        rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
+        assert rc == 0 and re.search(r"^timed, median of 5: ", out, re.M)
 
     @pytest.mark.parametrize(
         "rows, runs",

@@ -255,7 +255,7 @@ class TestPackedLevels:
         hbs.write_hbsf(tmp_path / "m.hbsf", m)
         back = hbs.read_hbsf(tmp_path / "m.hbsf")
         fresh = EDGE_MATRICES["4x2"]()
-        assert _plan_of(m) is None and _plan_of(back) is None and _plan_of(fresh) is None
+        assert all(_kept(form, x) is None for form in KEPT for x in (m, back, fresh))
 
     def test_identity_repr_and_bytes_unchanged(self, tmp_path):
         m, twin = EDGE_MATRICES["2x3"](), EDGE_MATRICES["2x3"]()
@@ -286,48 +286,75 @@ class TestPackedLevels:
             assert _plan_of(one) is not _plan_of(also)
         assert _plan_of(full) is plan
 
-    def test_plan_dies_with_its_matrix(self):
-        m = _ladder()
-        kernels._plan_product(m, np.ones((m.cols, 4), np.float32))
-        held = [weakref.ref(m)] + [weakref.ref(part.ids) for part in _plan_of(m)]
-        del m
-        gc.collect()
-        assert all(ref() is None for ref in held)
-
     @pytest.mark.parametrize("how", sorted(COPIES))
     def test_copies_rebuild_through_the_constructor(self, how, tmp_path):
         dup = COPIES[how]
         m = _ladder()
-        b = np.random.default_rng(6).standard_normal((m.cols, 4), dtype=np.float32)
-        want = kernels._plan_product(m, b)
         twin = dup(m)
-        # A copied matrix is a new matrix, with no plan.
-        assert twin is not m and _plan_of(twin) is None
+        assert twin is not m
         for lv in twin.levels:
             assert not any(a.flags.writeable for a in (lv.block_rows, lv.block_cols, lv.values))
         hbs.write_hbsf(tmp_path / "m.hbsf", m)
         hbs.write_hbsf(tmp_path / "twin.hbsf", twin)
         assert (tmp_path / "twin.hbsf").read_bytes() == (tmp_path / "m.hbsf").read_bytes()
         assert _bits(reconstruct(twin)) == _bits(reconstruct(m))
-        assert _bits(kernels._plan_product(twin, b)) == _bits(want)
         lv = dup(m.levels[0])
         assert lv is not m.levels[0]
         assert not any(a.flags.writeable for a in (lv.block_rows, lv.block_cols, lv.values))
 
-    def test_pickle_carries_no_packing(self):
+
+def _dense_of(m):
+    """The matrix's float64 dense form if a dense product has built it, else None."""
+    return kernels._DENSE.get(m)
+
+
+# The two forms a matrix keeps, each with a product that builds it: the
+# plan's own product, and hbs_matmul, which runs _ladder() densely at 4 and
+# 5 columns.
+KEPT = {"plan": kernels._plan_product, "dense": hbs_matmul}
+
+
+def _kept(form, m):
+    return _plan_of(m) if form == "plan" else _dense_of(m)
+
+
+@pytest.mark.parametrize("form", sorted(KEPT))
+class TestKeptForms:
+    """Each form is built by the matrix's first product of its kind, kept as
+    long as the matrix lives, and carried by no copy."""
+
+    def test_dies_with_its_matrix(self, form):
+        m = _ladder()
+        KEPT[form](m, np.ones((m.cols, 4), np.float32))
+        kept = _kept(form, m)
+        arrays = [part.ids for part in kept] if form == "plan" else [kept]
+        held = [weakref.ref(m)] + [weakref.ref(a) for a in arrays]
+        del m, kept, arrays
+        gc.collect()
+        assert all(ref() is None for ref in held)
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copies_and_pickles_carry_no_kept_form(self, form, how):
+        product = KEPT[form]
         m = _ladder()
         size = len(pickle.dumps(m))
-        kernels._plan_product(m, np.ones((m.cols, 4), np.float32))
-        assert len(pickle.dumps(m)) == size
+        b = np.random.default_rng(6).standard_normal((m.cols, 4), dtype=np.float32)
+        want = product(m, b)
+        assert _kept(form, m) is not None and len(pickle.dumps(m)) == size
+        twin = COPIES[how](m)
+        assert twin is not m and _kept(form, twin) is None
+        assert _bits(product(twin, b)) == _bits(want)
 
-    def test_threads_racing_to_pack_agree(self):
-        m = EDGE_MATRICES["empty-middle"]()
+    def test_threads_racing_to_build_agree(self, form):
+        product = KEPT[form]
+        m = _ladder()
         b = np.random.default_rng(8).standard_normal((m.cols, 5), dtype=np.float32)
-        want = _bits(kernels._plan_product(EDGE_MATRICES["empty-middle"](), b))
-        got = []
+        want = _bits(product(_ladder(), b))
+        got, kept = [], []
 
         def run():
-            got.append(_bits(kernels._plan_product(m, b)))
+            got.append(_bits(product(m, b)))
+            kept.append(_kept(form, m))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -341,16 +368,8 @@ class TestPackedLevels:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 8
-
-
-def _dense_of(m):
-    """The matrix's float64 dense form if a dense product has built it, else None."""
-    return kernels._DENSE.get(m)
-
-
-def _runs_dense(m, n):
-    plan, dense = kernels._dense_rule(m, n)
-    return plan > dense
+        # Every thread read the one form the matrix keeps.
+        assert all(k is kept[0] for k in kept) and _kept(form, m) is kept[0]
 
 
 def _two(seed=41):
@@ -393,7 +412,7 @@ class TestDenseProduct:
     )
     def test_rule_decisions(self, rows, cols, config, n, dense):
         m = _pruned(5, (rows, cols), config)
-        assert _runs_dense(m, n) == dense
+        assert kernels._runs_dense(m, n) == dense
         # The rule reads stored counts only.
         assert _plan_of(m) is None and _dense_of(m) is None
 
@@ -401,7 +420,7 @@ class TestDenseProduct:
         m = _two()
         a = reconstruct(m)
         rng = np.random.default_rng(7)
-        assert not _runs_dense(m, 4) and _runs_dense(m, 64)
+        assert not kernels._runs_dense(m, 4) and kernels._runs_dense(m, 64)
 
         b = rng.standard_normal((m.cols, 4), dtype=np.float32)
         narrow = hbs_matmul(m, b)
@@ -418,7 +437,7 @@ class TestDenseProduct:
     def test_dense_product_builds_no_plan(self):
         m = _ladder()
         b = np.random.default_rng(4).standard_normal((m.cols, 4), dtype=np.float32)
-        assert _runs_dense(m, 4)
+        assert kernels._runs_dense(m, 4)
         first = hbs_matmul(m, b)
         form = _dense_of(m)
         assert _bits(hbs_matmul(m, b)) == _bits(first)
@@ -434,50 +453,6 @@ class TestDenseProduct:
         with pytest.raises(ValueError, match="read-only"):
             form[...] = 0.0
 
-    def test_dense_form_dies_with_its_matrix(self):
-        m = _ladder()
-        hbs_matmul(m, np.ones((m.cols, 4), np.float32))
-        held = [weakref.ref(m), weakref.ref(_dense_of(m))]
-        del m
-        gc.collect()
-        assert all(ref() is None for ref in held)
-
-    @pytest.mark.parametrize("how", sorted(COPIES))
-    def test_copies_and_pickles_carry_no_dense_form(self, how):
-        m = _ladder()
-        size = len(pickle.dumps(m))
-        b = np.random.default_rng(6).standard_normal((m.cols, 4), dtype=np.float32)
-        want = hbs_matmul(m, b)
-        assert _dense_of(m) is not None and len(pickle.dumps(m)) == size
-        twin = COPIES[how](m)
-        assert twin is not m and _dense_of(twin) is None
-        assert _bits(hbs_matmul(twin, b)) == _bits(want)
-
-    def test_threads_racing_to_build_agree(self):
-        m = _ladder()
-        b = np.random.default_rng(8).standard_normal((m.cols, 5), dtype=np.float32)
-        want = _bits(hbs_matmul(_ladder(), b))
-        got, forms = [], []
-
-        def run():
-            got.append(_bits(hbs_matmul(m, b)))
-            forms.append(_dense_of(m))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert got == [want] * 8
-        # Every thread multiplied by the one form the matrix keeps.
-        assert all(form is forms[0] for form in forms) and _dense_of(m) is forms[0]
-
     def test_within_bound_of_the_oracle(self):
         ran = 0
         for seed in range(60):
@@ -486,7 +461,7 @@ class TestDenseProduct:
             m, _ = prune_hierarchical(a, config)
             n = int(rng.integers(1, 9))
             b = rng.standard_normal((m.cols, n), dtype=np.float32)
-            if not _runs_dense(m, n):
+            if not kernels._runs_dense(m, n):
                 continue
             ran += 1
             got = hbs_matmul(m, b)

@@ -161,19 +161,21 @@ class TestEstimateCost:
         with pytest.raises(ValueError, match=r"layer_dims must be \(m, k, n\)"):
             estimate_cost(dims, HBSConfig.of((1, 1, 0.5)), t)
 
-    def test_render(self):
-        t = ones_table(BlockShape(1, 1))
+    # The render states the model's two speedups and no product that runs:
+    # hbs_matmul's own rule picks that.
+    @pytest.mark.parametrize(
+        "irf, last",
+        [
+            (1.0, ["sparse-only speedup: 2.0000", "speedup: 2.0000"]),
+            (0.25, ["sparse-only speedup: 0.5000", "speedup: 1.0000"]),
+        ],
+        ids=["sparse-cheaper", "dense-cheaper"],
+    )
+    def test_render(self, irf, last):
+        t = IrfTable({(BlockShape(1, 1), 32): irf}, "analytic")
         text = estimate_cost((4, 4, 4), HBSConfig.of((1, 1, 0.5)), t).render()
-        assert "speedup: 2.0000" in text and "dense cost" in text
-        assert "sparse-only speedup: 2.0000" in text and "(sparse runs)" in text
-
-    def test_render_names_the_dense_product_where_it_runs(self):
-        t = IrfTable({(BlockShape(1, 1), 32): 0.25}, "analytic")
-        text = estimate_cost((4, 4, 4), HBSConfig.of((1, 1, 0.5)), t).render()
-        assert text.splitlines()[-2:] == [
-            "sparse-only speedup: 0.5000",
-            "speedup: 1.0000 (dense runs: sparse cost exceeds dense)",
-        ]
+        assert text.startswith("dense cost: 128 FLOPs\n")
+        assert text.splitlines()[-2:] == last
 
 
 class TestBenchPlan:
