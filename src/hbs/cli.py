@@ -24,7 +24,10 @@ from .kernels import (
     _dense_rule, _execution, _plan_product, _runs_dense, dense_matmul, flops_sparse,
     flops_sparse_level, hbs_matmul, max_rel_error,
 )
-from .perf import BenchPlan, _median_seconds, calibrate_irf, estimate_cost, read_irf, write_irf
+from .perf import (
+    BenchPlan, _measurable_floor, _median_seconds, calibrate_irf, estimate_cost, read_irf,
+    write_irf,
+)
 from .pruning import prune_hierarchical
 
 
@@ -148,9 +151,12 @@ def _cmd_matmul(args) -> int:
         by_plan, by_rule = _median_seconds(
             {"plan": lambda: _plan_product(m, b), "rule": lambda: hbs_matmul(m, b)}, timing
         )
+        floor = _measurable_floor()
+        noise = min(by_plan, by_rule) < floor
         print(
             f"timed, median of {timing.reps}: plan product {by_plan:.6f} s, "
             f"{runs} product that runs {by_rule:.6f} s"
+            + (f" (below the measurable floor {floor:.3g} s: timer noise)" if noise else "")
         )
         d = dense_matmul(reconstruct(m), b)
         print(f"max relative error vs dense oracle: {max_rel_error(c, d):.3e}")

@@ -39,18 +39,28 @@ storage shape never changes.
 
 Each part's non-empty execution block rows are then stored block-ELL
 style, so that one stacked GEMM covers many block rows instead of one BLAS
-call per row: sorted by tile column count, longest first, and cut into
-slabs. A slab ends before the first row holding at most half the columns
-of its own first row. Each slab stacks its rows' tile columns side by side
-in matrix column order, padded with ``+0.0`` to the first row's length,
-so padding stays below the execution tiles themselves and there are at
-most ``log2(longest row) + 1`` slabs. The part holds the execution tiles
-in float64 plus their padding, below twice those tiles, and one ``intp``
+call per row, in slabs of rows padded to a common length. A part whose
+rows are all longer than half its longest row is one slab, its rows in
+block row order. Any other part's rows are sorted by tile column count,
+longest first, ties in block row order, and cut into slabs: a slab ends
+before the first row holding at most half the columns of its own first
+row. Each slab stacks its rows' tile columns side by side in matrix column
+order, padded with ``+0.0`` to its longest row's length, so padding stays
+below the execution tiles themselves and there are at most
+``log2(longest row) + 1`` slabs. The part holds the execution tiles in
+float64 plus their padding, below twice those tiles, and one ``intp``
 gather index per padded column: the row of ``b`` that column multiplies.
 Padding columns read row ``k``, one past the matrix's last column, which
-is the zero row :func:`hbs_matmul` appends to its copy of ``b``, so
-padding never multiplies an infinity. Each slab also keeps per-row views
-of its rows' own tiles and indices, for rows that run alone.
+is the zero row :func:`_plan_product` appends to its copy of ``b``, so
+padding never multiplies an infinity.
+
+How a plan runs depends on the width ``n`` of ``b``, so a matrix also
+keeps the schedule of the latest width it was multiplied at, built by its
+first product at that width (see :func:`_schedule`): which product runs,
+the rows that run alone, each stacked GEMM's views cut once, and how each
+part lands. A part whose stacked rows are one slab holding every execution
+block row in order lands with one contiguous add; any other part lands
+with one index scatter.
 
 FLOP counts follow the multiply-add-times-two convention and count the
 stored, useful cells; a padded part executes more.
@@ -95,10 +105,7 @@ class _Slab(NamedTuple):
 
     tiles: np.ndarray  # read-only float64 (R, eh, L): column-major per row; own columns first
     src: np.ndarray  # read-only intp (R, L): row of b per tile column
-    lens: np.ndarray  # read-only intp (R,): tile columns of each row's own, descending
-    # One entry per row: its execution block row, and its tiles and src cut
-    # to its own length, so a row that runs alone slices nothing per call.
-    rows: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    lens: np.ndarray  # read-only intp (R,): tile columns of each row's own; L is the largest
     start: int  # place of the slab's first row in its part's ids
 
 
@@ -107,15 +114,37 @@ class _Part(NamedTuple):
 
     levels: range  # the stored levels it covers, by index
     shape: BlockShape  # execution shape: stored, or padded to _EXEC_BH rows
-    slabs: tuple[_Slab, ...]  # longest rows first
+    slabs: tuple[_Slab, ...]  # one in block row order, or several, longest rows first
     ids: np.ndarray  # read-only intp: execution block row of each row, slab after slab
 
 
-# Each matrix's execution plan, its parts in stored order, and its float64
-# reconstruction for the dense product, each for as long as the matrix
-# lives. Matrices hash by identity.
+class _Run(NamedTuple):
+    """How one part of a plan runs at one width (see :func:`_schedule`)."""
+
+    eh: int  # execution block height
+    alone: tuple[tuple[int, np.ndarray, np.ndarray], ...]  # (block row, tiles, src) per row
+    # Each stacked GEMM: its tiles and src, cut to its rows and to the
+    # longest of them, and the rows of the part's buffer it fills.
+    chunks: tuple[tuple[np.ndarray, np.ndarray, int, int], ...]
+    stacked: int  # rows of the part's buffer
+    land: np.ndarray | None  # execution block row of each buffer row; None: all, in order
+
+
+class _Schedule(NamedTuple):
+    """How a matrix's product runs at width ``n`` (see :func:`_schedule`)."""
+
+    n: int
+    dense: bool  # whether hbs_matmul runs the dense product
+    runs: tuple[_Run, ...] | None  # the plan's parts; None when only the dense product ran
+
+
+# Each matrix's execution plan, its parts in stored order, its float64
+# reconstruction for the dense product, and the schedule of the latest
+# width it ran at, each for as long as the matrix lives. Matrices hash by
+# identity.
 _PLANS = weakref.WeakKeyDictionary()
 _DENSE = weakref.WeakKeyDictionary()
+_SCHEDULES = weakref.WeakKeyDictionary()
 
 # The rule that picks a product (see _dense_rule), a crossover measured on
 # a 2-core VM with 2 BLAS threads over 19 matrices of 256-2048 rows at 4,
@@ -213,17 +242,20 @@ def _part(m: HBSMatrix, covered: range, eh: int) -> _Part:
     erows, ecols = (a.astype(np.intp) for a in np.divmod(keys, np.uint64(m.cols)))
     first = np.flatnonzero(np.diff(erows, prepend=-1))
     lens = np.diff(first, append=len(erows))
-    order = np.argsort(-lens, kind="stable")  # longest first, ties in row order
-    ids, sorted_lens = erows[first[order]], lens[order]
-    for a in (ids, sorted_lens):
+    if (lens > lens.max(initial=0) // 2).all():
+        order = np.arange(len(lens))  # one slab, in block row order
+    else:
+        order = np.argsort(-lens, kind="stable")  # longest first, ties in row order
+    ids, row_lens = erows[first[order]], lens[order]
+    for a in (ids, row_lens):
         a.flags.writeable = False
     # Slabs as (first row, end row, width, first padded column), and the
     # padded column where each row starts, rows in slab order.
-    bounds, lo, padded, descending = [], 0, 0, -sorted_lens
+    bounds, lo, padded = [], 0, 0
     starts = np.empty(len(ids), dtype=np.intp)
     while lo < len(ids):
-        width = int(sorted_lens[lo])
-        hi = int(np.searchsorted(descending, -(width // 2)))
+        width = int(row_lens[lo:].max())
+        hi = lo + int(np.count_nonzero(row_lens[lo:] > width // 2))
         starts[lo:hi] = padded + np.arange(hi - lo) * width
         bounds.append((lo, hi, width, padded))
         lo, padded = hi, padded + (hi - lo) * width
@@ -253,13 +285,64 @@ def _part(m: HBSMatrix, covered: range, eh: int) -> _Part:
         end = base + (hi - lo) * width
         slab_tiles = tiles[base:end].reshape(hi - lo, width, eh).transpose(0, 2, 1)
         slab_src = src[base:end].reshape(hi - lo, width)
-        widths = sorted_lens[lo:hi]
-        rows = tuple(
-            (r, slab_tiles[s, :, :w], slab_src[s, :w])
-            for s, (r, w) in enumerate(zip(ids[lo:hi].tolist(), widths.tolist()))
-        )
-        slabs.append(_Slab(slab_tiles, slab_src, widths, rows, lo))
+        slabs.append(_Slab(slab_tiles, slab_src, row_lens[lo:hi], lo))
     return _Part(covered, BlockShape(eh, levels[-1].shape.bw), tuple(slabs), ids)
+
+
+def _schedule(m: HBSMatrix, n: int, plan: bool = False) -> _Schedule:
+    """The matrix's schedule at width ``n``, built on its first product at
+    ``n``; with ``plan``, one that holds the plan's runs even where the
+    dense product runs. The matrix keeps the latest width's schedule only.
+    Threads that race to build one width's schedule build equal ones, and
+    all keep the first stored; a schedule of another width is replaced."""
+
+    def fits(s):
+        return s is not None and s.n == n and (s.runs is not None or not plan)
+
+    s = _SCHEDULES.get(m)
+    if fits(s):
+        return s
+    dense = _runs_dense(m, n)
+    s = _Schedule(n, dense, None if dense and not plan else _runs(m, n))
+    kept = _SCHEDULES.setdefault(m, s)
+    if fits(kept):
+        return kept
+    _SCHEDULES[m] = s
+    return s
+
+
+def _runs(m: HBSMatrix, n: int) -> tuple[_Run, ...]:
+    """How each part of the matrix's plan runs against ``n`` columns; builds
+    the plan if needed.
+
+    A slab whose rows are too long for two of them to gather within
+    ``_GATHER_BYTES`` runs each row alone over its own tiles. Such slabs
+    come first, as the slice per row only shrinks from slab to slab. Every
+    other slab runs as stacked GEMMs over consecutive rows, as many as keep
+    the gathered slice of ``b`` within ``_GATHER_BYTES``, each cut to the
+    length of its longest row, into one buffer per part.
+    """
+    runs = []
+    for part in _plan(m):
+        eh = part.shape.bh
+        alone, chunks, base = [], [], None  # base: place in part.ids of the first stacked row
+        for tiles, src, lens, start in part.slabs:
+            step = _GATHER_BYTES // max(1, 8 * n * src.shape[1])
+            if step < 2:
+                for s, (row, w) in enumerate(zip(part.ids[start:].tolist(), lens.tolist())):
+                    alone.append((row, tiles[s, :, :w], src[s, :w]))
+                continue
+            if base is None:
+                base = start
+            for s in range(0, len(lens), step):
+                e = min(s + step, len(lens))
+                w = int(lens[s:e].max())
+                chunks.append((tiles[s:e, :, :w], src[s:e, :w], start - base + s, start - base + e))
+        stacked = 0 if base is None else len(part.ids) - base
+        whole = len(part.slabs) == 1 and stacked == m.rows // eh
+        land = None if whole else part.ids[len(part.ids) - stacked :]
+        runs.append(_Run(eh, tuple(alone), tuple(chunks), stacked, land))
+    return tuple(runs)
 
 
 class _Execution(NamedTuple):
@@ -296,12 +379,14 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     """Multiply an HBS matrix by a dense matrix, by its plan or densely.
 
     A rule on the matrix's stored counts and the width ``n`` of ``b`` picks
-    the product (see :func:`_dense_rule`). Where the plan is modelled to
-    lose, as for most matrices at hundreds of columns, one float64 BLAS
-    product runs by the matrix's float64 reconstruction, built on its first
-    dense product and kept, at 8 bytes per cell, for as long as the matrix
-    lives. Elsewhere the parts of the matrix's execution plan are applied
-    in stored order into one shared double-precision accumulator (see
+    the product (see :func:`_dense_rule`), once per width: the matrix keeps
+    the choice in the schedule of the latest width it ran at (see
+    :func:`_schedule`). Where the plan is modelled to lose, as for most
+    matrices at hundreds of columns, one float64 BLAS product runs by the
+    matrix's float64 reconstruction, built on its first dense product and
+    kept, at 8 bytes per cell, for as long as the matrix lives. Elsewhere
+    the parts of the matrix's execution plan are applied in stored order
+    into one shared double-precision accumulator (see
     :func:`_plan_product`). Either way the sum is rounded to float32 once
     at the end. Products of float32 values are exact in float64, so each
     cell of that sum is within ``gamma_K`` times the same cell of
@@ -324,7 +409,7 @@ def hbs_matmul(m: HBSMatrix, b) -> np.ndarray:
     b = _as_2d(b, "b")
     if m.cols != b.shape[0]:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, b is {b.shape[0]}x{b.shape[1]}")
-    if _runs_dense(m, b.shape[1]):
+    if _schedule(m, b.shape[1]).dense:
         return (_dense_form(m) @ b.astype(np.float64)).astype(np.float32)
     return _plan_product(m, b)
 
@@ -335,49 +420,37 @@ def _plan_product(m: HBSMatrix, b: np.ndarray) -> np.ndarray:
     :func:`~hbs.perf.calibrate_irf` times.
 
     A matrix's first product builds its plan (see the module docstring),
-    which is kept for as long as the matrix lives, so later calls only
-    gather and multiply. The part that pads levels to 8 rows sums all of
-    its levels' cells of one execution block row inside one GEMM per row.
-    Each slab of a part runs as stacked float64 GEMMs over consecutive
-    rows, as many as keep the gathered slice of ``b`` within
-    ``_GATHER_BYTES``, each cut to the length of its first, longest row,
-    into one buffer per part; the buffer then lands in the accumulator
-    with one scatter. Rows are unique within a part, so their sums land
-    without conflict. A slab whose rows are too long for that runs each row
-    alone over its own tiles, which is the arithmetic of one BLAS call per
-    block row. Such slabs come first, as the slice per row only shrinks
-    from slab to slab. Padding adds exact zeros, so the result is within
-    the same bound of the oracle, but it may differ in the last bit from a
-    product that skips the padding.
+    which is kept for as long as the matrix lives, and its first product at
+    a width builds that width's schedule (see :func:`_runs`), so later
+    calls at the width only gather, multiply and land. The part that pads
+    levels to 8 rows sums all of its levels' cells of one execution block
+    row inside one GEMM per row. A part's rows that run alone add their
+    sums to the accumulator one by one; its stacked GEMMs fill one buffer,
+    which then lands in the accumulator with one add: contiguous where the
+    buffer holds every execution block row in order, an index scatter
+    elsewhere. Rows are unique within a part, so their sums land without
+    conflict. Padding adds exact zeros, so the result is within the same
+    bound of the oracle, but it may differ in the last bit from a product
+    that skips the padding.
     """
     n = b.shape[1]
     b64 = np.empty((m.cols + 1, n))
     b64[:-1] = b
     b64[-1] = 0.0
     out64 = np.zeros((m.rows, n))
-    for part in _plan(m):
-        eh = part.shape.bh
+    for eh, alone, chunks, stacked, land in _schedule(m, n, plan=True).runs:
         out3 = out64.reshape(m.rows // eh, eh, n)
-        base = None  # place in part.ids of the first stacked row
-        for tiles, src, lens, rows, start in part.slabs:
-            step = _GATHER_BYTES // max(1, 8 * n * src.shape[1])
-            if step < 2:
-                for row, p, idx in rows:
-                    out3[row] += p @ b64.take(idx, axis=0)
-                continue
-            if base is None:
-                base = start
-                stacked = np.empty((len(part.ids) - base, eh, n))
-            offset = start - base
-            for s in range(0, len(lens), step):
-                e, w = min(s + step, len(lens)), lens[s]
-                np.matmul(
-                    tiles[s:e, :, :w],
-                    b64.take(src[s:e, :w], axis=0),
-                    out=stacked[offset + s : offset + e],
-                )
-        if base is not None:
-            out3[part.ids[base:]] += stacked
+        for row, p, idx in alone:
+            out3[row] += p @ b64.take(idx, axis=0)
+        if not chunks:
+            continue
+        buf = np.empty((stacked, eh, n))
+        for tiles, src, lo, hi in chunks:
+            np.matmul(tiles, b64.take(src, axis=0), out=buf[lo:hi])
+        if land is None:
+            out3 += buf
+        else:
+            out3[land] += buf
     return out64.astype(np.float32)
 
 

@@ -328,6 +328,13 @@ def _median_seconds(calls: dict, plan: BenchPlan) -> list[float]:
     return [statistics.median(ts) for ts in times.values()]
 
 
+def _measurable_floor() -> float:
+    """Shortest median, in seconds, that counts as a measurement:
+    ``MIN_MEASURABLE_SECONDS``, or 1000 ticks of the timer where that is
+    longer."""
+    return max(MIN_MEASURABLE_SECONDS, 1000.0 * time.get_clock_info("perf_counter").resolution)
+
+
 def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
     """Measure irf for every (shape, sparsity) pair with microbenchmarks.
 
@@ -364,7 +371,7 @@ def calibrate_irf(shapes, sparsities, plan: BenchPlan) -> IrfTable:
     b = rng.standard_normal((k, n), dtype=np.float32)
     f_dense = flops_dense(m, k, n)
 
-    floor = max(MIN_MEASURABLE_SECONDS, 1000.0 * time.get_clock_info("perf_counter").resolution)
+    floor = _measurable_floor()
     entries: dict[tuple[BlockShape, int], float] = {}
     for shape in shapes:
         for sp, bucket in zip(sparsities, buckets):

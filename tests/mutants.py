@@ -67,15 +67,21 @@ MUTANTS = [
     ),
     (
         "kernels.py",
-        "out3[part.ids[base:]] += stacked",
-        "out3[part.ids[base:]] = stacked",
+        "out3[land] += buf",
+        "out3[land] = buf",
         "a part's stacked rows overwrite what earlier parts added to their output rows",
     ),
     (
         "kernels.py",
-        "e, w = min(s + step, len(lens)), lens[s]",
-        "e, w = min(s + step, len(lens)), lens[-1]",
-        "stacked rows are cut to the slab's shortest row and lose their last tiles",
+        "out3 += buf",
+        "out3[...] = buf",
+        "a part whose stacked rows are every block row overwrites what earlier parts added",
+    ),
+    (
+        "kernels.py",
+        "w = int(lens[s:e].max())",
+        "w = int(lens[s:e].min())",
+        "stacked rows are cut to the chunk's shortest row and lose their last tiles",
     ),
     (
         "kernels.py",
@@ -109,8 +115,8 @@ MUTANTS = [
     ),
     (
         "kernels.py",
-        "hi = int(np.searchsorted(descending, -(width // 2)))",
-        "hi = int(np.searchsorted(descending, -(width // 4)))",
+        "hi = lo + int(np.count_nonzero(row_lens[lo:] > width // 2))",
+        "hi = lo + int(np.count_nonzero(row_lens[lo:] > width // 4))",
         "a slab keeps rows of a quarter of its first row's length, so padding may pass the tiles",
     ),
     (
@@ -121,8 +127,8 @@ MUTANTS = [
     ),
     (
         "kernels.py",
-        "offset = start - base",
-        "offset = start",
+        "start - base + s, start - base + e))",
+        "start + s, start + e))",
         "stacked rows land in the buffer at their place in the whole part, not after the "
         "rows that ran alone",
     ),
@@ -646,6 +652,33 @@ MUTANTS = [
         'runs = "dense" if _runs_dense(m, n) else "plan"',
         'runs = "plan" if _runs_dense(m, n) else "dense"',
         "matmul --oracle names the product that does not run",
+    ),
+    # kernels.py: the schedule a matrix keeps for its latest width.
+    (
+        "kernels.py",
+        "whole = len(part.slabs) == 1 and stacked == m.rows // eh",
+        "whole = len(part.slabs) == 1 and stacked > 0",
+        "a one-slab part missing a block row lands with the contiguous add of a part holding all",
+    ),
+    (
+        "kernels.py",
+        "w = int(lens[s:e].max())",
+        "w = int(lens[s])",
+        "a stacked GEMM is cut to its first row, and a one-slab part's later, longer rows "
+        "lose their last tiles",
+    ),
+    (
+        "kernels.py",
+        "return s is not None and s.n == n and (s.runs is not None or not plan)",
+        "return s is not None and (s.runs is not None or not plan)",
+        "a schedule built at one width is reused at another, with the product and gathers "
+        "chosen for the first",
+    ),
+    (
+        "kernels.py",
+        "    if fits(kept):\n        return kept\n",
+        "    return kept\n",
+        "a schedule of another width that the map already holds is kept and used",
     ),
 ]
 

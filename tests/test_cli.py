@@ -77,10 +77,17 @@ class TestPipelines:
         assert got and float(got.group(1)) <= 1e-5
         assert read_dmat(c).shape == (16, 7)
         # The oracle reports its times; only calibration refuses times
-        # below the measurable floor.
+        # below the measurable floor. The oracle marks them instead.
         monkeypatch.setattr(perf, "MIN_MEASURABLE_SECONDS", 1e9)
         rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
-        assert rc == 0 and re.search(r"^timed, median of 5: ", out, re.M)
+        timed = r"^timed, median of 5: plan product \d+\.\d{6} s, (plan|dense) product that runs "
+        timed += r"\d+\.\d{6} s"
+        marker = r" \(below the measurable floor 1e\+09 s: timer noise\)"
+        assert rc == 0 and re.search(f"{timed}{marker}$", out, re.M)
+        monkeypatch.setattr(perf, "MIN_MEASURABLE_SECONDS", 0.0)
+        rc, out, _ = run("matmul", "--a", m, "--b", b, "--out", c, "--oracle")
+        assert rc == 0 and re.search(f"{timed}$", out, re.M)
+        assert "measurable floor" not in out
 
     @pytest.mark.parametrize(
         "rows, runs",
@@ -141,7 +148,9 @@ class TestPipelines:
         assert re.search(f"^{plan}$", out, re.M)
 
     @pytest.mark.parametrize("n, runs", [(4, "plan"), (64, "dense")])
-    def test_matmul_oracle_names_the_product_that_runs(self, run, tmp_path, n, runs):
+    def test_matmul_oracle_names_the_product_that_runs(self, run, tmp_path, n, runs, monkeypatch):
+        # With no floor, no median is marked as timer noise.
+        monkeypatch.setattr(perf, "MIN_MEASURABLE_SECONDS", 0.0)
         a, m, b, c = (tmp_path / name for name in ("a.dmat", "m.hbsf", "b.dmat", "c.dmat"))
         run("gen", "--rows", 64, "--cols", 64, "--seed", 5, "--out", a)
         run("prune", "--in", a, "--out", m, "--levels", "32x1:0.75,8x1:0.875")

@@ -230,15 +230,8 @@ class TestPackedLevels:
                     assert slab.tiles.shape == (len(slab.lens), part.shape.bh, slab.src.shape[1])
                     # The slab's rows are its run of the part's ids.
                     at = part.ids[slab.start : slab.start + len(slab.lens)]
-                    assert slab.lens.shape == at.shape == (len(slab.rows),)
-                    # The per-row entries are views cut from the slab's own arrays.
-                    for (row, p, idx), s_row, w in zip(slab.rows, at, slab.lens):
-                        assert row == s_row and p.shape == (part.shape.bh, w)
-                        assert len(idx) == w
-                        assert np.shares_memory(p, slab.tiles) and np.shares_memory(idx, slab.src)
-                    assert sum(p.shape[1] for _, p, _ in slab.rows) == slab.lens.sum()
+                    assert slab.lens.shape == at.shape == (len(slab.src),)
                     arrays += [slab.tiles, slab.src, slab.lens]
-                    arrays += [a for _, p, idx in slab.rows for a in (p, idx)]
                 assert sum(len(slab.lens) for slab in part.slabs) == len(part.ids)
                 # An unpadded level gathers by its own block_cols, in row-major order.
                 (lv, *more) = [m.levels[i] for i in part.levels]
@@ -308,14 +301,19 @@ def _dense_of(m):
     return kernels._DENSE.get(m)
 
 
-# The two forms a matrix keeps, each with a product that builds it: the
-# plan's own product, and hbs_matmul, which runs _ladder() densely at 4 and
-# 5 columns.
-KEPT = {"plan": kernels._plan_product, "dense": hbs_matmul}
+def _schedule_of(m):
+    """The matrix's schedule of its latest width if a product has built one, else None."""
+    return kernels._SCHEDULES.get(m)
+
+
+# The three forms a matrix keeps, each with a product that builds it: the
+# plan's own product, which builds the plan and a schedule that holds its
+# runs, and hbs_matmul, which runs _ladder() densely at 4, 5 and 33 columns.
+KEPT = {"plan": kernels._plan_product, "dense": hbs_matmul, "schedule": kernels._plan_product}
 
 
 def _kept(form, m):
-    return _plan_of(m) if form == "plan" else _dense_of(m)
+    return {"plan": _plan_of, "dense": _dense_of, "schedule": _schedule_of}[form](m)
 
 
 @pytest.mark.parametrize("form", sorted(KEPT))
@@ -327,7 +325,13 @@ class TestKeptForms:
         m = _ladder()
         KEPT[form](m, np.ones((m.cols, 4), np.float32))
         kept = _kept(form, m)
-        arrays = [part.ids for part in kept] if form == "plan" else [kept]
+        if form == "plan":
+            arrays = [part.ids for part in kept]
+        elif form == "schedule":
+            arrays = [a for run in kept.runs for chunk in run.chunks for a in chunk[:2]]
+            assert arrays
+        else:
+            arrays = [kept]
         held = [weakref.ref(m)] + [weakref.ref(a) for a in arrays]
         del m, kept, arrays
         gc.collect()
@@ -370,6 +374,31 @@ class TestKeptForms:
         assert got == [want] * 8
         # Every thread read the one form the matrix keeps.
         assert all(k is kept[0] for k in kept) and _kept(form, m) is kept[0]
+
+    def test_threads_racing_at_two_widths_agree(self, form):
+        product = KEPT[form]
+        m = _ladder()
+        rng = np.random.default_rng(9)
+        bs = [rng.standard_normal((m.cols, n), dtype=np.float32) for n in (5, 33)]
+        want = [_bits(product(_ladder(), b)) for b in bs]
+        got = []
+
+        def run(i):
+            for _ in range(4):
+                got.append(_bits(product(m, bs[i % 2])) == want[i % 2])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [True] * 32
 
 
 def _two(seed=41):
@@ -494,36 +523,51 @@ def _one_level(bh, bw, rows, cols, blocks):
     return HBSMatrix(rows, cols, (level_of(BlockShape(bh, bw), rows // bh, cols // bw, tiles),))
 
 
+def _rows_of(part):
+    """``(execution block row, slab, place in slab, own length)`` of each
+    row of a part of a plan, in the part's order."""
+    return [
+        (row, slab, s, w)
+        for slab in part.slabs
+        for s, (row, w) in enumerate(
+            zip(part.ids[slab.start : slab.start + len(slab.lens)].tolist(), slab.lens.tolist())
+        )
+    ]
+
+
 def _own_src(part):
     """The rows of ``b`` each execution block row reads, rows in order."""
-    rows = sorted((row for slab in part.slabs for row in slab.rows), key=lambda r: r[0])
-    return np.concatenate([idx for *_, idx in rows] or [np.zeros(0, np.intp)])
+    rows = sorted(_rows_of(part), key=lambda r: r[0])
+    return np.concatenate([slab.src[s, :w] for _, slab, s, w in rows] or [np.zeros(0, np.intp)])
 
 
 def _unpack(part, rows, cols):
     """float64 dense matrix that a part of a plan multiplies by.
 
-    Also checks the slab layout: longest rows first, each slab's rows longer
-    than half its first row, padding cells ``+0.0`` and reading row ``cols``
-    of ``b`` (the zero row), and every execution block row in one slab.
+    Also checks the slab layout: one slab in block row order, or longest
+    rows first; each slab as wide as its longest row and its rows longer
+    than half of it; padding cells ``+0.0`` and reading row ``cols`` of
+    ``b`` (the zero row); and every execution block row in one slab.
     """
     eh = part.shape.bh
     dense = np.zeros((rows, cols))
     seen = []
-    firsts = [slab.lens[0] for slab in part.slabs]
-    assert all(later <= first // 2 for first, later in zip(firsts, firsts[1:]))
+    widths = [slab.src.shape[1] for slab in part.slabs]
+    assert all(later <= first // 2 for first, later in zip(widths, widths[1:]))
+    if len(part.slabs) == 1:
+        assert (np.diff(part.ids) > 0).all()
     for slab in part.slabs:
-        assert slab.src.shape[1] == slab.lens[0] and (np.diff(slab.lens) <= 0).all()
-        assert (slab.lens > slab.lens[0] // 2).all()
-        ids = part.ids[slab.start : slab.start + len(slab.lens)]
-        for s, (row, w) in enumerate(zip(ids.tolist(), slab.lens.tolist())):
-            p, idx = slab.tiles[s, :, :w], slab.src[s, :w]
-            assert len(np.unique(idx)) == len(idx) and (idx < cols).all()
-            dense[row * eh : (row + 1) * eh, idx] = p
-            pad = slab.tiles[s, :, w:]
-            assert pad.tobytes() == np.zeros_like(pad).tobytes()
-            assert (slab.src[s, w:] == cols).all()
-            seen.append(row)
+        assert slab.src.shape[1] == slab.lens.max()
+        assert len(part.slabs) == 1 or (np.diff(slab.lens) <= 0).all()
+        assert (slab.lens > slab.lens.max() // 2).all()
+    for row, slab, s, w in _rows_of(part):
+        p, idx = slab.tiles[s, :, :w], slab.src[s, :w]
+        assert len(np.unique(idx)) == len(idx) and (idx < cols).all()
+        dense[row * eh : (row + 1) * eh, idx] = p
+        pad = slab.tiles[s, :, w:]
+        assert pad.tobytes() == np.zeros_like(pad).tobytes()
+        assert (slab.src[s, w:] == cols).all()
+        seen.append(row)
     assert len(set(seen)) == len(seen)
     return dense
 
@@ -739,10 +783,19 @@ class TestSlabs:
         budget = 8 * n * 2 * part.slabs[-1].src.shape[1]
         for gather_bytes in (1, budget, 2**40):
             monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
-            spied = tuple(slab._replace(rows=_Walked(slab.rows)) for slab in part.slabs)
-            kernels._PLANS[m] = plan[:-1] + (part._replace(slabs=spied),)
+            # A width's schedule is cut once; drop it to cut it under this budget.
+            kernels._SCHEDULES.pop(m, None)
             got = kernels._plan_product(m, b)
-            alone = [slab.rows.walked for slab in spied]
+            run = kernels._SCHEDULES[m].runs[-1]
+            ran_alone = {row for row, *_ in run.alone}
+            landed = part.ids if run.land is None else run.land
+            # Every row runs once, alone or stacked.
+            ran = [row for row, *_ in run.alone] + landed.tolist()
+            assert sorted(ran) == sorted(part.ids.tolist())
+            alone = [
+                bool(ran_alone & set(part.ids[slab.start : slab.start + len(slab.lens)].tolist()))
+                for slab in part.slabs
+            ]
             if gather_bytes == 1:
                 assert all(alone)
             elif gather_bytes == budget:
@@ -754,14 +807,113 @@ class TestSlabs:
             assert _bits(got) == _bits(again) == _bits(kernels._plan_product(m, b))
 
 
-class _Walked(tuple):
-    """A slab's per-row entries, noting whether a product ran its rows alone."""
+def _prefix_rows(*lens):
+    """Blocks of block rows holding the first ``lens[r]`` block columns each."""
+    return [(r, c) for r, w in enumerate(lens) for c in range(w)]
 
-    walked = False
 
-    def __iter__(self):
-        self.walked = True
-        return super().__iter__()
+# Parts by how they run: (matrix builder, slabs, stacked rows land whole,
+# rows run alone). In the one-slab parts the first row is the shortest, so
+# a stacked GEMM cut to its first row would drop tile columns.
+def _short_first(full_rows):
+    """A ``3x1`` level of four block rows, as one slab: block row 0 holds
+    two blocks, and each of ``full_rows`` holds three."""
+    blocks = [(0, 1), (0, 4)] + [(r, c) for r in full_rows for c in (0, 2, 5)]
+    return _one_level(3, 1, 12, 6, blocks)
+
+
+def _prefix_rows(*lens):
+    """Blocks of block rows holding the first ``lens[r]`` block columns each."""
+    return [(r, c) for r, w in enumerate(lens) for c in range(w)]
+
+
+# Parts by how they run: (matrix builder, slabs, stacked rows land whole,
+# rows run alone). In the one-slab parts the first row is the shortest, so
+# a stacked GEMM cut to its first row would drop tile columns.
+LAYOUTS = {
+    "one-slab-every-row": (lambda: _short_first((1, 2, 3)), 1, True, False),
+    "one-slab-missing-row": (lambda: _short_first((1, 3)), 1, False, False),
+    "slabs": (lambda: _skewed(*SKEWED["3x2"]), 2, False, False),
+    # Rows of 9000 and 8000 tile columns: two of either gather more than
+    # _GATHER_BYTES even at one column.
+    "alone": (lambda: _one_level(1, 1, 2, 9000, _prefix_rows(9000, 8000)), 1, None, True),
+}
+
+
+class TestSchedule:
+    """A matrix keeps how its plan runs at its latest width: the product
+    that runs, each stacked GEMM's views, the rows that run alone, and how
+    each part lands."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n", [1, 4, 33])
+    def test_layouts_within_float64_oracle(self, layout, n):
+        build, slabs, whole, alone = LAYOUTS[layout]
+        m = build()
+        b = np.random.default_rng(n).standard_normal((m.cols, n), dtype=np.float32)
+        want = (reconstruct(m).astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        got = kernels._plan_product(m, b)
+        (part,) = _plan_of(m)
+        (run,) = _schedule_of(m).runs
+        assert len(part.slabs) == slabs and bool(run.alone) == alone
+        if whole is not None:
+            assert run.chunks and (run.land is None) == whole
+        assert max_rel_error(got, want) <= 1e-5
+        again = kernels._plan_product(m, b)
+        assert _bits(got) == _bits(again) == _bits(kernels._plan_product(build(), b))
+
+    @pytest.mark.parametrize("n", [1, 4, 33, 256])
+    def test_chunks_gather_within_budget(self, n):
+        matrices = [build() for build in EDGE_MATRICES.values()]
+        matrices += [_skewed(*SKEWED[case]) for case in sorted(SKEWED)] + [_ladder()]
+        matrices += [build() for build, *_ in LAYOUTS.values()]
+        for m in matrices:
+            kernels._plan_product(m, np.ones((m.cols, n), np.float32))
+            for part, run in zip(_plan_of(m), _schedule_of(m).runs):
+                lens = {row: w for row, _, _, w in _rows_of(part)}
+                for row, p, idx in run.alone:
+                    assert p.shape == (part.shape.bh, lens[row]) and idx.shape == (lens[row],)
+                for tiles, src, lo, hi in run.chunks:
+                    rows, width = src.shape
+                    assert rows * width * n * 8 <= kernels._GATHER_BYTES or rows == 1
+                    assert tiles.shape == (rows, part.shape.bh, width) and hi - lo == rows
+                    # Cut to its longest row: the last column is some row's own.
+                    assert (src[:, -1] < m.cols).any()
+                    assert not tiles.flags.writeable and not src.flags.writeable
+
+    def test_keeps_the_latest_width_only(self):
+        m = _two()
+        b4, b33 = (np.ones((m.cols, n), np.float32) for n in (4, 33))
+        hbs_matmul(m, b4)
+        first = _schedule_of(m)
+        assert first.n == 4 and not first.dense and first.runs is not None
+        hbs_matmul(m, b4)
+        assert _schedule_of(m) is first
+        kernels._plan_product(m, b33)
+        assert _schedule_of(m).n == 33
+        hbs_matmul(m, b4)
+        assert _schedule_of(m).n == 4 and _schedule_of(m) is not first
+
+    def test_rule_runs_once_per_width(self, monkeypatch):
+        m = _ladder()
+        widths = []
+        rule = kernels._runs_dense
+
+        def counted(m, n):
+            widths.append(n)
+            return rule(m, n)
+
+        monkeypatch.setattr(kernels, "_runs_dense", counted)
+        b = np.ones((m.cols, 4), np.float32)
+        for _ in range(3):
+            hbs_matmul(m, b)
+        assert widths == [4] and _schedule_of(m).dense and _schedule_of(m).runs is None
+        # The plan's own product needs the runs the dense schedule left out.
+        planned = kernels._plan_product(m, b)
+        assert _schedule_of(m).runs is not None and widths == [4, 4]
+        assert _bits(kernels._plan_product(m, b)) == _bits(planned)
+        hbs_matmul(m, b)
+        assert widths == [4, 4] and _dense_of(m) is not None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
